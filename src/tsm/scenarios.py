@@ -3,7 +3,7 @@
 * two_sided: the revenue-sharing game. In `equilibrium` mode each provider's
   game is solved by backward induction; in `declared-price` mode the
   provider's sampled list price is held fixed and the platform picks its
-  share by numerical maximization of its payoff.
+  share in closed form to maximize its payoff.
 * fifty_fifty: the egalitarian split. The share is pinned at 0.5, the
   subsidizing factor at 1, and the provider prices against that split.
 * pay_as_you_go: the incumbent rental model. The provider rents
@@ -18,7 +18,6 @@ alone.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,6 +26,8 @@ import numpy as np
 from .core import (
     Coefficients,
     MarketParams,
+    _log_demand_reduced,
+    _log_supply_reduced,
     check_feasibility,
     consumer_demand_primitive,
     demand_reduced,
@@ -34,7 +35,7 @@ from .core import (
 )
 from .core import cloud_payoff as _cloud_payoff_scalar
 from .core import provider_payoff as _provider_payoff_scalar
-from .equilibrium import _cloud_payoff_arr, _golden_max, provider_best_price, stackelberg_solve
+from .equilibrium import _cloud_payoff_arr, provider_best_price, stackelberg_solve
 
 TWO_SIDED = "two_sided"
 FIFTY_FIFTY = "fifty_fifty"
@@ -44,8 +45,6 @@ SCENARIOS = (TWO_SIDED, FIFTY_FIFTY, PAY_AS_YOU_GO)
 MODE_EQUILIBRIUM = "equilibrium"
 MODE_DECLARED_PRICE = "declared-price"
 MODES = (MODE_EQUILIBRIUM, MODE_DECLARED_PRICE)
-
-SHARE_TOL = 1e-8  # golden-section tolerance for the declared-price share
 
 
 class PopulationMismatchError(ValueError):
@@ -167,36 +166,33 @@ def _coefficient_columns(cols: _ParamColumns) -> Coefficients:
     )
 
 
-_SHARE_SCAN = np.unique(np.concatenate([
-    np.geomspace(1e-9, 0.5, 256),
-    1.0 - np.geomspace(1e-9, 0.5, 256),
-    np.linspace(1e-9, 1.0 - 1e-9, 256),
-]))
+SHARE_MIN = 1e-9
+SHARE_MAX = 1.0 - 1e-9
 
 
-def _declared_share_argmax(prices: np.ndarray, cols: _ParamColumns) -> np.ndarray:
-    """Per provider, the share maximizing the platform payoff at a fixed price.
+def _declared_share(price, cols, c: Coefficients) -> np.ndarray:
+    """Per row, the share maximizing the platform payoff at a fixed price.
 
-    Coarse scan over (eps, 1-eps) followed by golden-section refinement to
-    SHARE_TOL inside the bracketing cells. The payoff is single-peaked or
-    monotone in the share, so the scan cell around the coarse argmax always
-    brackets the maximum.
+    At a fixed price the payoff is R*s^e1 - K*s^e2 with e1 = a4/a2 + 1 and
+    e2 = phi/a2. Under f3 (e2 > e1) its only stationary point is the maximum
+    s* = (e1*R / (e2*K))^(1/(e2-e1)); otherwise the payoff is monotone or
+    dips to an interior minimum. The best of s*, clipped to the share
+    domain, and the two endpoints is returned.
     """
-    coefs2 = _coefficient_columns(cols.column_view())
-    pay = _cloud_payoff_arr(prices[:, None], _SHARE_SCAN[None, :],
-                            cols.column_view(), coefs2)
-    j = np.argmax(pay, axis=1)
-    lo = _SHARE_SCAN[np.maximum(j - 1, 0)]
-    hi = _SHARE_SCAN[np.minimum(j + 1, _SHARE_SCAN.size - 1)]
-
-    coefs = _coefficient_columns(cols)
-
-    def payoff(share):
-        return _cloud_payoff_arr(prices, share, cols, coefs)
-
-    refined = _golden_max(payoff, lo, hi, iters=48)
-    coarse = _SHARE_SCAN[j]
-    return np.where(payoff(refined) >= payoff(coarse), refined, coarse)
+    log_price = np.log(price)
+    e1 = c.a4 / c.a2 + 1.0
+    e2 = cols.phi / c.a2
+    log_r = log_price + _log_demand_reduced(log_price, 0.0, cols, c)
+    # Rows without f3 (and f_s = 0, where K = 0) give inf or nan here; the
+    # former are discarded below and the latter clip to the upper endpoint.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_k = np.log(cols.f_s) + _log_supply_reduced(log_price, 0.0, cols, c)
+        s_star = np.exp((np.log(e1) + log_r - np.log(e2) - log_k) / (e2 - e1))
+    s_star = np.where(e2 > e1, np.clip(s_star, SHARE_MIN, SHARE_MAX), SHARE_MIN)
+    candidates = np.stack([s_star, np.full_like(s_star, SHARE_MIN),
+                           np.full_like(s_star, SHARE_MAX)])
+    best = np.argmax(_cloud_payoff_arr(price, candidates, cols, c), axis=0)
+    return candidates[best, np.arange(s_star.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +237,15 @@ def run_two_sided(providers: Sequence[Provider],
 
     prices = np.array([p.declared_price for p in ordered], dtype=float)
     cols = _ParamColumns.from_params([p.params for p in ordered])
-    shares = _declared_share_argmax(prices, cols)
-    for prov, price, share in zip(ordered, prices, shares):
-        share = float(share)
+    shares = _declared_share(prices, cols, _coefficient_columns(cols))
+    # Plain floats: under numpy 2 repr(np.float64) is "np.float64(...)",
+    # which would leak into the CSV.
+    for prov, price, share in zip(ordered, prices.tolist(), shares.tolist()):
         records.append(ScenarioRecord(
             provider_id=prov.provider_id,
             scenario=TWO_SIDED,
             params=prov.params,
-            price=float(price),
+            price=price,
             share=share,
             demand=demand_reduced(price, share, prov.params),
             supply=supply_reduced(price, share, prov.params),
@@ -291,20 +288,26 @@ def run_fifty_fifty(providers: Sequence[Provider]) -> list[ScenarioRecord]:
     return records
 
 
+def _payg_supply(price, params):
+    """(p_s / (alpha*k1*(price - f_c)*price^(-gamma)))^(1/(alpha-1)) in log
+    space, for scalars or columns; NaN where the price does not cover f_c."""
+    margin = np.where(price > params.f_c, price - params.f_c, np.nan)
+    log_base = (
+        np.log(params.p_s) - np.log(params.alpha) - np.log(params.k1)
+        - np.log(margin) + params.gamma * np.log(price)
+    )
+    return np.exp(log_base / (params.alpha - 1.0))
+
+
 def payg_supply(price: float, params: MarketParams) -> float:
     """The provider's optimal rented infrastructure under flat-rate pricing.
 
     (p_s / (alpha * k1 * (price - f_c) * price^(-gamma))) ** (1/(alpha-1)),
     evaluated in log space. Requires price > f_c and alpha != 1.
     """
-    margin = price - params.f_c
-    if margin <= 0.0:
+    if price <= params.f_c:
         raise ValueError(f"price {price} does not cover f_c {params.f_c}")
-    log_base = (
-        math.log(params.p_s) - math.log(params.alpha) - math.log(params.k1)
-        - math.log(margin) + params.gamma * math.log(price)
-    )
-    return math.exp(log_base / (params.alpha - 1.0))
+    return float(_payg_supply(price, params))
 
 
 def run_pay_as_you_go(providers: Sequence[Provider]) -> list[ScenarioRecord]:
