@@ -6,7 +6,7 @@ subsidizing factor) steps across its grid. Cells aggregate means over the
 feasible records. The same series are what `tsm sweep` writes as CSV.
 """
 
-from tsm import PopulationSpec, SweepSpec, sweep_externalities, sweep_phi
+from tsm import PopulationSpec, SweepSpec, run_sweep
 
 population = PopulationSpec(n_providers=300, seed=1729)
 
@@ -14,7 +14,7 @@ population = PopulationSpec(n_providers=300, seed=1729)
 # as g / alpha so the product is exactly g across the population.
 spec = SweepSpec(axis="alpha_beta_product", scenarios=("two_sided",),
                  phi_levels=(0.5, 1.5, 5.0), population=population)
-cells = sweep_externalities(spec)
+cells = run_sweep(spec)
 
 print("mean platform payoff and mean share over the externality product")
 print(f"{'a*b':>5} | " + " | ".join(f"phi={lvl:<3} payoff    share" for lvl in (0.5, 1.5, 5.0)))
@@ -31,7 +31,7 @@ print("(the platform asks for a growing share as the externality loop "
 
 # Subsidizing-factor sweep: phi itself is the axis, fixed population-wide.
 spec_phi = SweepSpec(axis="phi", scenarios=("two_sided",), population=population)
-cells_phi = sweep_phi(spec_phi)
+cells_phi = run_sweep(spec_phi)
 print("\nmean payoffs over the subsidizing factor")
 print(f"{'phi':>5} {'platform':>12} {'provider':>12} {'demand':>10}")
 for cell in cells_phi:

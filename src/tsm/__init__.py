@@ -45,10 +45,6 @@ from .population import (
     run_sweep,
     sample_population,
     sample_providers,
-    sweep_externalities,
-    sweep_gamma,
-    sweep_k1,
-    sweep_phi,
 )
 from .scenarios import (
     Provider,

@@ -434,8 +434,8 @@ def _oracle_case(task):
 def run_oracle_comparison(cases, grid_n: int, threads: int | None = None):
     """(|chi* - chi_oracle|, |P* - P_oracle|/P*) for each reported equilibrium."""
     tasks = [(params, grid_n) for params, _ in cases]
-    n_workers = worker_count(threads)
-    if n_workers <= 1 or len(tasks) <= 1:
+    n_workers = min(worker_count(threads), len(tasks))
+    if n_workers <= 1:
         results = [_oracle_case(t) for t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:

@@ -16,7 +16,8 @@ overflow long before the model itself becomes degenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +94,41 @@ class MarketParams:
 
 
 @dataclass(frozen=True)
+class ParamTable:
+    """Struct-of-arrays form of validated MarketParams: one float column per
+    field, one row per game.
+
+    `derive_coefficients` and the log-space helpers below broadcast over it
+    unchanged. It is built from already-validated parameter sets and does
+    not re-validate; `dataclasses.replace` swaps in a column.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    psi: np.ndarray
+    phi: np.ndarray
+    k1: np.ndarray
+    f_c: np.ndarray
+    k2: np.ndarray
+    f_s: np.ndarray
+    p_s: np.ndarray
+
+    @classmethod
+    def from_params(cls, params: Sequence[MarketParams]) -> "ParamTable":
+        return cls(*(np.array([getattr(p, f.name) for p in params], dtype=float)
+                     for f in fields(MarketParams)))
+
+    def __len__(self) -> int:
+        return self.alpha.size
+
+    def rows(self) -> Iterator[MarketParams]:
+        """One validated MarketParams per row, with plain float fields."""
+        for values in zip(*(getattr(self, f.name).tolist() for f in fields(self))):
+            yield MarketParams(*values)
+
+
+@dataclass(frozen=True)
 class Coefficients:
     """Composite exponents derived from one MarketParams.
 
@@ -112,8 +148,11 @@ class Coefficients:
     share_exp_b: float
 
 
-def derive_coefficients(params: MarketParams) -> Coefficients:
-    """Compute the composite exponents. Pure; same params give identical values."""
+def derive_coefficients(params: MarketParams | ParamTable) -> Coefficients:
+    """Compute the composite exponents, elementwise over a ParamTable.
+
+    Pure; same params give identical values.
+    """
     a1 = params.gamma - params.alpha * params.psi
     a2 = 1.0 - params.alpha * params.beta
     a3 = params.psi - params.gamma * params.beta
@@ -257,24 +296,32 @@ def supply_reduced(price: float, share: float, params: MarketParams) -> float:
     return float(np.exp(_log_supply_reduced(np.log(price), np.log(share), params, c)))
 
 
+def _provider_payoff_arr(price, share, params, c: Coefficients):
+    log_dc = _log_demand_reduced(np.log(price), np.log(share), params, c)
+    return (price * (1.0 - share) - params.f_c) * np.exp(log_dc)
+
+
 def provider_payoff(price: float, share: float, params: MarketParams) -> float:
     """Provider surplus (price*(1-share) - f_c) * demand. May be negative."""
-    return (price * (1.0 - share) - params.f_c) * demand_reduced(price, share, params)
+    _require(price > 0.0, f"price must be > 0, got {price}")
+    _require(0.0 < share < 1.0, f"share must lie in (0, 1), got {share}")
+    return float(_provider_payoff_arr(price, share, params, derive_coefficients(params)))
+
+
+def _cloud_payoff_arr(price, share, params, c: Coefficients):
+    log_price = np.log(price)
+    log_share = np.log(share)
+    revenue = np.exp(log_price + log_share
+                     + _log_demand_reduced(log_price, log_share, params, c))
+    # exp(log(0) + x) = 0, so f_s = 0 falls out of the same expression.
+    with np.errstate(divide="ignore"):
+        log_fs = np.log(params.f_s)
+    cost = np.exp(log_fs + _log_supply_reduced(log_price, log_share, params, c))
+    return revenue - cost
 
 
 def cloud_payoff(price: float, share: float, params: MarketParams) -> float:
     """Platform surplus price*share*demand - f_s*supply. May be negative."""
     _require(price > 0.0, f"price must be > 0, got {price}")
     _require(0.0 < share < 1.0, f"share must lie in (0, 1), got {share}")
-    c = derive_coefficients(params)
-    log_price = np.log(price)
-    log_share = np.log(share)
-    revenue = np.exp(
-        log_price + log_share + _log_demand_reduced(log_price, log_share, params, c)
-    )
-    if params.f_s == 0.0:
-        return float(revenue)
-    cost = np.exp(
-        np.log(params.f_s) + _log_supply_reduced(log_price, log_share, params, c)
-    )
-    return float(revenue - cost)
+    return float(_cloud_payoff_arr(price, share, params, derive_coefficients(params)))

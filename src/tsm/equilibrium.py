@@ -31,8 +31,8 @@ from .core import (
     InfeasibilityError,
     MarketParams,
     MarketState,
-    _log_demand_reduced,
-    _log_supply_reduced,
+    _cloud_payoff_arr,
+    _provider_payoff_arr,
     check_feasibility,
     cloud_payoff,
     demand_reduced,
@@ -300,27 +300,6 @@ def _golden_max(f, lo, hi, iters):
         b = np.where(keep_low, d, b)
         a = np.where(keep_low, a, c)
     return 0.5 * (a + b)
-
-
-def _provider_payoff_arr(price, share, params: MarketParams, c: Coefficients):
-    log_dc = _log_demand_reduced(np.log(price), np.log(share), params, c)
-    return (price * (1.0 - share) - params.f_c) * np.exp(log_dc)
-
-
-def _cloud_payoff_arr(price, share, params, c: Coefficients):
-    log_price = np.log(price)
-    log_share = np.log(share)
-    revenue = np.exp(log_price + log_share
-                     + _log_demand_reduced(log_price, log_share, params, c))
-    # exp(log(0) + x) = 0, so f_s = 0 falls out of the same expression.
-    fs = params.f_s
-    if isinstance(fs, float):
-        log_fs = math.log(fs) if fs > 0.0 else -math.inf
-    else:
-        with np.errstate(divide="ignore"):
-            log_fs = np.log(fs)
-    cost = np.exp(log_fs + _log_supply_reduced(log_price, log_share, params, c))
-    return revenue - cost
 
 
 # Price search domain, as multiples r of the break-even price f_c/(1-chi):

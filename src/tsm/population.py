@@ -10,20 +10,22 @@ and unchanged by how much of it is consumed or on how many workers.
 Sweeps rerun the business-model scenarios while stepping one parameter axis
 (the externality product, the subsidizing factor, the demand elasticity, or
 the demand multiplier) across the population, and aggregate each grid cell
-into per-scenario means over its feasible records.
+into per-scenario means over its feasible records. The population is tiled
+over all cells into one parameter table, so each scenario runs once per
+sweep.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import MarketParams
+from .core import MarketParams, ParamTable
 from .scenarios import (
     FIFTY_FIFTY,
     MODE_DECLARED_PRICE,
@@ -31,11 +33,13 @@ from .scenarios import (
     PAY_AS_YOU_GO,
     SCENARIOS,
     TWO_SIDED,
+    Outcome,
     Provider,
     ScenarioRecord,
     run_fifty_fifty,
     run_pay_as_you_go,
     run_two_sided,
+    scenario_columns,
 )
 
 AXIS_ALPHA_BETA = "alpha_beta_product"
@@ -186,11 +190,16 @@ class SweepSpec:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
         grid = tuple(self.grid) or default_grid(self.axis)
         object.__setattr__(self, "grid", grid)
+        # NaN passes the order and range checks below: its comparisons are false.
+        if not all(math.isfinite(v) for v in grid):
+            raise ValueError("axis grid values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("axis grid must be strictly increasing")
         lo, hi = AXIS_RANGES[self.axis]
         if grid[0] < lo or grid[-1] > hi:
             raise ValueError(f"{self.axis} grid must lie within [{lo}, {hi}]")
+        if not all(math.isfinite(v) and v >= 0.0 for v in self.phi_levels):
+            raise ValueError("phi levels must be finite and >= 0")
         for s in self.scenarios:
             if s not in SCENARIOS:
                 raise ValueError(f"unknown scenario {s!r}")
@@ -223,7 +232,10 @@ class SweepSeries:
 
 
 def worker_count(explicit: int | None = None) -> int:
-    """Resolve the worker cap: explicit argument, else TSM_THREADS, else auto."""
+    """Resolve the worker cap: explicit argument, else TSM_THREADS, else auto.
+
+    Never more than the CPUs this process may run on.
+    """
     if explicit is None:
         raw = os.environ.get(THREADS_ENV_VAR, "0")
         try:
@@ -232,24 +244,9 @@ def worker_count(explicit: int | None = None) -> int:
             raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
     if explicit < 0:
         raise ValueError(f"worker count must be >= 0, got {explicit}")
-    return explicit if explicit > 0 else (os.cpu_count() or 1)
-
-
-def _override_providers(providers: Sequence[Provider], axis: str, value: float,
-                        phi_level: float) -> list[Provider]:
-    out = []
-    for p in providers:
-        changes = {"phi": phi_level}
-        if axis == AXIS_ALPHA_BETA:
-            changes["beta"] = value / p.params.alpha
-        elif axis == AXIS_GAMMA:
-            changes["gamma"] = value
-        elif axis == AXIS_K1:
-            changes["k1"] = value
-        # AXIS_PHI carries the value through phi_level itself.
-        out.append(dataclasses.replace(
-            p, params=dataclasses.replace(p.params, **changes)))
-    return out
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(explicit, cpus) if explicit > 0 else cpus
 
 
 def _run_scenario(providers: Sequence[Provider], scenario: str,
@@ -263,89 +260,72 @@ def _run_scenario(providers: Sequence[Provider], scenario: str,
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def _aggregate_cell(axis: str, value: float, phi_level: float, scenario: str,
-                    records: Sequence[ScenarioRecord]) -> SweepSeries:
-    feasible = [r for r in records if r.feasible]
+def _sweep_table(base: ParamTable, axis: str,
+                 cells: Sequence[tuple[float, float]]) -> ParamTable:
+    """`base` tiled once per cell, with the axis and phi columns of each cell.
 
-    def mean_of(getter):
-        vals = [getter(r) for r in feasible]
-        vals = [v for v in vals if v is not None]
-        return float(np.mean(vals)) if vals else None
+    On the externality axis beta is re-derived as g / alpha, so the product
+    is g for every row of the cell.
+    """
+    n = len(base)
+    tiled = ParamTable(*(np.tile(getattr(base, f.name), len(cells))
+                         for f in dataclasses.fields(base)))
+    values = np.repeat([value for value, _ in cells], n)
+    changes = {"phi": np.repeat([level for _, level in cells], n)}
+    if axis == AXIS_ALPHA_BETA:
+        changes["beta"] = values / tiled.alpha
+    elif axis == AXIS_GAMMA:
+        changes["gamma"] = values
+    elif axis == AXIS_K1:
+        changes["k1"] = values
+    return dataclasses.replace(tiled, **changes)
+
+
+def _series(spec: SweepSpec, cell: tuple[float, float], scenario: str,
+            out: Outcome, rows: slice) -> SweepSeries:
+    feasible = out.feasible[rows]
+    count = int(feasible.sum())
+
+    def mean(column):
+        if column is None or not count:
+            return None
+        return float(column[rows][feasible].mean())
 
     return SweepSeries(
-        axis=axis,
-        axis_value=value,
+        axis=spec.axis,
+        axis_value=cell[0],
         scenario=scenario,
-        phi_level=phi_level,
-        n_providers=len(records),
-        feasible_count=len(feasible),
-        mean_cloud_payoff=mean_of(lambda r: r.cloud_payoff) if feasible else None,
-        mean_provider_payoff=mean_of(lambda r: r.provider_payoff) if feasible else None,
-        mean_demand=mean_of(lambda r: r.demand) if feasible else None,
-        mean_supply=mean_of(lambda r: r.supply) if feasible else None,
-        mean_share=mean_of(lambda r: r.share) if feasible else None,
+        phi_level=cell[1],
+        n_providers=feasible.size,
+        feasible_count=count,
+        mean_cloud_payoff=mean(out.cloud_payoff),
+        mean_provider_payoff=mean(out.provider_payoff),
+        mean_demand=mean(out.demand),
+        mean_supply=mean(out.supply),
+        mean_share=mean(out.share),
     )
 
 
-def _run_cell(args) -> SweepSeries:
-    providers, axis, value, phi_level, scenario, mode = args
-    overridden = _override_providers(providers, axis, value, phi_level)
-    records = _run_scenario(overridden, scenario, mode)
-    return _aggregate_cell(axis, value, phi_level, scenario, records)
-
-
-def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[SweepSeries]:
+def run_sweep(spec: SweepSpec) -> list[SweepSeries]:
     """Execute a sweep and return its cells in deterministic order.
 
-    Cells are independent and may run on a process pool (capped by the
-    `threads` argument or TSM_THREADS); results are sorted by
-    (axis_value, scenario, phi_level) so the worker count never changes
-    the output.
+    The population is sampled once and tiled over every (axis value, phi
+    level) cell; each scenario's kernel runs once over all rows, and each
+    cell is the mean over its feasible rows. Results are sorted by
+    (axis_value, scenario, phi_level).
     """
     providers = sample_providers(spec.population)
-    levels = spec.grid if spec.axis == AXIS_PHI else spec.phi_levels
-    tasks = []
-    for value in spec.grid:
-        cell_levels = (value,) if spec.axis == AXIS_PHI else levels
-        for phi_level in cell_levels:
-            for scenario in spec.scenarios:
-                tasks.append((providers, spec.axis, value, phi_level, scenario,
-                              spec.mode))
-
-    n_workers = worker_count(threads)
-    if n_workers <= 1 or len(tasks) <= 1:
-        results = [_run_cell(t) for t in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_cell, tasks, chunksize=4))
-    results.sort(key=lambda s: (s.axis_value, s.scenario, s.phi_level))
-    return results
-
-
-def sweep_externalities(spec: SweepSpec, threads: int | None = None) -> list[SweepSeries]:
-    """Sweep the externality product: per grid value g, each provider's beta
-    is re-derived as g / alpha so the product is exactly g population-wide."""
-    if spec.axis != AXIS_ALPHA_BETA:
-        spec = dataclasses.replace(spec, axis=AXIS_ALPHA_BETA)
-    return run_sweep(spec, threads=threads)
-
-
-def sweep_phi(spec: SweepSpec, threads: int | None = None) -> list[SweepSeries]:
-    """Sweep the subsidizing factor, fixed across the population per cell."""
-    if spec.axis != AXIS_PHI:
-        spec = dataclasses.replace(spec, axis=AXIS_PHI)
-    return run_sweep(spec, threads=threads)
-
-
-def sweep_gamma(spec: SweepSpec, threads: int | None = None) -> list[SweepSeries]:
-    """Sweep the consumer demand elasticity."""
-    if spec.axis != AXIS_GAMMA:
-        spec = dataclasses.replace(spec, axis=AXIS_GAMMA)
-    return run_sweep(spec, threads=threads)
-
-
-def sweep_k1(spec: SweepSpec, threads: int | None = None) -> list[SweepSeries]:
-    """Sweep the demand multiplier."""
-    if spec.axis != AXIS_K1:
-        spec = dataclasses.replace(spec, axis=AXIS_K1)
-    return run_sweep(spec, threads=threads)
+    n = len(providers)
+    # (axis value, phi level) per cell; the phi axis is its own level.
+    cells = ([(value, value) for value in spec.grid] if spec.axis == AXIS_PHI
+             else [(value, level) for value in spec.grid for level in spec.phi_levels])
+    table = _sweep_table(ParamTable.from_params([p.params for p in providers]),
+                        spec.axis, cells)
+    price = np.tile([p.declared_price for p in providers], len(cells))
+    series = []
+    for scenario in spec.scenarios:
+        out = scenario_columns(scenario, table, price, spec.mode)
+        series += [_series(spec, cell, scenario, out, slice(j * n, (j + 1) * n))
+                   for j, cell in enumerate(cells)]
+    series.sort(key=lambda s: (s.axis_value, s.scenario, s.phi_level))
+    return series

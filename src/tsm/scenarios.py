@@ -26,16 +26,15 @@ import numpy as np
 from .core import (
     Coefficients,
     MarketParams,
+    ParamTable,
+    _cloud_payoff_arr,
+    _log_demand_primitive,
     _log_demand_reduced,
     _log_supply_reduced,
-    check_feasibility,
-    consumer_demand_primitive,
-    demand_reduced,
-    supply_reduced,
+    _provider_payoff_arr,
+    derive_coefficients,
 )
-from .core import cloud_payoff as _cloud_payoff_scalar
-from .core import provider_payoff as _provider_payoff_scalar
-from .equilibrium import _cloud_payoff_arr, provider_best_price, stackelberg_solve
+from .equilibrium import SHARE_EPS, _best_price_unchecked, stackelberg_solve
 
 TWO_SIDED = "two_sided"
 FIFTY_FIFTY = "fifty_fifty"
@@ -103,74 +102,28 @@ class ScenarioStats:
     share: QuantityStats | None
 
 
-def _infeasible_record(provider: Provider, scenario: str, params: MarketParams,
-                       share: float | None = None) -> ScenarioRecord:
-    # Infeasible draws are retained with zeroed payoffs so sweeps can count them.
-    return ScenarioRecord(
-        provider_id=provider.provider_id,
-        scenario=scenario,
-        params=params,
-        price=None,
-        share=share,
-        demand=None,
-        supply=None,
-        provider_payoff=0.0,
-        cloud_payoff=0.0,
-        feasible=False,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Declared-price share maximization, vectorized across providers.
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class _ParamColumns:
-    """Per-provider parameter vectors with the attribute names the core
-    log-space helpers expect, so the scalar formulas broadcast unchanged."""
+class Outcome:
+    """One scenario's results over a ParamTable, one column entry per row.
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    psi: np.ndarray
-    phi: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    f_c: np.ndarray
-    f_s: np.ndarray
+    Rows where `feasible` is False hold NaN. `share` is None for a scenario
+    without a share (pay_as_you_go).
+    """
 
-    @classmethod
-    def from_params(cls, params: Sequence[MarketParams]) -> "_ParamColumns":
-        cols = {
-            name: np.array([getattr(p, name) for p in params], dtype=float)
-            for name in ("alpha", "beta", "gamma", "psi", "phi", "k1", "k2", "f_c", "f_s")
-        }
-        return cls(**cols)
-
-    def column_view(self) -> "_ParamColumns":
-        return _ParamColumns(**{
-            f.name: getattr(self, f.name)[:, None] for f in dataclasses.fields(self)
-        })
+    feasible: np.ndarray
+    price: np.ndarray
+    share: np.ndarray | None
+    demand: np.ndarray
+    supply: np.ndarray
+    provider_payoff: np.ndarray
+    cloud_payoff: np.ndarray
 
 
-def _coefficient_columns(cols: _ParamColumns) -> Coefficients:
-    a1 = cols.gamma - cols.alpha * cols.psi
-    a2 = 1.0 - cols.alpha * cols.beta
-    a3 = cols.psi - cols.gamma * cols.beta
-    a4 = cols.alpha * cols.phi
-    return Coefficients(
-        a1=a1, a2=a2, a3=a3, a4=a4,
-        share_exp_a=(a4 - cols.phi) / a2 + 1.0,
-        share_exp_b=(a1 + a3) / a2 - 1.0,
-    )
+# ---------------------------------------------------------------------------
+# Scenario kernels over a ParamTable.
+# ---------------------------------------------------------------------------
 
-
-SHARE_MIN = 1e-9
-SHARE_MAX = 1.0 - 1e-9
-
-
-def _declared_share(price, cols, c: Coefficients) -> np.ndarray:
+def _declared_share(price, t: ParamTable, c: Coefficients) -> np.ndarray:
     """Per row, the share maximizing the platform payoff at a fixed price.
 
     At a fixed price the payoff is R*s^e1 - K*s^e2 with e1 = a4/a2 + 1 and
@@ -181,111 +134,62 @@ def _declared_share(price, cols, c: Coefficients) -> np.ndarray:
     """
     log_price = np.log(price)
     e1 = c.a4 / c.a2 + 1.0
-    e2 = cols.phi / c.a2
-    log_r = log_price + _log_demand_reduced(log_price, 0.0, cols, c)
+    e2 = t.phi / c.a2
+    log_r = log_price + _log_demand_reduced(log_price, 0.0, t, c)
     # Rows without f3 (and f_s = 0, where K = 0) give inf or nan here; the
     # former are discarded below and the latter clip to the upper endpoint.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_k = np.log(cols.f_s) + _log_supply_reduced(log_price, 0.0, cols, c)
+        log_k = np.log(t.f_s) + _log_supply_reduced(log_price, 0.0, t, c)
         s_star = np.exp((np.log(e1) + log_r - np.log(e2) - log_k) / (e2 - e1))
-    s_star = np.where(e2 > e1, np.clip(s_star, SHARE_MIN, SHARE_MAX), SHARE_MIN)
-    candidates = np.stack([s_star, np.full_like(s_star, SHARE_MIN),
-                           np.full_like(s_star, SHARE_MAX)])
-    best = np.argmax(_cloud_payoff_arr(price, candidates, cols, c), axis=0)
+    lo, hi = np.full_like(s_star, SHARE_EPS), np.full_like(s_star, 1.0 - SHARE_EPS)
+    candidates = np.stack([np.where(e2 > e1, np.clip(s_star, lo, hi), lo), lo, hi])
+    best = np.argmax(_cloud_payoff_arr(price, candidates, t, c), axis=0)
     return candidates[best, np.arange(s_star.size)]
 
 
-# ---------------------------------------------------------------------------
-# Scenario runners.
-# ---------------------------------------------------------------------------
+def _outcome_at(feasible, price, share, t: ParamTable, c: Coefficients) -> Outcome:
+    """Demand, supply and both payoffs from the reduced forms at (price, share)."""
+    log_price, log_share = np.log(price), np.log(share)
+    demand = np.exp(_log_demand_reduced(log_price, log_share, t, c))
+    return Outcome(
+        feasible=feasible,
+        price=price,
+        share=share,
+        demand=demand,
+        supply=np.exp(_log_supply_reduced(log_price, log_share, t, c)),
+        provider_payoff=_provider_payoff_arr(price, share, t, c),
+        cloud_payoff=_cloud_payoff_arr(price, share, t, c),
+    )
 
 
-def run_two_sided(providers: Sequence[Provider],
-                  mode: str = MODE_EQUILIBRIUM) -> list[ScenarioRecord]:
-    """Run the revenue-sharing model for every provider.
-
-    equilibrium mode solves each provider's game in full; declared-price
-    mode keeps the sampled price and lets the platform optimize its share
-    against it. Records come back sorted by provider_id.
-    """
-    if not providers:
-        raise ValueError("population must be non-empty")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    ordered = sorted(providers, key=lambda p: p.provider_id)
-
-    records = []
-    if mode == MODE_EQUILIBRIUM:
-        for prov in ordered:
-            res = stackelberg_solve(prov.params)
-            if not res.feasible:
-                records.append(_infeasible_record(prov, TWO_SIDED, prov.params))
-                continue
-            records.append(ScenarioRecord(
-                provider_id=prov.provider_id,
-                scenario=TWO_SIDED,
-                params=prov.params,
-                price=res.price_star,
-                share=res.share_star,
-                demand=res.demand,
-                supply=res.supply,
-                provider_payoff=res.provider_payoff,
-                cloud_payoff=res.cloud_payoff,
-                feasible=True,
-            ))
-        return records
-
-    prices = np.array([p.declared_price for p in ordered], dtype=float)
-    cols = _ParamColumns.from_params([p.params for p in ordered])
-    shares = _declared_share(prices, cols, _coefficient_columns(cols))
-    # Plain floats: under numpy 2 repr(np.float64) is "np.float64(...)",
-    # which would leak into the CSV.
-    for prov, price, share in zip(ordered, prices.tolist(), shares.tolist()):
-        records.append(ScenarioRecord(
-            provider_id=prov.provider_id,
-            scenario=TWO_SIDED,
-            params=prov.params,
-            price=price,
-            share=share,
-            demand=demand_reduced(price, share, prov.params),
-            supply=supply_reduced(price, share, prov.params),
-            provider_payoff=_provider_payoff_scalar(price, share, prov.params),
-            cloud_payoff=_cloud_payoff_scalar(price, share, prov.params),
-            feasible=True,
-        ))
-    return records
+def _equilibrium_columns(params: Iterable[MarketParams]) -> Outcome:
+    """Each game solved by backward induction, one solver call per row."""
+    feasible, rows = [], []
+    for p in params:
+        r = stackelberg_solve(p)
+        feasible.append(r.feasible)
+        rows.append((r.price_star, r.share_star, r.demand, r.supply,
+                     r.provider_payoff, r.cloud_payoff) if r.feasible else (np.nan,) * 6)
+    price, share, demand, supply, pay_p, pay_c = np.array(rows, dtype=float).reshape(-1, 6).T
+    return Outcome(feasible=np.array(feasible, dtype=bool), price=price, share=share,
+                   demand=demand, supply=supply, provider_payoff=pay_p, cloud_payoff=pay_c)
 
 
-def run_fifty_fifty(providers: Sequence[Provider]) -> list[ScenarioRecord]:
-    """Run the egalitarian split: share 0.5, subsidizing factor 1.
+def _declared_price_columns(t: ParamTable, price) -> Outcome:
+    c = derive_coefficients(t)
+    share = _declared_share(price, t, c)
+    return _outcome_at(np.ones(len(t), dtype=bool), price, share, t, c)
 
-    The provider prices optimally against the fixed split; supply and demand
-    follow from the reduced forms at (price, 0.5). Draws where the price
-    response does not exist are flagged infeasible.
-    """
-    if not providers:
-        raise ValueError("population must be non-empty")
-    records = []
-    for prov in sorted(providers, key=lambda p: p.provider_id):
-        params = dataclasses.replace(prov.params, phi=1.0)
-        report = check_feasibility(params)
-        if not (report.f1_price_positive and report.f2_price_max):
-            records.append(_infeasible_record(prov, FIFTY_FIFTY, params, share=0.5))
-            continue
-        price = provider_best_price(0.5, params)
-        records.append(ScenarioRecord(
-            provider_id=prov.provider_id,
-            scenario=FIFTY_FIFTY,
-            params=params,
-            price=price,
-            share=0.5,
-            demand=demand_reduced(price, 0.5, params),
-            supply=supply_reduced(price, 0.5, params),
-            provider_payoff=_provider_payoff_scalar(price, 0.5, params),
-            cloud_payoff=_cloud_payoff_scalar(price, 0.5, params),
-            feasible=True,
-        ))
-    return records
+
+def _fifty_fifty_columns(t: ParamTable) -> Outcome:
+    t = dataclasses.replace(t, phi=np.ones(len(t)))
+    c = derive_coefficients(t)
+    # f1 and f2, the existence conditions of the provider's price response;
+    # a1 == a2 fails f1 and would divide by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        feasible = (c.a1 != c.a2) & (c.a1 / (c.a1 - c.a2) > 0.0) & (c.a1 / c.a2 > 1.0)
+        price = np.where(feasible, _best_price_unchecked(0.5, c, t.f_c), np.nan)
+    return _outcome_at(feasible, price, np.full(len(t), 0.5), t, c)
 
 
 def _payg_supply(price, params):
@@ -297,6 +201,103 @@ def _payg_supply(price, params):
         - np.log(margin) + params.gamma * np.log(price)
     )
     return np.exp(log_base / (params.alpha - 1.0))
+
+
+def _pay_as_you_go_columns(t: ParamTable, price) -> Outcome:
+    supply = _payg_supply(price, t)
+    demand = np.exp(_log_demand_primitive(np.log(price), np.log(supply), t))
+    return Outcome(
+        feasible=price > t.f_c,
+        price=price,
+        share=None,
+        demand=demand,
+        supply=supply,
+        provider_payoff=(price - t.f_c) * demand - t.p_s * supply,
+        cloud_payoff=(t.p_s - t.f_s) * supply,
+    )
+
+
+def scenario_columns(scenario: str, t: ParamTable, price, mode: str) -> Outcome:
+    """Run one scenario's kernel over every row of `t` at the given prices."""
+    if scenario == TWO_SIDED:
+        if mode == MODE_EQUILIBRIUM:
+            return _equilibrium_columns(t.rows())
+        return _declared_price_columns(t, price)
+    if scenario == FIFTY_FIFTY:
+        return _fifty_fifty_columns(t)
+    if scenario == PAY_AS_YOU_GO:
+        return _pay_as_you_go_columns(t, price)
+    raise ValueError(f"unknown scenario {scenario!r}")
+
+
+# ---------------------------------------------------------------------------
+# Scenario runners: records are built only here, at the API boundary.
+# ---------------------------------------------------------------------------
+
+
+def _ordered(providers: Sequence[Provider]) -> list[Provider]:
+    if not providers:
+        raise ValueError("population must be non-empty")
+    return sorted(providers, key=lambda p: p.provider_id)
+
+
+def _records(ordered: Sequence[Provider], scenario: str,
+             params: Sequence[MarketParams], out: Outcome,
+             infeasible_share: float | None = None) -> list[ScenarioRecord]:
+    # Only feasible rows become Python floats; infeasible draws are retained
+    # with zeroed payoffs so sweeps can count them.
+    ok = out.feasible
+    shares = out.share[ok].tolist() if out.share is not None else [None] * int(ok.sum())
+    values = iter(zip(out.price[ok].tolist(), shares, out.demand[ok].tolist(),
+                      out.supply[ok].tolist(), out.provider_payoff[ok].tolist(),
+                      out.cloud_payoff[ok].tolist()))
+    records = []
+    for prov, p, feasible in zip(ordered, params, ok.tolist()):
+        if feasible:
+            price, share, demand, supply, pay_p, pay_c = next(values)
+            records.append(ScenarioRecord(
+                provider_id=prov.provider_id, scenario=scenario, params=p,
+                price=price, share=share, demand=demand, supply=supply,
+                provider_payoff=pay_p, cloud_payoff=pay_c, feasible=True))
+        else:
+            records.append(ScenarioRecord(
+                provider_id=prov.provider_id, scenario=scenario, params=p,
+                price=None, share=infeasible_share, demand=None, supply=None,
+                provider_payoff=0.0, cloud_payoff=0.0, feasible=False))
+    return records
+
+
+def run_two_sided(providers: Sequence[Provider],
+                  mode: str = MODE_EQUILIBRIUM) -> list[ScenarioRecord]:
+    """Run the revenue-sharing model for every provider.
+
+    equilibrium mode solves each provider's game in full; declared-price
+    mode keeps the sampled price and lets the platform optimize its share
+    against it. Records come back sorted by provider_id.
+    """
+    ordered = _ordered(providers)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    params = [p.params for p in ordered]
+    if mode == MODE_EQUILIBRIUM:
+        out = _equilibrium_columns(params)
+    else:
+        prices = np.array([p.declared_price for p in ordered])
+        out = _declared_price_columns(ParamTable.from_params(params), prices)
+    return _records(ordered, TWO_SIDED, params, out)
+
+
+def run_fifty_fifty(providers: Sequence[Provider]) -> list[ScenarioRecord]:
+    """Run the egalitarian split: share 0.5, subsidizing factor 1.
+
+    The provider prices optimally against the fixed split; supply and demand
+    follow from the reduced forms at (price, 0.5). Draws where the price
+    response does not exist are flagged infeasible.
+    """
+    ordered = _ordered(providers)
+    params = [dataclasses.replace(p.params, phi=1.0) for p in ordered]
+    out = _fifty_fifty_columns(ParamTable.from_params(params))
+    return _records(ordered, FIFTY_FIFTY, params, out, infeasible_share=0.5)
 
 
 def payg_supply(price: float, params: MarketParams) -> float:
@@ -316,30 +317,11 @@ def run_pay_as_you_go(providers: Sequence[Provider]) -> list[ScenarioRecord]:
     Draws whose price does not cover the per-access cost have no valid
     rental optimum and are flagged infeasible. Share is not applicable.
     """
-    if not providers:
-        raise ValueError("population must be non-empty")
-    records = []
-    for prov in sorted(providers, key=lambda p: p.provider_id):
-        params = prov.params
-        price = prov.declared_price
-        if price <= params.f_c:
-            records.append(_infeasible_record(prov, PAY_AS_YOU_GO, params))
-            continue
-        supply = payg_supply(price, params)
-        demand = consumer_demand_primitive(price, supply, params)
-        records.append(ScenarioRecord(
-            provider_id=prov.provider_id,
-            scenario=PAY_AS_YOU_GO,
-            params=params,
-            price=price,
-            share=None,
-            demand=demand,
-            supply=supply,
-            provider_payoff=(price - params.f_c) * demand - params.p_s * supply,
-            cloud_payoff=(params.p_s - params.f_s) * supply,
-            feasible=True,
-        ))
-    return records
+    ordered = _ordered(providers)
+    params = [p.params for p in ordered]
+    prices = np.array([p.declared_price for p in ordered])
+    out = _pay_as_you_go_columns(ParamTable.from_params(params), prices)
+    return _records(ordered, PAY_AS_YOU_GO, params, out)
 
 
 # ---------------------------------------------------------------------------

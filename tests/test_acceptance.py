@@ -21,13 +21,7 @@ from scipy.stats import spearmanr
 
 from tsm import cli, core, equilibrium, scenarios
 from tsm.core import MarketParams, MarketState
-from tsm.population import (
-    PopulationSpec,
-    SweepSpec,
-    sweep_externalities,
-    sweep_k1,
-    sweep_phi,
-)
+from tsm.population import PopulationSpec, SweepSpec, run_sweep
 from tsm.scenarios import MODE_DECLARED_PRICE, PAY_AS_YOU_GO, TWO_SIDED, payg_supply
 
 ACCEPT_SEED = 20_240_001
@@ -61,7 +55,7 @@ def externality_sweep():
             population=PopulationSpec(seed=ACCEPT_SEED),
             mode=MODE_DECLARED_PRICE,
         )
-        _CACHE["ext"] = sweep_externalities(spec)
+        _CACHE["ext"] = run_sweep(spec)
     return _CACHE["ext"]
 
 
@@ -231,7 +225,7 @@ def test_criterion_8_phi_shape():
     spec = SweepSpec(axis="phi", scenarios=(TWO_SIDED,),
                      population=PopulationSpec(seed=ACCEPT_SEED),
                      mode=MODE_DECLARED_PRICE)
-    cells = sweep_phi(spec)
+    cells = run_sweep(spec)
     # phi sweep has no level overlay; phi_level equals the axis value
     rows = sorted((c for c in cells if c.scenario == TWO_SIDED),
                   key=lambda c: c.axis_value)
@@ -262,7 +256,7 @@ def test_criterion_9_k1_monotonicity():
     spec = SweepSpec(axis="k1", scenarios=(TWO_SIDED,),
                      population=PopulationSpec(seed=ACCEPT_SEED),
                      mode=MODE_DECLARED_PRICE)
-    cells = sweep_k1(spec)
+    cells = run_sweep(spec)
     failures = []
     for level in (0.5, 1.0, 1.5, 2.0, 5.0):
         for column in ("mean_cloud_payoff", "mean_provider_payoff", "mean_demand"):

@@ -123,6 +123,20 @@ class TestSweepCommand:
     def test_needs_axis_or_preset(self, tmp_path):
         assert cli.main(["sweep", "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("setting, code", [
+        ("phi_levels: [-1.0]", 1),
+        ("phi_levels: [.nan]", 1),
+        ("grid: [.nan]", 1),
+        ("phi_levels: [6.0]", 0),
+    ])
+    def test_sweep_value_checks_exit_code(self, tmp_path, setting, code):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(setting + "\n", encoding="utf-8")
+        out = tmp_path / "sw.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--axis", "k1", "--seed", "5",
+                         "--n-providers", "2", "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+
     def test_thread_count_does_not_change_output(self, tmp_path, subprocess_env):
         # TSM_THREADS only caps workers; bytes must match exactly
         outputs = []

@@ -1,40 +1,46 @@
 """Tests for population sampling and the sensitivity sweep engine."""
 
 import dataclasses
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsm.core import MarketParams
+from tsm.core import ParamTable
 from tsm.equilibrium import stackelberg_solve
 from tsm.population import (
+    AXES,
     AXIS_ALPHA_BETA,
     AXIS_GAMMA,
     AXIS_K1,
     AXIS_PHI,
+    AXIS_RANGES,
     DEFAULT_PHI_LEVELS,
     PopulationSpec,
     SamplingError,
     SweepSpec,
-    _override_providers,
-    _run_scenario,
+    _sweep_table,
     default_grid,
     run_sweep,
     sample_population,
     sample_providers,
-    sweep_externalities,
-    sweep_k1,
-    sweep_phi,
     worker_count,
 )
 from tsm.scenarios import (
     FIFTY_FIFTY,
     MODE_DECLARED_PRICE,
     MODE_EQUILIBRIUM,
+    MODES,
     TWO_SIDED,
     run_fifty_fifty,
+    run_two_sided,
     summarize_records,
 )
+
+CPUS = len(os.sched_getaffinity(0))
 
 
 class TestSampling:
@@ -96,6 +102,12 @@ class TestSampling:
 SMALL_POP = PopulationSpec(n_providers=6, seed=21)
 
 
+def overridden(providers, **changes):
+    """The providers with parameter fields replaced, as a sweep cell sees them."""
+    return [dataclasses.replace(p, params=dataclasses.replace(p.params, **changes))
+            for p in providers]
+
+
 class TestSweepSpec:
     def test_default_grids_in_range(self):
         for axis in (AXIS_ALPHA_BETA, AXIS_PHI, AXIS_GAMMA, AXIS_K1):
@@ -109,6 +121,21 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(axis=AXIS_ALPHA_BETA, grid=(0.1, 0.8), population=SMALL_POP)
 
+    @pytest.mark.parametrize("changes", [
+        {"grid": (float("nan"),)},
+        {"grid": (0.2, float("nan"), 0.4)},
+        {"phi_levels": (float("nan"),)},
+        {"phi_levels": (1.0, float("inf"))},
+        {"phi_levels": (-1.0,)},
+    ])
+    def test_non_finite_or_negative_values_rejected(self, changes):
+        with pytest.raises(ValueError):
+            SweepSpec(axis=AXIS_K1, population=SMALL_POP, **changes)
+
+    def test_phi_level_above_axis_range_accepted(self):
+        assert SweepSpec(axis=AXIS_K1, phi_levels=(6.0,),
+                         population=SMALL_POP).phi_levels == (6.0,)
+
     def test_unknown_axis_and_scenario(self):
         with pytest.raises(ValueError):
             SweepSpec(axis="beta", population=SMALL_POP)
@@ -121,41 +148,44 @@ class TestSweepEngine:
         spec = SweepSpec(axis=AXIS_ALPHA_BETA, grid=(0.2, 0.4, 0.6),
                          phi_levels=(1.0, 2.0), scenarios=(TWO_SIDED, FIFTY_FIFTY),
                          population=SMALL_POP)
-        series = run_sweep(spec, threads=1)
+        series = run_sweep(spec)
         assert len(series) == 3 * 2 * 2
         assert all(s.n_providers == 6 for s in series)
 
     def test_default_externality_shape(self):
         spec = SweepSpec(axis=AXIS_ALPHA_BETA, population=SMALL_POP)
-        series = run_sweep(spec, threads=1)
+        series = run_sweep(spec)
         assert len(series) == 13 * len(DEFAULT_PHI_LEVELS) * 3
 
     def test_phi_axis_has_no_level_overlay(self):
         spec = SweepSpec(axis=AXIS_PHI, grid=(0.5, 1.0), scenarios=(TWO_SIDED,),
                          population=SMALL_POP)
-        series = run_sweep(spec, threads=1)
+        series = run_sweep(spec)
         assert len(series) == 2
         assert all(s.phi_level == s.axis_value for s in series)
 
     def test_externality_override_sets_product_exactly(self):
-        providers = sample_providers(SMALL_POP)
-        overridden = _override_providers(providers, AXIS_ALPHA_BETA, 0.4, 1.5)
-        for prov in overridden:
-            assert prov.params.alpha * prov.params.beta == pytest.approx(0.4,
-                                                                         rel=1e-12)
-            assert prov.params.phi == 1.5
+        base = ParamTable.from_params(sample_population(SMALL_POP))
+        cells = [(0.2, 1.5), (0.4, 1.5), (0.4, 5.0)]
+        table = _sweep_table(base, AXIS_ALPHA_BETA, cells)
+        n = len(base)
+        assert len(table) == len(cells) * n
+        for j, (g, level) in enumerate(cells):
+            rows = slice(j * n, (j + 1) * n)
+            for alpha, beta in zip(table.alpha[rows], table.beta[rows]):
+                assert alpha * beta == pytest.approx(g, rel=1e-12)
+            assert np.all(table.phi[rows] == level)
+            assert np.array_equal(table.alpha[rows], base.alpha)
 
     def test_aggregates_match_recomputation(self):
         spec = SweepSpec(axis=AXIS_GAMMA, grid=(0.1, 0.3), phi_levels=(1.5,),
                          scenarios=(TWO_SIDED,), population=SMALL_POP,
                          mode=MODE_DECLARED_PRICE)
-        series = run_sweep(spec, threads=1)
+        series = run_sweep(spec)
         for cell in series:
-            providers = _override_providers(sample_providers(SMALL_POP),
-                                            AXIS_GAMMA, cell.axis_value,
-                                            cell.phi_level)
-            stats = summarize_records(_run_scenario(providers, TWO_SIDED,
-                                                    MODE_DECLARED_PRICE))
+            providers = overridden(sample_providers(SMALL_POP),
+                                   gamma=cell.axis_value, phi=cell.phi_level)
+            stats = summarize_records(run_two_sided(providers, mode=MODE_DECLARED_PRICE))
             assert cell.feasible_count == stats.n_feasible
             assert cell.mean_cloud_payoff == pytest.approx(
                 stats.cloud_payoff.mean, rel=1e-12)
@@ -167,7 +197,7 @@ class TestSweepEngine:
         spec = SweepSpec(axis=AXIS_ALPHA_BETA, grid=(0.1, 0.2),
                          phi_levels=(1.5,), scenarios=(TWO_SIDED,),
                          population=SMALL_POP, mode=MODE_EQUILIBRIUM)
-        for cell in run_sweep(spec, threads=1):
+        for cell in run_sweep(spec):
             assert cell.feasible_count == 0
             assert cell.mean_cloud_payoff is None
             assert cell.mean_share is None
@@ -177,7 +207,7 @@ class TestSweepEngine:
         spec = SweepSpec(axis=AXIS_K1, grid=(0.2, 0.6), phi_levels=(1.5,),
                          scenarios=(TWO_SIDED,), population=pop,
                          mode=MODE_EQUILIBRIUM)
-        series = run_sweep(spec, threads=1)
+        series = run_sweep(spec)
         base = sample_providers(pop)[0]
         for cell in series:
             params = dataclasses.replace(base.params, k1=cell.axis_value, phi=1.5)
@@ -190,37 +220,42 @@ class TestSweepEngine:
     def test_phi_one_cell_matches_fifty_fifty_run(self):
         spec = SweepSpec(axis=AXIS_PHI, grid=(1.0,), scenarios=(FIFTY_FIFTY,),
                          population=SMALL_POP)
-        [cell] = run_sweep(spec, threads=1)
-        providers = _override_providers(sample_providers(SMALL_POP), AXIS_PHI,
-                                        1.0, 1.0)
+        [cell] = run_sweep(spec)
+        providers = overridden(sample_providers(SMALL_POP), phi=1.0)
         stats = summarize_records(run_fifty_fifty(providers))
         assert cell.feasible_count == stats.n_feasible
         if stats.n_feasible:
             assert cell.mean_share == 0.5
 
-    def test_worker_count_invariance(self):
-        spec = SweepSpec(axis=AXIS_K1, grid=(0.1, 0.5, 0.9), phi_levels=(1.5, 5.0),
-                         population=SMALL_POP)
-        assert run_sweep(spec, threads=1) == run_sweep(spec, threads=3)
 
-    def test_wrapper_ops_fix_axis(self):
-        spec = SweepSpec(axis=AXIS_K1, grid=(0.2,), phi_levels=(1.5,),
-                         scenarios=(TWO_SIDED,), population=SMALL_POP)
-        assert all(s.axis == AXIS_ALPHA_BETA
-                   for s in sweep_externalities(dataclasses.replace(
-                       spec, axis=AXIS_ALPHA_BETA, grid=(0.2,)), threads=1))
-        assert all(s.axis == AXIS_PHI for s in sweep_phi(
-            dataclasses.replace(spec, axis=AXIS_PHI, grid=(0.2,)), threads=1))
-        assert all(s.axis == AXIS_K1 for s in sweep_k1(spec, threads=1))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(axis=st.sampled_from(AXES), mode=st.sampled_from(MODES),
+       n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       value=st.floats(0.0, 1.0), level=st.floats(0.0, 5.0))
+def test_sweep_means_are_finite_or_none(axis, mode, n, seed, value, level):
+    lo, hi = AXIS_RANGES[axis]
+    spec = SweepSpec(axis=axis, grid=(min(hi, lo + value * (hi - lo)),), phi_levels=(level,),
+                     population=PopulationSpec(n_providers=n, seed=seed), mode=mode)
+    for cell in run_sweep(spec):
+        for name in ("mean_cloud_payoff", "mean_provider_payoff", "mean_demand",
+                     "mean_supply", "mean_share"):
+            mean = getattr(cell, name)
+            assert mean is None or (type(mean) is float and math.isfinite(mean)), (
+                cell, name)
 
 
 class TestWorkerCount:
-    def test_explicit_wins(self):
-        assert worker_count(3) == 3
+    def test_explicit_wins(self, monkeypatch):
+        monkeypatch.setenv("TSM_THREADS", "1")
+        assert worker_count(3) == min(3, CPUS)
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("TSM_THREADS", "2")
-        assert worker_count() == 2
+        assert worker_count() == min(2, CPUS)
+
+    def test_capped_at_usable_cpus(self):
+        # resolving a count starts no process, so an extreme request is safe
+        assert worker_count(10**6) == CPUS
 
     def test_zero_means_auto(self, monkeypatch):
         monkeypatch.setenv("TSM_THREADS", "0")

@@ -1,12 +1,17 @@
 """Tests for the three business-model runners and their comparison."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tsm.core import (
+    DomainError,
     MarketParams,
+    _cloud_payoff_arr,
     cloud_payoff,
     consumer_demand_primitive,
     demand_reduced,
@@ -14,7 +19,7 @@ from tsm.core import (
     provider_payoff,
     supply_reduced,
 )
-from tsm.equilibrium import stackelberg_solve
+from tsm.equilibrium import _golden_max, stackelberg_solve
 from tsm.population import PopulationSpec, sample_providers
 from tsm.scenarios import (
     MODE_DECLARED_PRICE,
@@ -71,6 +76,17 @@ class TestTwoSided:
             for chi in np.linspace(1e-6, 1 - 1e-6, 500):
                 assert cloud_payoff(rec.price, float(chi), rec.params) <= best + 1e-9
 
+    def test_declared_price_edges_raise_no_warning(self):
+        edges = [dataclasses.replace(FEASIBLE_PARAMS, f_s=0.0),
+                 dataclasses.replace(FEASIBLE_PARAMS, phi=0.0),
+                 dataclasses.replace(FEASIBLE_PARAMS, f_s=0.0, phi=0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run_two_sided([Provider(i, p, 1.7) for i, p in enumerate(edges)],
+                                    mode=MODE_DECLARED_PRICE)
+        # the payoff rises in the share without a cost term or a share effect
+        assert all(r.share == 1.0 - 1e-9 for r in records)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         shuffled = list(POP)
@@ -85,6 +101,68 @@ class TestTwoSided:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             run_two_sided([])
+
+
+# The numeric search the closed-form declared-price share replaced, kept as
+# an independent oracle: a 768-point scan over (eps, 1-eps), then golden
+# section inside the cells around the coarse argmax.
+SHARE_SCAN = np.unique(np.concatenate([
+    np.geomspace(1e-9, 0.5, 256),
+    1.0 - np.geomspace(1e-9, 0.5, 256),
+    np.linspace(1e-9, 1.0 - 1e-9, 256),
+]))
+
+
+def searched_share(price, params):
+    c = derive_coefficients(params)
+
+    def payoff(share):
+        return _cloud_payoff_arr(price, share, params, c)
+
+    j = int(np.argmax(payoff(SHARE_SCAN)))
+    lo = SHARE_SCAN[max(j - 1, 0)]
+    hi = SHARE_SCAN[min(j + 1, SHARE_SCAN.size - 1)]
+    refined = float(_golden_max(payoff, lo, hi, iters=48))
+    coarse = float(SHARE_SCAN[j])
+    return refined if payoff(refined) >= payoff(coarse) else coarse
+
+
+@st.composite
+def declared_games(draw):
+    alpha = draw(st.floats(0.05, 0.95))
+    product = draw(st.one_of(st.floats(0.001, 0.99), st.floats(0.99, 0.99899)))
+    try:
+        params = MarketParams(
+            alpha=alpha, beta=product / alpha,
+            gamma=draw(st.floats(0.0, 1.0)), psi=draw(st.floats(0.0, 0.35)),
+            phi=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+            k1=draw(st.floats(0.05, 1.0)), f_c=draw(st.floats(0.0, 2.0)),
+            k2=draw(st.floats(0.5, 2.0)),
+            f_s=draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0))),
+        )
+    except DomainError:
+        assume(False)
+    return params, draw(st.floats(0.2, 3.2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(declared_games())
+def test_closed_form_share_matches_numeric_search(game):
+    params, price = game
+    with np.errstate(over="ignore", invalid="ignore"):
+        pay = _cloud_payoff_arr(price, SHARE_SCAN, params, derive_coefficients(params))
+    assume(np.all(np.isfinite(pay)))  # the model overflows double range
+    with np.errstate(over="ignore"):  # supply alone may overflow where f_s = 0
+        [rec] = run_two_sided([Provider(0, params, price)], mode=MODE_DECLARED_PRICE)
+    share = searched_share(price, params)
+    searched = cloud_payoff(price, share, params)
+    assert rec.cloud_payoff >= searched - 1e-12 * abs(searched)
+    # Shares can only be ranked where the payoff over the share domain is a
+    # normal number and varies beyond rounding: a tiny R*s^e1 next to a
+    # huge K*s^e2, or a payoff in the subnormals, is flat in floating point.
+    scale = np.abs(pay).max()
+    if scale >= np.finfo(float).tiny and np.ptp(pay) > 1e-6 * scale:
+        assert rec.share == pytest.approx(share, abs=1e-6)
 
 
 class TestFiftyFifty:
@@ -190,10 +268,9 @@ class TestRecordConsistency:
                 supply = supply_reduced(rec.price, rec.share, rec.params)
                 prov = provider_payoff(rec.price, rec.share, rec.params)
                 cloud = cloud_payoff(rec.price, rec.share, rec.params)
-            assert rec.demand == pytest.approx(demand, rel=1e-9)
-            assert rec.supply == pytest.approx(supply, rel=1e-9)
-            assert rec.provider_payoff == pytest.approx(prov, rel=1e-9, abs=1e-300)
-            assert rec.cloud_payoff == pytest.approx(cloud, rel=1e-9, abs=1e-300)
+            # the kernels and the scalar calls share one implementation
+            assert (rec.demand, rec.supply) == (demand, supply)
+            assert (rec.provider_payoff, rec.cloud_payoff) == (prov, cloud)
 
 
 class TestCompare:
