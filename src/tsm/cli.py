@@ -370,10 +370,10 @@ def sample_table_params(rng: np.random.Generator, n: int) -> list[MarketParams]:
 def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000):
     """Sample parameter draws until `count` of them yield a reported equilibrium.
 
-    Feasible draws (all existence flags pass) whose share equation also has a
-    root are rare, so candidates are prefiltered with a vectorized root-
-    existence test before running the full solver. Returns (cases, n_drawn)
-    where cases is a list of (params, EquilibriumResult).
+    Each batch's draws inside the simulation-setup ranges are solved as one
+    parameter table; its rows with a reported equilibrium are kept in draw
+    order. Returns (cases, n_drawn) where cases is a list of
+    (params, EquilibriumResult).
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     cases = []
@@ -387,48 +387,19 @@ def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000)
         gamma = rng.uniform(0.1, 0.35, m)
         phi = rng.uniform(0.0, 5.0, m)
         k1 = rng.uniform(0.1, 0.9, m)
-        f_c = 0.66 * price
         ok = ((price >= 0.2) & (price <= 3.2) & (alpha >= 0.1) & (alpha <= 0.7)
               & (alpha * beta > 0.0) & (alpha * beta <= 0.999) & (phi > 0.0))
-
-        psi = 0.1
-        a1 = gamma - alpha * psi
-        a2 = 1.0 - alpha * beta
-        a3 = psi - gamma * beta
-        a4 = alpha * phi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            feasible = (ok & (a1 != a2) & (a1 / (a1 - a2) > 0.0)
-                        & (a1 / a2 > 1.0) & (a4 + a2 - phi < 0.0))
-            exp_a = (a4 - phi) / a2 + 1.0
-            exp_b = (a1 + a3) / a2 - 1.0
-            log_c = (np.log(23.7) + np.log(phi / (a4 + a2))
-                     + (beta - 1.0) * np.log(k1) / a2
-                     + exp_b * np.log(a1 * f_c / (a1 - a2)))
-            # For exp_a < 0 and exp_b < 0 the curve chi^A (1-chi)^B has a single
-            # interior minimum at chi = A/(A+B); a root exists iff it dips to C.
-            chi_min = exp_a / (exp_a + exp_b)
-            log_gmin = exp_a * np.log(chi_min) + exp_b * np.log1p(-chi_min)
-            has_root = np.where(exp_b < 0.0, log_gmin <= log_c,
-                                np.where(exp_b > 0.0, True, log_c > 0.0))
-        candidates = np.nonzero(feasible & has_root)[0]
-        for i in candidates:
-            params = MarketParams(
-                alpha=float(alpha[i]), beta=float(beta[i]), gamma=float(gamma[i]),
-                psi=psi, phi=float(phi[i]), k1=float(k1[i]), f_c=float(f_c[i]),
-            )
-            result = equilibrium.stackelberg_solve(params)
-            if result.feasible:
-                cases.append((params, result))
-                if len(cases) == count:
-                    break
+        table = core.ParamTable.from_columns(
+            alpha=alpha[ok], beta=beta[ok], gamma=gamma[ok], psi=0.1, phi=phi[ok],
+            k1=k1[ok], f_c=0.66 * price[ok])
+        del price, alpha, beta, gamma, phi, k1, ok   # bounds the solve's peak memory
+        cases += equilibrium._reported_rows(table)[:count - len(cases)]
     return cases, drawn
 
 
 def _oracle_case(task):
     params, grid_n = task
-    result = equilibrium.stackelberg_solve(params)
-    oracle = equilibrium.oracle_equilibrium(params, grid_n=grid_n)
-    return (result.share_star, result.price_star, oracle.share, oracle.price)
+    return equilibrium.oracle_equilibrium(params, grid_n=grid_n)
 
 
 def run_oracle_comparison(cases, grid_n: int, threads: int | None = None):
@@ -440,8 +411,8 @@ def run_oracle_comparison(cases, grid_n: int, threads: int | None = None):
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_oracle_case, tasks, chunksize=1))
-    return [(abs(chi - chi_o), abs(price - price_o) / price)
-            for chi, price, chi_o, price_o in results]
+    return [(abs(res.share_star - o.share), abs(res.price_star - o.price) / res.price_star)
+            for (_, res), o in zip(cases, results)]
 
 
 def verify_properties(seed: int, draws: int, grid_n: int,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,9 +98,9 @@ class ParamTable:
     """Struct-of-arrays form of validated MarketParams: one float column per
     field, one row per game.
 
-    `derive_coefficients` and the log-space helpers below broadcast over it
-    unchanged. It is built from already-validated parameter sets and does
-    not re-validate; `dataclasses.replace` swaps in a column.
+    `derive_coefficients`, `check_feasibility` and the log-space helpers
+    broadcast over it. It is built from already-validated parameter sets and
+    does not re-validate; `dataclasses.replace` swaps in a column.
     """
 
     alpha: np.ndarray
@@ -119,13 +119,19 @@ class ParamTable:
         return cls(*(np.array([getattr(p, f.name) for p in params], dtype=float)
                      for f in fields(MarketParams)))
 
+    @classmethod
+    def from_columns(cls, **columns) -> "ParamTable":
+        """Columns by field name, broadcast together; omitted ones take their
+        MarketParams default."""
+        return cls(*np.broadcast_arrays(*(np.asarray(columns.get(f.name, f.default), float)
+                                          for f in fields(MarketParams))))
+
     def __len__(self) -> int:
         return self.alpha.size
 
-    def rows(self) -> Iterator[MarketParams]:
-        """One validated MarketParams per row, with plain float fields."""
-        for values in zip(*(getattr(self, f.name).tolist() for f in fields(self))):
-            yield MarketParams(*values)
+    def take(self, rows) -> "ParamTable":
+        """The table's rows at the given indices, in that order."""
+        return ParamTable(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +195,7 @@ class MarketState:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Existence conditions for the closed-form best responses.
+    """Existence conditions for the closed-form best responses (per row of a ParamTable).
 
     f1_price_positive : a1/(a1 - a2) > 0, the optimal price is positive.
     f2_price_max      : a1/a2 > 1, the provider's stationary price is a maximum.
@@ -202,19 +208,19 @@ class FeasibilityReport:
     all_ok: bool
 
 
-def check_feasibility(params: MarketParams) -> FeasibilityReport:
-    """Evaluate the three best-response existence conditions."""
+def check_feasibility(params: MarketParams | ParamTable) -> FeasibilityReport:
+    """Evaluate the three best-response existence conditions, elementwise."""
     c = derive_coefficients(params)
+    a1, a2 = np.asarray(c.a1), np.asarray(c.a2)
     # a1 == a2 would make the price formula divide by zero; treat as failed.
-    f1 = c.a1 != c.a2 and c.a1 / (c.a1 - c.a2) > 0.0
-    f2 = c.a1 / c.a2 > 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1 = (a1 != a2) & (a1 / (a1 - a2) > 0.0)
+    f2 = a1 / a2 > 1.0
     f3 = c.a4 + c.a2 - params.phi < 0.0
-    return FeasibilityReport(
-        f1_price_positive=f1,
-        f2_price_max=f2,
-        f3_share_max=f3,
-        all_ok=f1 and f2 and f3,
-    )
+    flags = (f1, f2, f3, f1 & f2 & f3)
+    if isinstance(params, MarketParams):
+        return FeasibilityReport(*map(bool, flags))
+    return FeasibilityReport(*flags)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ and reduces the platform's problem to a scalar equation in chi,
     chi^A * (1 - chi)^B = C,
 
 whose exponents and constant come from the derived coefficients. The solver
-scans (0, 1) for sign changes of the log form and bisects each bracket; when
-the equation admits two roots (both are genuine mutual best responses) the
-platform-payoff-maximizing one is reported.
+brackets each root analytically on either side of the log form's minimum and
+bisects all rows of a ParamTable at once; when the equation admits two roots
+(both are genuine mutual best responses) the platform-payoff-maximizing one
+is reported. The scalar entry points are validated batches of one.
 
 `oracle_equilibrium` is an independent check: it knows nothing about the
 closed forms and locates equilibria purely by grid/golden-section argmax of
@@ -20,7 +21,7 @@ maps. Closed-form results are validated against it in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .core import (
     InfeasibilityError,
     MarketParams,
     MarketState,
+    ParamTable,
     _cloud_payoff_arr,
     _provider_payoff_arr,
     check_feasibility,
@@ -41,14 +43,9 @@ from .core import (
     supply_reduced,
 )
 
-SHARE_EPS = 1e-9          # bracketing domain is (SHARE_EPS, 1 - SHARE_EPS)
-SCAN_POINTS = 2048        # log-spaced scan points per tail, plus a uniform pass
-BISECT_MAX_STEPS = 200
-BISECT_TOL = 1e-13        # interval width; tighter than the 1e-10 contract
-
-
-class NonConvergenceError(RuntimeError):
-    """Bisection failed to shrink the bracket within the step budget."""
+SHARE_EPS = 1e-9     # roots are sought on [SHARE_EPS, 1 - SHARE_EPS]
+HALVINGS = 44        # shrinks a unit bracket below 1e-13, inside the 1e-10 contract
+NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,7 @@ class SecondOrderReport:
     d2_cloud: float
 
 
-def _best_price_unchecked(share: float, c: Coefficients, f_c: float) -> float:
+def _best_price_unchecked(share, c: Coefficients, f_c):
     return c.a1 * f_c / ((c.a1 - c.a2) * (1.0 - share))
 
 
@@ -146,109 +143,150 @@ def provider_best_price(share: float, params: MarketParams) -> float:
     return _best_price_unchecked(share, derive_coefficients(params), params.f_c)
 
 
+def _share_equation_columns(params: MarketParams | ParamTable, c: Coefficients):
+    """(exp_a, exp_b, log_rhs_c) of the share equation, elementwise; log_rhs_c
+    is meaningful only under f1 and is -inf where phi, f_s or f_c is zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_rhs_c = (
+            np.log(params.f_s)
+            + np.log(params.phi / (c.a4 + c.a2))
+            + ((1.0 - params.alpha) * np.log(params.k2)
+               + (params.beta - 1.0) * np.log(params.k1)) / c.a2
+            + c.share_exp_b * np.log(c.a1 * params.f_c / (c.a1 - c.a2))
+        )
+    degenerate = (params.phi == 0.0) | (params.f_s == 0.0) | (params.f_c == 0.0)
+    return c.share_exp_a, c.share_exp_b, np.where(degenerate, -np.inf, log_rhs_c)
+
+
+def _share_gap(chi, exp_a, exp_b, log_c):
+    """The share equation in log form, A ln chi + B ln(1-chi) - ln C."""
+    return exp_a * np.log(chi) + exp_b * np.log1p(-chi) - log_c
+
+
+def _share_roots(exp_a, exp_b, log_c) -> np.ndarray:
+    """The share equation's roots on [SHARE_EPS, 1 - SHARE_EPS] as a (2, n)
+    array: per row the root where the log form falls, then where it rises,
+    NaN where there is none. With A < 0 it falls up to m = A/(A+B), its only
+    minimum, when B < 0, and everywhere (m = 1 - SHARE_EPS) otherwise, so
+    [SHARE_EPS, m] and [m, 1 - SHARE_EPS] hold at most one root each; only
+    brackets whose ends differ in sign are halved and polished.
+    """
+    exp_a, exp_b, log_c = (np.atleast_1d(v) for v in (exp_a, exp_b, log_c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(exp_b < 0.0, np.clip(exp_a / (exp_a + exp_b), SHARE_EPS,
+                                          1.0 - SHARE_EPS), 1.0 - SHARE_EPS)
+    lo = np.concatenate([np.full_like(m, SHARE_EPS), m])
+    hi = np.concatenate([m, np.full_like(m, 1.0 - SHARE_EPS)])
+    a, b, lc = (np.tile(v, 2) for v in (exp_a, exp_b, log_c))
+    gap_lo = _share_gap(lo, a, b, lc)
+    # A non-finite constant makes both gaps +inf or NaN: no sign change.
+    live = np.nonzero((a < 0.0) & (gap_lo * _share_gap(hi, a, b, lc) < 0.0))[0]
+    lo, hi, a, b, lc = (v[live] for v in (lo, hi, a, b, lc))
+    lo_negative = gap_lo[live] < 0.0
+    for _ in range(HALVINGS):
+        mid = 0.5 * (lo + hi)
+        to_lo = (_share_gap(mid, a, b, lc) < 0.0) == lo_negative
+        lo = np.where(to_lo, mid, lo)
+        hi = np.where(to_lo, hi, mid)
+    root = 0.5 * (lo + hi)
+    # Newton steps on the same log form, kept inside the final bracket.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            cand = root - _share_gap(root, a, b, lc) / (a / root - b / (1.0 - root))
+            root = np.where((lo < cand) & (cand < hi), cand, root)
+    # At the rounding floor Newton can hop over the float nearest the root;
+    # keep whichever of the root and its two neighbours has the smallest gap.
+    near = np.stack([root, np.nextafter(root, 0.0), np.nextafter(root, 1.0)])
+    roots = np.full(2 * m.size, np.nan)
+    roots[live] = near[np.argmin(np.abs(_share_gap(near, a, b, lc)), axis=0),
+                       np.arange(root.size)]
+    return roots.reshape(2, -1)
+
+
+def _solve_shares(exp_a, exp_b, log_c, t: ParamTable):
+    """Per row of `t`: the roots, the share (of two roots, the one with the
+    higher platform payoff at the provider's best price; the lower on a tie;
+    NaN without a root) and its residual |chi^A (1-chi)^B - C|."""
+    roots = _share_roots(exp_a, exp_b, log_c)
+    share = np.where(np.isnan(roots[0]), roots[1], roots[0])
+    two = np.nonzero(~np.isnan(roots).any(axis=0))[0]
+    if two.size:
+        both, sub = roots[:, two], t.take(two)
+        c = derive_coefficients(sub)
+        pay = _cloud_payoff_arr(_best_price_unchecked(both, c, sub.f_c), both, sub, c)
+        share[two] = both[np.argmax(pay, axis=0), np.arange(two.size)]
+    # C * |expm1(gap)| in log space, because C alone can overflow.
+    with np.errstate(divide="ignore", over="ignore"):
+        gap = _share_gap(share, exp_a, exp_b, log_c)
+        return roots, share, np.exp(log_c + np.log(np.abs(np.expm1(gap))))
+
+
+def _equilibrium_shares(t: ParamTable) -> np.ndarray:
+    """Rows (number of share roots, selected share, residual), one column per
+    row of `t`. Only rows passing f1-f3 are solved; the others have no root,
+    and share and residual are NaN wherever no equilibrium is reported."""
+    rows = np.nonzero(check_feasibility(t).all_ok)[0]
+    solved = t.take(rows)
+    roots, share, residual = _solve_shares(
+        *_share_equation_columns(solved, derive_coefficients(solved)), solved)
+    columns = np.full((3, len(t)), np.nan)
+    columns[0] = 0.0
+    columns[:, rows] = (~np.isnan(roots)).sum(axis=0), share, residual
+    return columns
+
+
+def _reported_rows(t: ParamTable) -> list[tuple[MarketParams, EquilibriumResult]]:
+    """Validated parameters and reported equilibrium of every row of `t` that
+    has one, in row order."""
+    n_roots, shares, residuals = _equilibrium_shares(t)
+    cases = []
+    for i in np.nonzero(~np.isnan(shares))[0]:
+        params = MarketParams(*(getattr(t, f.name)[i].item() for f in fields(t)))
+        share = shares[i].item()
+        price = provider_best_price(share, params)
+        cases.append((params, EquilibriumResult(
+            feasible=True,
+            feasibility=check_feasibility(params),
+            share_roots_found=int(n_roots[i]),
+            price_star=price,
+            share_star=share,
+            demand=demand_reduced(price, share, params),
+            supply=supply_reduced(price, share, params),
+            provider_payoff=provider_payoff(price, share, params),
+            cloud_payoff=cloud_payoff(price, share, params),
+            residual=residuals[i].item(),
+        )))
+    return cases
+
+
 def build_share_equation(params: MarketParams) -> ShareEquation:
     """Assemble the platform's share equation from the model constants."""
-    report = check_feasibility(params)
-    if not report.f1_price_positive:
+    if not check_feasibility(params).f1_price_positive:
         raise InfeasibilityError("price positivity condition a1/(a1-a2) > 0 fails")
-    c = derive_coefficients(params)
-    exp_a = c.share_exp_a
-    exp_b = c.share_exp_b
-    if params.phi == 0.0 or params.f_s == 0.0 or params.f_c == 0.0:
-        # Degenerate limits: the right-hand side collapses to zero.
-        return ShareEquation(exp_a=exp_a, exp_b=exp_b, rhs_c=0.0, log_rhs_c=-math.inf)
-    price_const = c.a1 * params.f_c / (c.a1 - c.a2)  # > 0 under f1
-    log_rhs_c = (
-        math.log(params.f_s)
-        + math.log(params.phi / (c.a4 + c.a2))
-        + ((1.0 - params.alpha) * math.log(params.k2)
-           + (params.beta - 1.0) * math.log(params.k1)) / c.a2
-        + exp_b * math.log(price_const)
-    )
-    return ShareEquation(exp_a=exp_a, exp_b=exp_b, rhs_c=math.exp(log_rhs_c),
-                         log_rhs_c=log_rhs_c)
-
-
-def _share_scan_grid() -> np.ndarray:
-    # Log-spaced toward both tails (roots pile up where chi^A or (1-chi)^B
-    # blows up) plus a uniform pass so mid-interval dips are not skipped.
-    lo = np.geomspace(SHARE_EPS, 0.5, SCAN_POINTS)
-    hi = 1.0 - np.geomspace(SHARE_EPS, 0.5, SCAN_POINTS)
-    mid = np.linspace(SHARE_EPS, 1.0 - SHARE_EPS, SCAN_POINTS)
-    return np.unique(np.concatenate([lo, hi, mid]))
+    exp_a, exp_b, log_rhs_c = _share_equation_columns(params, derive_coefficients(params))
+    with np.errstate(over="ignore"):   # C may overflow; the solver uses log_rhs_c
+        return ShareEquation(exp_a=exp_a, exp_b=exp_b, rhs_c=float(np.exp(log_rhs_c)),
+                             log_rhs_c=float(log_rhs_c))
 
 
 def solve_share(eq: ShareEquation, params: MarketParams) -> ShareSolution:
-    """Find all roots of the share equation on (eps, 1-eps).
+    """Find all roots of the share equation on [eps, 1-eps].
 
-    Sign-change scan in log space followed by bisection (and a Newton
-    polish) per bracket. With multiple roots, the one maximizing the
-    platform's payoff at (best_price(chi), chi) is selected. No root is a
-    valid outcome (share_star None), not an error.
+    Analytic brackets on either side of the log form's minimum, bisection
+    and a Newton polish. With two roots, the one maximizing the platform's
+    payoff at (best_price(chi), chi) is selected. No root is a valid outcome
+    (share_star None), not an error.
     """
     if eq.exp_a >= 0.0:
         raise InfeasibilityError(
             f"share equation requires exp_a < 0 (phi > a4 + a2), got {eq.exp_a}"
         )
-    if not math.isfinite(eq.log_rhs_c):
+    roots, share, residual = _solve_shares(eq.exp_a, eq.exp_b, eq.log_rhs_c,
+                                           ParamTable.from_params([params]))
+    if np.isnan(share[0]):
         return ShareSolution(share_star=None, roots=(), residual=None)
-
-    def f(chi):
-        return eq.exp_a * np.log(chi) + eq.exp_b * np.log1p(-chi) - eq.log_rhs_c
-
-    grid = _share_scan_grid()
-    vals = f(grid)
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-
-    roots = []
-    for i in flips:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = float(vals[i])
-        steps = 0
-        while hi - lo > BISECT_TOL:
-            steps += 1
-            if steps > BISECT_MAX_STEPS:
-                raise NonConvergenceError(
-                    f"bisection did not converge in {BISECT_MAX_STEPS} steps"
-                )
-            mid = 0.5 * (lo + hi)
-            fmid = float(f(mid))
-            if (fmid < 0.0) == (flo < 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-        # Newton polish in the same log form, kept inside the bracket.
-        for _ in range(3):
-            deriv = eq.exp_a / root - eq.exp_b / (1.0 - root)
-            if deriv == 0.0:
-                break
-            step = float(f(root)) / deriv
-            cand = root - step
-            if lo < cand < hi:
-                root = cand
-        roots.append(root)
-    # Exact zeros on the scan grid count as roots too.
-    for i in np.nonzero(vals == 0.0)[0]:
-        roots.append(float(grid[i]))
-    roots = sorted(roots)
-
-    if not roots:
-        return ShareSolution(share_star=None, roots=(), residual=None)
-
-    if len(roots) == 1:
-        share_star = roots[0]
-    else:
-        c = derive_coefficients(params)
-        payoffs = [
-            cloud_payoff(_best_price_unchecked(r, c, params.f_c), r, params)
-            for r in roots
-        ]
-        share_star = roots[int(np.argmax(payoffs))]
-
-    residual = abs(eq.rhs_c * math.expm1(float(f(share_star))))
-    return ShareSolution(share_star=share_star, roots=tuple(roots), residual=residual)
+    return ShareSolution(share_star=share.item(), residual=residual.item(),
+                         roots=tuple(roots[~np.isnan(roots)].tolist()))
 
 
 def stackelberg_solve(params: MarketParams) -> EquilibriumResult:
@@ -257,28 +295,11 @@ def stackelberg_solve(params: MarketParams) -> EquilibriumResult:
     Any failed existence condition, or a rootless share equation, yields a
     result flagged infeasible with no equilibrium values.
     """
-    report = check_feasibility(params)
-    if not report.all_ok:
-        return EquilibriumResult(feasible=False, feasibility=report, share_roots_found=0)
-    eq = build_share_equation(params)
-    sol = solve_share(eq, params)
-    if sol.share_star is None:
-        return EquilibriumResult(feasible=False, feasibility=report,
-                                 share_roots_found=sol.n_roots)
-    share = sol.share_star
-    price = provider_best_price(share, params)
-    return EquilibriumResult(
-        feasible=True,
-        feasibility=report,
-        share_roots_found=sol.n_roots,
-        price_star=price,
-        share_star=share,
-        demand=demand_reduced(price, share, params),
-        supply=supply_reduced(price, share, params),
-        provider_payoff=provider_payoff(price, share, params),
-        cloud_payoff=cloud_payoff(price, share, params),
-        residual=sol.residual,
-    )
+    reported = _reported_rows(ParamTable.from_params([params]))
+    if reported:
+        return reported[0][1]
+    return EquilibriumResult(feasible=False, feasibility=check_feasibility(params),
+                             share_roots_found=0)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +584,7 @@ def second_order_check(params: MarketParams, at: MarketState) -> SecondOrderRepo
     in price and the platform payoff in share, compared against the analytic
     sign conditions (1 - a1/a2) < 0 and a4 + a2 - phi < 0.
     """
-    c = derive_coefficients(params)
+    report = check_feasibility(params)
     hp = SOC_REL_STEP * at.price
     d2p = (provider_payoff(at.price + hp, at.share, params)
            - 2.0 * provider_payoff(at.price, at.share, params)
@@ -572,15 +593,13 @@ def second_order_check(params: MarketParams, at: MarketState) -> SecondOrderRepo
     d2c = (cloud_payoff(at.price, at.share + hs, params)
            - 2.0 * cloud_payoff(at.price, at.share, params)
            + cloud_payoff(at.price, at.share - hs, params)) / hs**2
-    provider_analytic = (1.0 - c.a1 / c.a2) < 0.0
-    cloud_analytic = (c.a4 + c.a2 - params.phi) < 0.0
     return SecondOrderReport(
         provider_soc_negative=bool(d2p < 0.0),
         cloud_soc_negative=bool(d2c < 0.0),
-        provider_soc_analytic=provider_analytic,
-        cloud_soc_analytic=cloud_analytic,
-        provider_agreement=bool((d2p < 0.0) == provider_analytic),
-        cloud_agreement=bool((d2c < 0.0) == cloud_analytic),
+        provider_soc_analytic=report.f2_price_max,
+        cloud_soc_analytic=report.f3_share_max,
+        provider_agreement=bool((d2p < 0.0) == report.f2_price_max),
+        cloud_agreement=bool((d2c < 0.0) == report.f3_share_max),
         d2_provider=float(d2p),
         d2_cloud=float(d2c),
     )

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +98,14 @@ class PopulationSpec:
     max_attempts: int = 1_000_000
 
     def __post_init__(self):
+        # From YAML, `1.0e300` is a string; `.nan` or `.inf` stall or overflow draws.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(f.default, float) or (f.name == "psi" and value is None):
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.n_providers < 1:
             raise ValueError(f"n_providers must be >= 1, got {self.n_providers}")
         for lo_name, hi_name in (("price_min", "price_max"), ("alpha_min", "alpha_max"),
@@ -268,8 +277,7 @@ def _sweep_table(base: ParamTable, axis: str,
     is g for every row of the cell.
     """
     n = len(base)
-    tiled = ParamTable(*(np.tile(getattr(base, f.name), len(cells))
-                         for f in dataclasses.fields(base)))
+    tiled = base.take(np.tile(np.arange(n), len(cells)))
     values = np.repeat([value for value, _ in cells], n)
     changes = {"phi": np.repeat([level for _, level in cells], n)}
     if axis == AXIS_ALPHA_BETA:

@@ -32,9 +32,10 @@ from .core import (
     _log_demand_reduced,
     _log_supply_reduced,
     _provider_payoff_arr,
+    check_feasibility,
     derive_coefficients,
 )
-from .equilibrium import SHARE_EPS, _best_price_unchecked, stackelberg_solve
+from .equilibrium import SHARE_EPS, _best_price_unchecked, _equilibrium_shares
 
 TWO_SIDED = "two_sided"
 FIFTY_FIFTY = "fifty_fifty"
@@ -162,17 +163,12 @@ def _outcome_at(feasible, price, share, t: ParamTable, c: Coefficients) -> Outco
     )
 
 
-def _equilibrium_columns(params: Iterable[MarketParams]) -> Outcome:
-    """Each game solved by backward induction, one solver call per row."""
-    feasible, rows = [], []
-    for p in params:
-        r = stackelberg_solve(p)
-        feasible.append(r.feasible)
-        rows.append((r.price_star, r.share_star, r.demand, r.supply,
-                     r.provider_payoff, r.cloud_payoff) if r.feasible else (np.nan,) * 6)
-    price, share, demand, supply, pay_p, pay_c = np.array(rows, dtype=float).reshape(-1, 6).T
-    return Outcome(feasible=np.array(feasible, dtype=bool), price=price, share=share,
-                   demand=demand, supply=supply, provider_payoff=pay_p, cloud_payoff=pay_c)
+def _equilibrium_columns(t: ParamTable) -> Outcome:
+    """Every game solved by backward induction, in one pass of the share solver."""
+    c = derive_coefficients(t)
+    share = _equilibrium_shares(t)[1]
+    price = _best_price_unchecked(share, c, t.f_c)
+    return _outcome_at(~np.isnan(share), price, share, t, c)
 
 
 def _declared_price_columns(t: ParamTable, price) -> Outcome:
@@ -185,9 +181,10 @@ def _fifty_fifty_columns(t: ParamTable) -> Outcome:
     t = dataclasses.replace(t, phi=np.ones(len(t)))
     c = derive_coefficients(t)
     # f1 and f2, the existence conditions of the provider's price response;
-    # a1 == a2 fails f1 and would divide by zero.
+    # rows failing them get no price (a1 == a2 fails f1 and divides by zero).
+    report = check_feasibility(t)
+    feasible = report.f1_price_positive & report.f2_price_max
     with np.errstate(divide="ignore", invalid="ignore"):
-        feasible = (c.a1 != c.a2) & (c.a1 / (c.a1 - c.a2) > 0.0) & (c.a1 / c.a2 > 1.0)
         price = np.where(feasible, _best_price_unchecked(0.5, c, t.f_c), np.nan)
     return _outcome_at(feasible, price, np.full(len(t), 0.5), t, c)
 
@@ -221,7 +218,7 @@ def scenario_columns(scenario: str, t: ParamTable, price, mode: str) -> Outcome:
     """Run one scenario's kernel over every row of `t` at the given prices."""
     if scenario == TWO_SIDED:
         if mode == MODE_EQUILIBRIUM:
-            return _equilibrium_columns(t.rows())
+            return _equilibrium_columns(t)
         return _declared_price_columns(t, price)
     if scenario == FIFTY_FIFTY:
         return _fifty_fifty_columns(t)
@@ -279,11 +276,8 @@ def run_two_sided(providers: Sequence[Provider],
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     params = [p.params for p in ordered]
-    if mode == MODE_EQUILIBRIUM:
-        out = _equilibrium_columns(params)
-    else:
-        prices = np.array([p.declared_price for p in ordered])
-        out = _declared_price_columns(ParamTable.from_params(params), prices)
+    prices = np.array([p.declared_price for p in ordered])
+    out = scenario_columns(TWO_SIDED, ParamTable.from_params(params), prices, mode)
     return _records(ordered, TWO_SIDED, params, out)
 
 

@@ -100,6 +100,24 @@ class TestScenarioCommand:
         assert cli.main(["scenario", "--scenario", "barter",
                          "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("setting", [
+        "k2: 1.0e300",        # YAML 1.1 reads this as a string
+        "price_mean: .nan",
+        "alpha_sd: .nan",
+        "gamma_max: .inf",
+    ])
+    def test_bad_population_value_exit_1(self, tmp_path, subprocess_env, setting):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(setting + "\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsm.cli", "scenario", "--config", str(cfg),
+             "--n-providers", "20", "--out", str(tmp_path / "sc.csv")],
+            env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
+            timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
 
 class TestSweepCommand:
     def test_shape_and_schema(self, tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tsm.core import (
     Coefficients,
@@ -19,6 +21,7 @@ from tsm.core import (
     supply_reduced,
 )
 from tsm.equilibrium import (
+    SHARE_EPS,
     ShareEquation,
     _best_price_unchecked,
     build_share_equation,
@@ -207,6 +210,90 @@ class TestSolveShare:
             for r in sol.roots
         ]
         assert sol.share_star == sol.roots[int(np.argmax(payoffs))]
+
+
+# The solver the analytic brackets replaced, kept as an independent oracle:
+# sign changes of the log form on a 6,144-point scan of (eps, 1-eps), each
+# bisected to a 1e-13 bracket and Newton-polished inside it.
+SCAN_GRID = np.unique(np.concatenate([
+    np.geomspace(SHARE_EPS, 0.5, 2048),
+    1.0 - np.geomspace(SHARE_EPS, 0.5, 2048),
+    np.linspace(SHARE_EPS, 1.0 - SHARE_EPS, 2048),
+]))
+
+
+def scanned_roots(eq):
+    if not math.isfinite(eq.log_rhs_c):
+        return []
+
+    def f(chi):
+        return eq.exp_a * np.log(chi) + eq.exp_b * np.log1p(-chi) - eq.log_rhs_c
+
+    vals = f(SCAN_GRID)
+    sign = np.sign(vals)
+    roots = [float(SCAN_GRID[i]) for i in np.nonzero(vals == 0.0)[0]]
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        lo, hi = float(SCAN_GRID[i]), float(SCAN_GRID[i + 1])
+        flo = float(vals[i])
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            fmid = float(f(mid))
+            if (fmid < 0.0) == (flo < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        root = 0.5 * (lo + hi)
+        for _ in range(3):
+            deriv = eq.exp_a / root - eq.exp_b / (1.0 - root)
+            if deriv == 0.0:
+                break
+            cand = root - float(f(root)) / deriv
+            if lo < cand < hi:
+                root = cand
+        roots.append(root)
+    return sorted(roots)
+
+
+@st.composite
+def share_games(draw):
+    alpha = draw(st.floats(0.05, 0.95))
+    product = draw(st.one_of(st.floats(0.001, 0.99), st.floats(0.99, 0.99899)))
+    values = dict(
+        alpha=alpha, beta=product / alpha,
+        gamma=draw(st.floats(0.0, 1.0)), psi=draw(st.floats(0.0, 0.35)),
+        phi=draw(st.floats(0.0, 5.0)), k1=draw(st.floats(0.05, 1.0)),
+        k2=draw(st.floats(0.5, 2.0)), f_c=draw(st.floats(0.0, 2.0)),
+        f_s=10.0 ** draw(st.floats(-6.0, 6.0)),
+    )
+    # Now and then one of the degenerate limits, where C collapses to zero.
+    zero = draw(st.sampled_from((None,) * 5 + ("phi", "f_c", "f_s")))
+    if zero:
+        values[zero] = 0.0
+    try:
+        params = MarketParams(**values)
+    except DomainError:
+        assume(False)
+    assume(check_feasibility(params).f1_price_positive)
+    return params
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(share_games())
+def test_bracketed_roots_match_scan(params):
+    eq = build_share_equation(params)
+    if not check_feasibility(params).f3_share_max:   # always so at phi = 0
+        with pytest.raises(InfeasibilityError):
+            solve_share(eq, params)
+        return
+    sol = solve_share(eq, params)
+    scanned = scanned_roots(eq)
+    assert sol.n_roots == len(scanned)
+    assert sol.roots == pytest.approx(scanned, abs=1e-10)
+    if scanned:
+        c = derive_coefficients(params)
+        payoffs = [cloud_payoff(_best_price_unchecked(r, c, params.f_c), r, params)
+                   for r in scanned]
+        assert sol.share_star == pytest.approx(scanned[int(np.argmax(payoffs))], abs=1e-10)
 
 
 class TestStackelbergSolve:

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tsm.cli import draw_reported_equilibria
 from tsm.core import (
     DomainError,
     MarketParams,
     _cloud_payoff_arr,
+    check_feasibility,
     cloud_payoff,
     consumer_demand_primitive,
     demand_reduced,
@@ -42,16 +44,27 @@ POP = sample_providers(PopulationSpec(n_providers=40, seed=1729))
 
 class TestTwoSided:
     def test_equilibrium_mode_delegates_to_solver(self):
-        prov = Provider(provider_id=0, params=FEASIBLE_PARAMS, declared_price=1.7)
-        [rec] = run_two_sided([prov], mode=MODE_EQUILIBRIUM)
-        res = stackelberg_solve(FEASIBLE_PARAMS)
-        assert rec.feasible
-        assert rec.price == res.price_star
-        assert rec.share == res.share_star
-        assert rec.demand == res.demand
-        assert rec.supply == res.supply
-        assert rec.provider_payoff == res.provider_payoff
-        assert rec.cloud_payoff == res.cloud_payoff
+        # One batch gives every game exactly what a batch of one gives it:
+        # 20 reported equilibria of the verify sampler, then 20 games that
+        # pass f1-f3 but whose share equation has no root.
+        reported = [params for params, _ in draw_reported_equilibria(1730, 20)[0]]
+        rootless = [p.params for p in sample_providers(PopulationSpec(seed=1729))
+                    if check_feasibility(p.params).all_ok][:20]
+        games = [FEASIBLE_PARAMS] + reported + rootless
+        providers = [Provider(provider_id=i, params=p, declared_price=1.7)
+                     for i, p in enumerate(games)]
+        records = run_two_sided(providers, mode=MODE_EQUILIBRIUM)
+        assert len(rootless) == 20
+        for i, (rec, params) in enumerate(zip(records, games)):
+            res = stackelberg_solve(params)
+            assert rec.feasible == res.feasible == (i <= len(reported))
+            assert rec.price == res.price_star
+            assert rec.share == res.share_star
+            assert rec.demand == res.demand
+            assert rec.supply == res.supply
+            if res.feasible:
+                assert rec.provider_payoff == res.provider_payoff
+                assert rec.cloud_payoff == res.cloud_payoff
 
     def test_infeasible_records_zeroed_and_counted(self):
         records = run_two_sided(POP, mode=MODE_EQUILIBRIUM)
