@@ -3,7 +3,7 @@
 The platform announces its revenue share first; the provider answers with a
 price. Backward induction turns this into a scalar root-finding problem in
 the share. The closed-form solution is then verified three independent
-ways: finite-difference stationarity, curvature signs, and a grid-search
+ways: finite-difference stationarity, curvature signs, and a brute-force
 oracle that knows nothing about the closed forms.
 """
 
@@ -55,11 +55,11 @@ print(f"curvature: provider {soc.d2_provider:+.3e} (negative: "
       f"{soc.provider_soc_negative}), platform {soc.d2_cloud:+.3e} "
       f"(negative: {soc.cloud_soc_negative})")
 
-# Check 3: a brute-force search over both payoff surfaces, built only from
-# grid/golden-section argmax calls, lands on the same point.
+# Check 3: a brute-force search for fixed points of the two best-response
+# maps, built only from payoff evaluations, lands on the same point.
 oracle = oracle_equilibrium(params, grid_n=2000)
 print(f"\nbrute-force oracle: share={oracle.share:.8f} price={oracle.price:.8f} "
-      f"({oracle.n_candidates} fixed point(s) examined)")
+      f"({oracle.n_candidates} interior fixed point(s) found)")
 print(f"  |share difference| = {abs(oracle.share - result.share_star):.2e}")
 print(f"  |price difference|/price = "
       f"{abs(oracle.price - result.price_star) / result.price_star:.2e}")

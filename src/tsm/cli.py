@@ -17,7 +17,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import sys
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ from .population import (
     AXIS_PHI,
     PopulationSpec,
     SweepSpec,
-    worker_count,
 )
 from .scenarios import MODES, SCENARIOS, TWO_SIDED
 
@@ -397,22 +395,14 @@ def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000)
     return cases, drawn
 
 
-def _oracle_case(task):
-    params, grid_n = task
-    return equilibrium.oracle_equilibrium(params, grid_n=grid_n)
-
-
-def run_oracle_comparison(cases, grid_n: int, threads: int | None = None):
+def run_oracle_comparison(cases, grid_n: int):
     """(|chi* - chi_oracle|, |P* - P_oracle|/P*) for each reported equilibrium."""
-    tasks = [(params, grid_n) for params, _ in cases]
-    n_workers = min(worker_count(threads), len(tasks))
-    if n_workers <= 1:
-        results = [_oracle_case(t) for t in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_oracle_case, tasks, chunksize=1))
-    return [(abs(res.share_star - o.share), abs(res.price_star - o.price) / res.price_star)
-            for (_, res), o in zip(cases, results)]
+    oracle = equilibrium.oracle_equilibrium(
+        core.ParamTable.from_params([params for params, _ in cases]), grid_n=grid_n)
+    share = np.array([res.share_star for _, res in cases])
+    price = np.array([res.price_star for _, res in cases])
+    return list(zip(np.abs(share - oracle.share).tolist(),
+                    (np.abs(price - oracle.price) / price).tolist()))
 
 
 def verify_properties(seed: int, draws: int, grid_n: int,
@@ -501,9 +491,10 @@ def cmd_verify(args, config: dict) -> int:
     grid_n = int(_setting(args, config, "grid_n", 2000))
     pairs = int(_setting(args, config, "pairs", 2000))
     seed = int(_setting(args, config, "seed", 1729))
-    if draws < 1:
-        print("error: --draws must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
+    for name, value in (("draws", draws), ("pairs", pairs)):
+        if value < 1:
+            print(f"error: --{name} must be >= 1", file=sys.stderr)
+            return EXIT_INVALID
     print(f"# command=verify seed={seed} draws={draws} grid_n={grid_n} pairs={pairs}")
     results = verify_properties(seed, draws, grid_n, pairs)
     all_ok = True

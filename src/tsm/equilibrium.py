@@ -13,9 +13,10 @@ bisects all rows of a ParamTable at once; when the equation admits two roots
 is reported. The scalar entry points are validated batches of one.
 
 `oracle_equilibrium` is an independent check: it knows nothing about the
-closed forms and locates equilibria purely by grid/golden-section argmax of
-the two payoff surfaces, searching for fixed points of the best-response
-maps. Closed-form results are validated against it in the test suite.
+closed forms. It finds each best response by bisecting the complex-step
+slope of a payoff, and the equilibria as fixed points of the two
+best-response maps. Closed-form results are validated against it in the
+test suite and in `tsm verify`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .core import (
     MarketState,
     ParamTable,
     _cloud_payoff_arr,
-    _provider_payoff_arr,
+    _log_demand_reduced,
     check_feasibility,
     cloud_payoff,
     demand_reduced,
@@ -99,12 +100,13 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class OracleEquilibrium:
-    """Brute-force equilibrium estimate, independent of the closed forms."""
+    """Brute-force equilibrium estimate, independent of the closed forms
+    (per row of a ParamTable). n_candidates counts the interior fixed points."""
 
-    price: float
-    share: float
-    cloud_payoff: float
-    n_candidates: int
+    price: float | np.ndarray
+    share: float | np.ndarray
+    cloud_payoff: float | np.ndarray
+    n_candidates: int | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -306,248 +308,152 @@ def stackelberg_solve(params: MarketParams) -> EquilibriumResult:
 # Brute-force oracle. Only payoff evaluations; no closed forms.
 # ---------------------------------------------------------------------------
 
-
-def _golden_max(f, lo, hi, iters):
-    """Vectorized golden-section maximization of f over [lo, hi] (elementwise)."""
-    invphi = 0.6180339887498949
-    invphi2 = 0.3819660112501051
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    for _ in range(iters):
-        h = b - a
-        c = a + invphi2 * h
-        d = a + invphi * h
-        keep_low = f(c) >= f(d)
-        b = np.where(keep_low, d, b)
-        a = np.where(keep_low, a, c)
-    return 0.5 * (a + b)
+ORACLE_BLOCK_ROWS = 1 << 15   # (game, share) pairs searched at once; bounds memory
+PEAK_HALVINGS = 60            # best responses: down to the float nearest the peak
+ROOT_HALVINGS = 30            # fixed points: a probe spacing down to about 1e-12
+SHARE_SCAN = 24
+COMPLEX_STEP = 1e-30
 
 
-# Price search domain, as multiples r of the break-even price f_c/(1-chi):
-# payoff is zero at r = 1 and single-peaked above it.
-_R_GRID = 1.0 + np.geomspace(1e-9, 1e8, 1024)
-_LOG_R_GRID = np.log(_R_GRID)
+def _bisect_peak(f, lo, hi):
+    """Elementwise argmax over [lo, hi] of an analytic f that rises then falls
+    (or is monotone there): bisection on the sign of its complex-step slope
+    Im f(x + ih)/h, which has no cancellation error, so the peak is placed to
+    rounding rather than to the square root of it."""
+    for _ in range(PEAK_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        rising = f(mid + COMPLEX_STEP * 1j).imag > 0.0
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    return 0.5 * (lo + hi)
 
 
-def _follower_price_response(share, params: MarketParams, c: Coefficients,
-                             refine_iters: int = 48):
-    """Grid argmax of the provider payoff over price, golden-refined.
+def _oracle_price(chi, t: ParamTable, c: Coefficients):
+    """The provider's payoff-maximizing price at share chi.
 
-    In units of the break-even price, the payoff at every share is a
-    positive multiple of the same grid profile (r-1) * r^(-a1/a2), so the
-    coarse scan ranks one profile; the refinement then maximizes the true
-    payoff per share inside the bracketing cells.
+    The payoff is zero at the break-even price f_c/(1-chi) and single-peaked
+    above it, so the search runs over P = breakeven * (1 + e^u) for u in
+    [log 1e-9, log 1e8] on the payoff's log, log f_c + u + log demand.
     """
-    share = np.atleast_1d(np.asarray(share, dtype=float))
-    breakeven = params.f_c / (1.0 - share)
-    profile = (_R_GRID - 1.0) * np.exp((-c.a1 / c.a2) * _LOG_R_GRID)
-    j = int(np.argmax(profile))
-    lo = _R_GRID[max(j - 1, 0)]
-    hi = _R_GRID[min(j + 1, _R_GRID.size - 1)]
+    breakeven = t.f_c / (1.0 - chi)
+    log_breakeven, log_chi = np.log(breakeven), np.log(chi)
 
-    def payoff_of_logr(u):
-        return _provider_payoff_arr(breakeven * (1.0 + np.exp(u)), share, params, c)
+    def log_payoff(u):   # less the constant log f_c
+        return u + _log_demand_reduced(log_breakeven + np.log1p(np.exp(u)), log_chi, t, c)
 
-    lo_u = np.full(share.shape, math.log(lo - 1.0))
-    hi_u = np.full(share.shape, math.log(hi - 1.0))
-    u = _golden_max(payoff_of_logr, lo_u, hi_u, refine_iters)
-    return breakeven * (1.0 + np.exp(u))
+    return breakeven * (1.0 + np.exp(_bisect_peak(log_payoff, math.log(1e-9), math.log(1e8))))
 
 
-def _platform_share_response(price, share_grid, params: MarketParams, c: Coefficients,
-                             refine_iters: int = 48):
-    """Grid argmax of the platform payoff over share, golden-refined.
+def _oracle_share(price, t: ParamTable, c: Coefficients, lo: float, hi: float):
+    """The platform's payoff-maximizing share in [lo, hi] at `price`. The payoff
+    in share is single-peaked, monotone, or dips to one interior minimum, so a
+    24-point scan brackets the maximum before the slope is bisected."""
+    def payoff(s):
+        return _cloud_payoff_arr(price, s, t, c)
 
-    The payoff matrix over (price, share) is a difference of two outer
-    products, revenue(P) * share^e1 - cost(P) * share^e2. Each row is
-    rescaled by its largest factor before ranking, which cannot change the
-    argmax but keeps rows finite for extreme reduced-form exponents.
+    scan = np.linspace(lo, hi, SHARE_SCAN)
+    best, top = 0, payoff(scan[0])
+    for j in range(1, SHARE_SCAN):
+        pay = payoff(scan[j])
+        best, top = np.where(pay > top, j, best), np.maximum(pay, top)
+    return _bisect_peak(payoff, scan[np.maximum(best - 1, 0)],
+                        scan[np.minimum(best + 1, SHARE_SCAN - 1)])
+
+
+def _defect(chi, t: ParamTable, c: Coefficients, window) -> np.ndarray:
+    """The platform's best response to the provider's best response to chi,
+    less chi: zero at a fixed point of the two maps."""
+    return _oracle_share(_oracle_price(chi, t, c), t, c, *window) - chi
+
+
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices over n games, each holding at most ORACLE_BLOCK_ROWS games times
+    `width` shares (but at least one game)."""
+    step = max(1, ORACLE_BLOCK_ROWS // width)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _as_column(t: ParamTable) -> ParamTable:
+    """`t` with (n, 1) columns, which broadcast against a row of shares."""
+    return t.take(np.arange(len(t))[:, None])
+
+
+def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
+    """Rows (price, share, platform payoff, fixed points found) per game of
+    `t`, for its highest-payoff interior fixed point; NaN without one.
+
+    Every sign change of the defect between neighbouring probes becomes one
+    bracket, and all brackets are bisected together. Clamping the response
+    to the window only fabricates crossings at its edges, which the interior
+    filter drops.
     """
-    price = np.atleast_1d(np.asarray(price, dtype=float))
-    log_price = np.log(price)
-    e1 = c.a4 / c.a2 + 1.0
-    e2 = params.phi / c.a2
-    log_rev = (math.log(params.k1) + params.alpha * math.log(params.k2)
-               - c.a1 * log_price) / c.a2 + log_price
-    if params.f_s > 0.0:
-        log_cost = (math.log(params.f_s)
-                    + (math.log(params.k2) + params.beta * math.log(params.k1)
-                       + c.a3 * log_price) / c.a2)
-    else:
-        log_cost = np.full(price.shape, -np.inf)
-    scale = np.maximum(log_rev, log_cost)
-    log_share = np.log(share_grid)
-    pay = (np.exp(log_rev - scale)[:, None] * np.exp(e1 * log_share)[None, :]
-           - np.exp(log_cost - scale)[:, None] * np.exp(e2 * log_share)[None, :])
-    j = np.argmax(pay, axis=1)
-    lo = share_grid[np.maximum(j - 1, 0)]
-    hi = share_grid[np.minimum(j + 1, share_grid.size - 1)]
-
-    def payoff_of_share(s):
-        return _cloud_payoff_arr(price, s, params, c)
-
-    return _golden_max(payoff_of_share, lo, hi, refine_iters)
-
-
-_INVPHI = 0.6180339887498949
-_INVPHI2 = 0.3819660112501051
+    col = _as_column(t)
+    negative = _defect(probes, col, derive_coefficients(col), window) < 0.0
+    case, j = np.nonzero(negative[:, :-1] != negative[:, 1:])
+    sub = t.take(case)
+    c = derive_coefficients(sub)
+    lo, hi, lo_negative = probes[j], probes[j + 1], negative[case, j]
+    for _ in range(ROOT_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        to_lo = (_defect(mid, sub, c, window) < 0.0) == lo_negative
+        lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
+    chi = 0.5 * (lo + hi)
+    price = _oracle_price(chi, sub, c)
+    pay = _cloud_payoff_arr(price, chi, sub, c)
+    spacing = probes[1] - probes[0]
+    inside = (window[0] + spacing < chi) & (chi < window[1] - spacing)
+    case, chi, price, pay = (v[inside] for v in (case, chi, price, pay))
+    out = np.full((4, len(t)), np.nan)
+    out[3] = np.bincount(case, minlength=len(t))
+    # Per game the first of its candidates by descending payoff, then share.
+    order = np.lexsort((-pay, case))
+    first = order[np.unique(case[order], return_index=True)[1]]
+    out[:3, case[first]] = price[first], chi[first], pay[first]
+    return out
 
 
-def _scalar_best_price(chi: float, params: MarketParams, c: Coefficients,
-                       iters: int = 60) -> float:
-    """Numeric follower price response at one share, in scalar math.
+def oracle_equilibrium(params: MarketParams | ParamTable,
+                       grid_n: int = 2000) -> OracleEquilibrium:
+    """Locate equilibria by brute force on a grid_n-point share grid over
+    [0.01, 0.99], elementwise over a ParamTable (columns of OracleEquilibrium)
+    or for one MarketParams (a batch of one).
 
-    Golden-section over u = log(price/breakeven - 1); the payoff is zero at
-    the break-even price and single-peaked above it.
-    """
-    breakeven = params.f_c / (1.0 - chi)
-    base = (math.log(params.k1) + params.alpha * math.log(params.k2)
-            - c.a1 * math.log(breakeven) + c.a4 * math.log(chi)) / c.a2
-    slope = -c.a1 / c.a2
-
-    def pay(u):
-        rm1 = math.exp(u)
-        return rm1 * math.exp(base + slope * math.log1p(rm1))
-
-    lo, hi = math.log(1e-9), math.log(1e8)
-    for _ in range(iters):
-        h = hi - lo
-        cu = lo + _INVPHI2 * h
-        du = lo + _INVPHI * h
-        if pay(cu) >= pay(du):
-            hi = du
-        else:
-            lo = cu
-    return breakeven * (1.0 + math.exp(0.5 * (lo + hi)))
-
-
-def _scalar_best_share(price: float, params: MarketParams, c: Coefficients,
-                       lo: float, hi: float, iters: int = 60) -> float:
-    """Numeric platform share response at one price over [lo, hi].
-
-    A 24-point scan brackets the maximum first (the slice is single-peaked,
-    monotone, or dips to a single interior minimum), then golden-section
-    refines inside the bracketing cells.
-    """
-    e1 = c.a4 / c.a2 + 1.0
-    e2 = params.phi / c.a2
-    log_price = math.log(price)
-    log_rev = (math.log(params.k1) + params.alpha * math.log(params.k2)
-               - c.a1 * log_price) / c.a2 + log_price
-    if params.f_s > 0.0:
-        log_cost = (math.log(params.f_s)
-                    + (math.log(params.k2) + params.beta * math.log(params.k1)
-                       + c.a3 * log_price) / c.a2)
-    else:
-        log_cost = -math.inf
-    scale = max(log_rev, log_cost)
-
-    def pay(s):
-        ls = math.log(s)
-        rev = math.exp(log_rev - scale + e1 * ls)
-        if log_cost == -math.inf:
-            return rev
-        return rev - math.exp(log_cost - scale + e2 * ls)
-
-    n_scan = 24
-    step = (hi - lo) / (n_scan - 1)
-    best_j = max(range(n_scan), key=lambda j: pay(lo + j * step))
-    a = max(lo, lo + (best_j - 1) * step)
-    b = min(hi, lo + (best_j + 1) * step)
-    for _ in range(iters):
-        h = b - a
-        cu = a + _INVPHI2 * h
-        du = a + _INVPHI * h
-        if pay(cu) >= pay(du):
-            b = du
-        else:
-            a = cu
-    return 0.5 * (a + b)
-
-
-def oracle_equilibrium(params: MarketParams, grid_n: int = 2000) -> OracleEquilibrium:
-    """Locate an equilibrium by brute force on a grid_n-point share grid.
-
-    For every share on the grid the follower's best price is found by grid
-    argmax of the provider payoff; the platform's best share against that
-    price is found the same way. Grid cells where the two responses close a
-    loop (the best-response defect changes sign) are bisected to a fixed
-    point, and the platform-payoff-maximizing fixed point is returned. When
-    no interior fixed point exists, the share maximizing the platform payoff
-    along the follower-response curve is returned (this is the boundary cell
-    for degenerate inputs, e.g. f_s = 0).
+    The best-response defect (the platform's best share against the
+    provider's best price at chi, less chi) is evaluated at about 385 probes
+    of the grid; its sign changes are bisected to fixed points, and the
+    platform-payoff-maximizing interior fixed point is returned. When no
+    interior fixed point exists, the grid share maximizing the platform
+    payoff along the follower-response curve is returned (this is the
+    boundary cell for degenerate inputs, e.g. f_s = 0). Games are searched in
+    blocks, so memory does not grow with their number.
     """
     if grid_n < 100:
         raise DomainError(f"grid_n must be >= 100, got {grid_n}")
-    if params.f_c <= 0.0:
+    t = ParamTable.from_params([params]) if isinstance(params, MarketParams) else params
+    if np.any(t.f_c <= 0.0):
         raise DomainError("oracle requires f_c > 0 (price response degenerates)")
-    c = derive_coefficients(params)
     share_grid = np.linspace(0.01, 0.99, grid_n)
-    step = share_grid[1] - share_grid[0]
-
-    # The best-response defect is smooth, so fixed points are bracketed on a
-    # strided probe of the grid and then bisected on the exact maps.
-    stride = max(1, grid_n // 384)
-    idx = np.arange(0, grid_n, stride)
+    window = (share_grid[0], share_grid[-1])
+    idx = np.arange(0, grid_n, max(1, grid_n // 384))
     if idx[-1] != grid_n - 1:
         idx = np.append(idx, grid_n - 1)
-    probes = share_grid[idx]
+    out = np.empty((4, len(t)))
+    # Near the alpha*beta cap the payoffs' 1/a2 exponents overflow far from
+    # any peak; inf ranks in order there, and NaN (inf - inf) compares false.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _blocks(len(t), idx.size):
+            out[:, rows] = _fixed_points(t.take(rows), share_grid[idx], window)
+        none = np.nonzero(out[3] == 0)[0]
+        for rows in _blocks(none.size, grid_n):
+            col = _as_column(t.take(none[rows]))
+            c = derive_coefficients(col)
+            price = _oracle_price(share_grid, col, c)
+            along = _cloud_payoff_arr(price, share_grid, col, c)
+            i, r = np.argmax(along, axis=1), np.arange(len(col))
+            out[:3, none[rows]] = price[r, i], share_grid[i], along[r, i]
 
-    probe_price = _follower_price_response(probes, params, c, refine_iters=20)
-    response = _platform_share_response(probe_price, share_grid, params, c,
-                                        refine_iters=0)
-    defect = response - probes
-
-    chi_lo, chi_hi = float(share_grid[0]), float(share_grid[-1])
-    spacing = float(probes[1] - probes[0])
-
-    def defect_at(chi):
-        price = _scalar_best_price(chi, params, c)
-        return _scalar_best_share(price, params, c, chi_lo, chi_hi) - chi
-
-    # Sign changes of the defect bracket fixed points even where the
-    # response clamps to the domain bounds; clamping only fabricates
-    # crossings at the domain edges, which are filtered out after
-    # refinement below.
-    flips = np.nonzero(np.sign(defect[:-1]) * np.sign(defect[1:]) <= 0)[0]
-    candidates = []
-    for i in flips:
-        # The probe-phase defect is grid-quantized, so re-locate the sign
-        # change with the exact maps over the neighboring probes first.
-        span = [float(probes[j]) for j in range(max(i - 1, 0),
-                                                min(i + 3, probes.size))]
-        values = [defect_at(x) for x in span]
-        bracket = None
-        for (x0, d0), (x1, d1) in zip(zip(span, values), zip(span[1:], values[1:])):
-            if (d0 < 0.0) != (d1 < 0.0) or d0 == 0.0:
-                bracket = (x0, d0, x1)
-                break
-        if bracket is None:
-            continue
-        lo, dlo, hi = bracket
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            dmid = defect_at(mid)
-            if (dmid < 0.0) == (dlo < 0.0):
-                lo, dlo = mid, dmid
-            else:
-                hi = mid
-        chi = 0.5 * (lo + hi)
-        if not chi_lo + spacing < chi < chi_hi - spacing:
-            continue
-        price = _scalar_best_price(chi, params, c)
-        candidates.append((chi, price,
-                           float(_cloud_payoff_arr(price, chi, params, c))))
-    if candidates:
-        chi, price, pay = max(candidates, key=lambda t: t[2])
-        return OracleEquilibrium(price=price, share=chi, cloud_payoff=pay,
-                                 n_candidates=len(candidates))
-
-    full_price = _follower_price_response(share_grid, params, c)
-    along_curve = _cloud_payoff_arr(full_price, share_grid, params, c)
-    i = int(np.argmax(along_curve))
-    return OracleEquilibrium(price=float(full_price[i]), share=float(share_grid[i]),
-                             cloud_payoff=float(along_curve[i]), n_candidates=0)
+    if isinstance(params, MarketParams):
+        return OracleEquilibrium(*(v.item() for v in out[:3]), n_candidates=int(out[3, 0]))
+    return OracleEquilibrium(*out[:3], n_candidates=out[3].astype(int))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ distributions: truncated-normal list prices and supply externalities,
 uniform demand elasticities and multipliers, fixed platform-side cost
 constants. Sampling uses one Philox substream per provider (spawned from a
 single seed sequence), so a population is fully determined by (seed, spec)
-and unchanged by how much of it is consumed or on how many workers.
+and unchanged by how much of it is consumed.
 
 Sweeps rerun the business-model scenarios while stepping one parameter axis
 (the externality product, the subsidizing factor, the demand elasticity, or
@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-import os
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -56,8 +55,6 @@ AXIS_RANGES = {
     AXIS_GAMMA: (0.0, 0.35),
     AXIS_K1: (0.1, 0.9),
 }
-
-THREADS_ENV_VAR = "TSM_THREADS"
 
 
 class SamplingError(RuntimeError):
@@ -108,6 +105,9 @@ class PopulationSpec:
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.n_providers < 1:
             raise ValueError(f"n_providers must be >= 1, got {self.n_providers}")
+        for name in ("price_sd", "alpha_sd"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for lo_name, hi_name in (("price_min", "price_max"), ("alpha_min", "alpha_max"),
                                  ("gamma_min", "gamma_max"), ("psi_min", "psi_max"),
                                  ("k1_min", "k1_max")):
@@ -238,24 +238,6 @@ class SweepSeries:
     mean_demand: float | None
     mean_supply: float | None
     mean_share: float | None
-
-
-def worker_count(explicit: int | None = None) -> int:
-    """Resolve the worker cap: explicit argument, else TSM_THREADS, else auto.
-
-    Never more than the CPUs this process may run on.
-    """
-    if explicit is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "0")
-        try:
-            explicit = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if explicit < 0:
-        raise ValueError(f"worker count must be >= 0, got {explicit}")
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return min(explicit, cpus) if explicit > 0 else cpus
 
 
 def _run_scenario(providers: Sequence[Provider], scenario: str,

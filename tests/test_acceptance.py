@@ -10,7 +10,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -27,7 +26,6 @@ from tsm.scenarios import MODE_DECLARED_PRICE, PAY_AS_YOU_GO, TWO_SIDED, payg_su
 ACCEPT_SEED = 20_240_001
 N_ORACLE_DRAWS = 500
 GRID_N = 2000
-WORKERS = min(4, os.cpu_count() or 1)
 
 _CACHE = {}
 
@@ -70,7 +68,7 @@ def series_of(cells, scenario, phi_level, column):
 def test_criterion_1_oracle_equivalence():
     cases = reported_equilibria()
     t0 = time.perf_counter()
-    diffs = cli.run_oracle_comparison(cases, GRID_N, threads=WORKERS)
+    diffs = cli.run_oracle_comparison(cases, GRID_N)
     elapsed = _CACHE["draw_seconds"] + (time.perf_counter() - t0)
     tol = 2.0 / GRID_N
     worst_chi = max(d for d, _ in diffs)
@@ -80,7 +78,7 @@ def test_criterion_1_oracle_equivalence():
     report(1, ok,
            f"{len(cases)} reported equilibria (from {_CACHE['drawn']} draws), "
            f"max |dchi|={worst_chi:.2e}, max |dP|/P={worst_price:.2e} "
-           f"(tol {tol:.1e}), runtime {elapsed:.1f}s on {WORKERS} workers")
+           f"(tol {tol:.1e}), runtime {elapsed:.1f}s")
     assert len(cases) == N_ORACLE_DRAWS
     assert worst_chi <= tol
     assert worst_price <= tol

@@ -105,6 +105,8 @@ class TestScenarioCommand:
         "price_mean: .nan",
         "alpha_sd: .nan",
         "gamma_max: .inf",
+        "price_sd: -1.0",     # numpy's normal() rejects a negative scale
+        "alpha_sd: -0.1",
     ])
     def test_bad_population_value_exit_1(self, tmp_path, subprocess_env, setting):
         cfg = tmp_path / "cfg.yaml"
@@ -220,6 +222,13 @@ class TestVerifyCommand:
 
     def test_bad_draws_exit_1(self):
         assert cli.main(["verify", "--draws", "0"]) == 1
+
+    def test_bad_pairs_exit_1(self, capsys):
+        # a non-positive pair count would pass fixed_point_consistency vacuously
+        assert cli.main(["verify", "--pairs", "-5", "--draws", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "[PASS]" not in captured.out
 
 
 class TestGoldenFiles:

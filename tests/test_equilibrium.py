@@ -1,6 +1,8 @@
 """Tests for best responses, the share-equation solver, and the oracle."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from tsm.core import (
     InfeasibilityError,
     MarketParams,
     MarketState,
+    ParamTable,
     check_feasibility,
     cloud_payoff,
     demand_reduced,
@@ -20,6 +23,7 @@ from tsm.core import (
     provider_payoff,
     supply_reduced,
 )
+from tsm.cli import draw_reported_equilibria
 from tsm.equilibrium import (
     SHARE_EPS,
     ShareEquation,
@@ -352,6 +356,71 @@ class TestOracle:
     def test_grid_n_validated(self):
         with pytest.raises(DomainError):
             oracle_equilibrium(FEASIBLE_PARAMS, grid_n=50)
+
+    def test_table_rows_match_batches_of_one(self):
+        games = [FEASIBLE_PARAMS, NO_ROOT_PARAMS, dataclasses.replace(FEASIBLE_PARAMS, f_s=0.0)]
+        batch = oracle_equilibrium(ParamTable.from_params(games), grid_n=500)
+        for i, p in enumerate(games):
+            one = oracle_equilibrium(p, grid_n=500)
+            assert batch.n_candidates[i] == one.n_candidates
+            assert batch.share[i] == pytest.approx(one.share, rel=1e-12)
+            assert batch.price[i] == pytest.approx(one.price, rel=1e-12)
+
+    def test_candidates_are_the_closed_form_roots_in_window(self):
+        # Each interior fixed point is found once: the oracle's count equals
+        # the share equation's roots strictly inside its interior window.
+        cases, _ = draw_reported_equilibria(1730, 50)
+        oracle = oracle_equilibrium(ParamTable.from_params([p for p, _ in cases]))
+        for (p, _), found in zip(cases, oracle.n_candidates):
+            roots = solve_share(build_share_equation(p), p).roots
+            assert found == sum(in_oracle_window(r) for r in roots)
+
+
+# The oracle's probes are 2000 // 384 = 5 steps apart on its default
+# 2000-point grid over [0.01, 0.99]; fixed points within one probe spacing
+# of either end are not reported.
+PROBE_SPACING = 5 * 0.98 / 1999
+
+
+def in_oracle_window(share: float) -> bool:
+    return 0.01 + PROBE_SPACING < share < 0.99 - PROBE_SPACING
+
+
+def extreme_games(seed: int, n: int):
+    """n valid games with a reported share inside the oracle's window, drawn
+    towards the edges: alpha*beta up to the 0.999 cap, f_s over twelve
+    decades and phi just above the f3 boundary phi (1 - alpha) = a2."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < n:
+        alpha = rng.uniform(0.05, 0.95)
+        product = rng.uniform(0.99, 0.999) if rng.random() < 0.4 else rng.uniform(0.001, 0.99)
+        phi = ((1.0 - product) / (1.0 - alpha) * (1.0 + 10.0 ** rng.uniform(-6.0, -1.0))
+               if rng.random() < 0.4 else rng.uniform(0.0, 5.0))
+        try:
+            p = MarketParams(alpha=alpha, beta=product / alpha, gamma=rng.uniform(0.0, 1.0),
+                             psi=rng.uniform(0.0, 0.35), phi=phi, k1=rng.uniform(0.05, 1.0),
+                             k2=rng.uniform(0.5, 2.0), f_c=rng.uniform(0.05, 2.0),
+                             f_s=10.0 ** rng.uniform(-6.0, 6.0))
+        except DomainError:
+            continue
+        res = stackelberg_solve(p)
+        if res.feasible and in_oracle_window(res.share_star):
+            cases.append((p, res))
+    return cases
+
+
+def test_oracle_matches_closed_form_at_extremes():
+    cases = extreme_games(2024, 120)
+    assert sum(p.alpha * p.beta >= 0.99 for p, _ in cases) >= 30
+    assert sum(p.phi * (1.0 - p.alpha) < 1.1 * (1.0 - p.alpha * p.beta)
+               for p, _ in cases) >= 30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle = oracle_equilibrium(ParamTable.from_params([p for p, _ in cases]))
+    for (p, res), share, price in zip(cases, oracle.share, oracle.price):
+        assert abs(share - res.share_star) <= 1e-9, p
+        assert abs(price - res.price_star) / res.price_star <= 1e-9, p
 
 
 class TestSecondOrder:

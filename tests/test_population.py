@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from tsm.population import (
     run_sweep,
     sample_population,
     sample_providers,
-    worker_count,
 )
 from tsm.scenarios import (
     FIFTY_FIFTY,
@@ -39,9 +37,6 @@ from tsm.scenarios import (
     run_two_sided,
     summarize_records,
 )
-
-CPUS = len(os.sched_getaffinity(0))
-
 
 class TestSampling:
     def test_same_seed_identical_population(self):
@@ -242,29 +237,6 @@ def test_sweep_means_are_finite_or_none(axis, mode, n, seed, value, level):
             mean = getattr(cell, name)
             assert mean is None or (type(mean) is float and math.isfinite(mean)), (
                 cell, name)
-
-
-class TestWorkerCount:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("TSM_THREADS", "1")
-        assert worker_count(3) == min(3, CPUS)
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("TSM_THREADS", "2")
-        assert worker_count() == min(2, CPUS)
-
-    def test_capped_at_usable_cpus(self):
-        # resolving a count starts no process, so an extreme request is safe
-        assert worker_count(10**6) == CPUS
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("TSM_THREADS", "0")
-        assert worker_count() >= 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("TSM_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 def test_default_grid_contents():

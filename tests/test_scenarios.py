@@ -21,7 +21,7 @@ from tsm.core import (
     provider_payoff,
     supply_reduced,
 )
-from tsm.equilibrium import _golden_max, stackelberg_solve
+from tsm.equilibrium import stackelberg_solve
 from tsm.population import PopulationSpec, sample_providers
 from tsm.scenarios import (
     MODE_DECLARED_PRICE,
@@ -116,6 +116,19 @@ class TestTwoSided:
             run_two_sided([])
 
 
+def golden_max(f, lo, hi, iters):
+    """Golden-section maximization of f over [lo, hi]."""
+    a, b = lo, hi
+    for _ in range(iters):
+        h = b - a
+        c, d = a + 0.3819660112501051 * h, a + 0.6180339887498949 * h
+        if f(c) >= f(d):
+            b = d
+        else:
+            a = c
+    return 0.5 * (a + b)
+
+
 # The numeric search the closed-form declared-price share replaced, kept as
 # an independent oracle: a 768-point scan over (eps, 1-eps), then golden
 # section inside the cells around the coarse argmax.
@@ -135,7 +148,7 @@ def searched_share(price, params):
     j = int(np.argmax(payoff(SHARE_SCAN)))
     lo = SHARE_SCAN[max(j - 1, 0)]
     hi = SHARE_SCAN[min(j + 1, SHARE_SCAN.size - 1)]
-    refined = float(_golden_max(payoff, lo, hi, iters=48))
+    refined = float(golden_max(payoff, lo, hi, iters=48))
     coarse = float(SHARE_SCAN[j])
     return refined if payoff(refined) >= payoff(coarse) else coarse
 
