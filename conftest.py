@@ -27,3 +27,19 @@ def subprocess_env():
         return env
 
     return build
+
+
+@pytest.fixture
+def market_params_count(monkeypatch):
+    """A one-item list counting MarketParams constructions during the test."""
+    from tsm.core import MarketParams
+
+    count = [0]
+    original = MarketParams.__post_init__
+
+    def counting(params):
+        count[0] += 1
+        original(params)
+
+    monkeypatch.setattr(MarketParams, "__post_init__", counting)
+    return count

@@ -43,8 +43,8 @@ from .population import (
     SweepSeries,
     SweepSpec,
     run_sweep,
-    sample_population,
     sample_providers,
+    sample_table,
 )
 from .scenarios import (
     Provider,

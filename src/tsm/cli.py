@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from . import core, equilibrium, population, scenarios
 from .core import DomainError, MarketParams, MarketState
@@ -105,16 +104,17 @@ def _format_value(value) -> str:
 
 
 def write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    text = "\n".join(
-        [",".join(header)] + [",".join(_format_value(v) for v in row) for row in rows]
-    ) + "\n"
+    """Write the header, then each row as it comes; `rows` may be a generator."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_format_value, row)) + "\n" for row in rows)
 
 
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    import yaml   # only a run with a config file pays for the import
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -223,44 +223,40 @@ def cmd_equilibrium(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scenario_rows(records):
-    for r in records:
-        p = r.params
-        yield (r.provider_id, r.scenario, p.alpha, p.beta, p.gamma, p.psi, p.phi,
-               p.k1, p.f_c, r.price, r.share, r.demand, r.supply,
-               r.provider_payoff, r.cloud_payoff, r.feasible)
-
-
 def cmd_scenario(args, config: dict) -> int:
     spec = _population_spec(args, config)
-    names = _scenario_list(args, config)
+    names = sorted(_scenario_list(args, config))
     mode = _setting(args, config, "mode", scenarios.MODE_EQUILIBRIUM)
     if mode not in MODES:
         print(f"error: unknown mode {mode!r}", file=sys.stderr)
         return EXIT_INVALID
 
-    providers = population.sample_providers(spec)
-    all_records = []
-    for name in sorted(names):
-        all_records.extend(population._run_scenario(providers, name, mode))
+    table, price = population.sample_table(spec)
+    outcomes = {name: scenarios.scenario_columns(name, table, price, mode)
+                for name in names}
 
-    out = _setting(args, config, "out", "scenario.csv")
+    def rows():
+        for name, out in outcomes.items():
+            t = out.params
+            params = zip(t.alpha.tolist(), t.beta.tolist(), t.gamma.tolist(),
+                         t.psi.tolist(), t.phi.tolist(), t.k1.tolist(), t.f_c.tolist())
+            for i, (p, cells) in enumerate(zip(params, out.rows(name))):
+                yield (i, name, *p, *cells)
+
+    out_path = _setting(args, config, "out", "scenario.csv")
     try:
-        write_csv(out, SCENARIO_COLUMNS, _scenario_rows(all_records))
+        write_csv(out_path, SCENARIO_COLUMNS, rows())
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
     print(f"# command=scenario seed={spec.seed} n_providers={spec.n_providers} "
-          f"mode={mode} scenarios={','.join(sorted(names))} out={out}")
-    for name in sorted(names):
-        stats = scenarios.summarize_records(
-            [r for r in all_records if r.scenario == name])
-        mean_cloud = stats.cloud_payoff.mean if stats.cloud_payoff else None
-        mean_prov = stats.provider_payoff.mean if stats.provider_payoff else None
-        print(f"{name}: feasible {stats.n_feasible}/{stats.n}"
-              f" mean_cloud_payoff={_format_value(mean_cloud)}"
-              f" mean_provider_payoff={_format_value(mean_prov)}")
+          f"mode={mode} scenarios={','.join(names)} out={out_path}")
+    for name, out in outcomes.items():
+        print(f"{name}: feasible {int(out.feasible.sum())}/{len(price)}"
+              f" mean_cloud_payoff={_format_value(out.feasible_mean('cloud_payoff'))}"
+              f" mean_provider_payoff="
+              f"{_format_value(out.feasible_mean('provider_payoff'))}")
     return EXIT_OK
 
 
@@ -354,14 +350,10 @@ def sample_table_params(rng: np.random.Generator, n: int) -> list[MarketParams]:
         phi = rng.uniform(0.0, 5.0, price.size)
         k1 = rng.uniform(0.1, 0.9, price.size)
         keep = (alpha * beta > 0.0) & (alpha * beta <= 0.999) & (phi > 0.0)
-        for i in np.nonzero(keep)[0]:
-            out.append(MarketParams(
-                alpha=float(alpha[i]), beta=float(beta[i]), gamma=float(gamma[i]),
-                psi=0.1, phi=float(phi[i]), k1=float(k1[i]),
-                f_c=0.66 * float(price[i]),
-            ))
-            if len(out) == n:
-                break
+        out += core.ParamTable.from_columns(
+            alpha=alpha[keep], beta=beta[keep], gamma=gamma[keep], psi=0.1,
+            phi=phi[keep], k1=k1[keep], f_c=0.66 * price[keep],
+        ).take(slice(n - len(out))).rows()
     return out
 
 
@@ -574,6 +566,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except DomainError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except population.SamplingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

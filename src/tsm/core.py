@@ -64,43 +64,53 @@ class MarketParams:
     p_s: float = 36.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "psi", "phi", "k1", "k2", "f_c", "f_s", "p_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.beta <= 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.alpha * self.beta >= ALPHA_BETA_CAP:
-            raise DomainError(
-                f"alpha*beta = {self.alpha * self.beta:.6g} exceeds cap {ALPHA_BETA_CAP}"
-            )
-        if self.gamma < 0.0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if self.psi < 0.0:
-            raise DomainError(f"psi must be >= 0, got {self.psi}")
-        if self.phi < 0.0:
-            raise DomainError(f"phi must be >= 0, got {self.phi}")
-        if self.k1 <= 0.0:
-            raise DomainError(f"k1 must be > 0, got {self.k1}")
-        if self.k2 <= 0.0:
-            raise DomainError(f"k2 must be > 0, got {self.k2}")
-        if self.f_c < 0.0:
-            raise DomainError(f"f_c must be >= 0, got {self.f_c}")
-        if self.f_s < 0.0:
-            raise DomainError(f"f_s must be >= 0, got {self.f_s}")
-        if self.p_s <= 0.0:
-            raise DomainError(f"p_s must be > 0, got {self.p_s}")
+        check_domain(self)
+
+
+def _finite(v):
+    return abs(v) < math.inf
+
+
+# MarketParams's domain, the one statement of it: (quantity, test, requirement)
+# in checking order. Each test takes a parameter set's value or a column.
+_DOMAIN_RULES = (
+    *((f.name, _finite, "be finite") for f in fields(MarketParams)),
+    ("alpha", lambda v: (0.0 < v) & (v < 1.0), "lie in (0, 1)"),
+    ("beta", lambda v: v > 0.0, "be > 0"),
+    ("alpha*beta", lambda v: v < ALPHA_BETA_CAP, f"be < {ALPHA_BETA_CAP}"),
+    ("gamma", lambda v: v >= 0.0, "be >= 0"),
+    ("psi", lambda v: v >= 0.0, "be >= 0"),
+    ("phi", lambda v: v >= 0.0, "be >= 0"),
+    ("k1", lambda v: v > 0.0, "be > 0"),
+    ("k2", lambda v: v > 0.0, "be > 0"),
+    ("f_c", lambda v: v >= 0.0, "be >= 0"),
+    ("f_s", lambda v: v >= 0.0, "be >= 0"),
+    ("p_s", lambda v: v > 0.0, "be > 0"),
+)
+
+
+def check_domain(params: MarketParams | ParamTable) -> None:
+    """Raise DomainError for the first domain rule that the parameter set, or
+    any row of the table, breaks; the message gives the first offending value."""
+    for quantity, test, requirement in _DOMAIN_RULES:
+        value = (params.alpha * params.beta if quantity == "alpha*beta"
+                 else getattr(params, quantity))
+        ok = test(value)
+        # A parameter set's test gives a bool, which skips numpy's per-call cost.
+        if ok is not True and not np.all(ok):
+            got = np.extract(~np.asarray(ok), value)[0].item()
+            raise DomainError(f"{quantity} must {requirement}, got {got!r}")
 
 
 @dataclass(frozen=True)
 class ParamTable:
-    """Struct-of-arrays form of validated MarketParams: one float column per
-    field, one row per game.
+    """Struct-of-arrays form of MarketParams: one float column per field, one
+    row per game.
 
     `derive_coefficients`, `check_feasibility` and the log-space helpers
-    broadcast over it. It is built from already-validated parameter sets and
-    does not re-validate; `dataclasses.replace` swaps in a column.
+    broadcast over it. Its constructors do not validate; `check_domain`
+    checks a table against MarketParams's rules. `dataclasses.replace` swaps
+    in a column.
     """
 
     alpha: np.ndarray
@@ -132,6 +142,11 @@ class ParamTable:
     def take(self, rows) -> "ParamTable":
         """The table's rows at the given indices, in that order."""
         return ParamTable(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def rows(self) -> list[MarketParams]:
+        """Each row as a validated MarketParams."""
+        return [MarketParams(*row)
+                for row in zip(*(getattr(self, f.name).tolist() for f in fields(self)))]
 
 
 @dataclass(frozen=True)

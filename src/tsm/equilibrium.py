@@ -22,7 +22,7 @@ test suite and in `tsm verify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,8 +242,8 @@ def _reported_rows(t: ParamTable) -> list[tuple[MarketParams, EquilibriumResult]
     has one, in row order."""
     n_roots, shares, residuals = _equilibrium_shares(t)
     cases = []
-    for i in np.nonzero(~np.isnan(shares))[0]:
-        params = MarketParams(*(getattr(t, f.name)[i].item() for f in fields(t)))
+    reported = np.nonzero(~np.isnan(shares))[0]
+    for i, params in zip(reported, t.take(reported).rows()):
         share = shares[i].item()
         price = provider_best_price(share, params)
         cases.append((params, EquilibriumResult(

@@ -25,20 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MarketParams, ParamTable
+from .core import ParamTable, check_domain
 from .scenarios import (
-    FIFTY_FIFTY,
     MODE_DECLARED_PRICE,
     MODES,
-    PAY_AS_YOU_GO,
     SCENARIOS,
-    TWO_SIDED,
     Outcome,
     Provider,
-    ScenarioRecord,
-    run_fifty_fifty,
-    run_pay_as_you_go,
-    run_two_sided,
     scenario_columns,
 )
 
@@ -105,6 +98,9 @@ class PopulationSpec:
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.n_providers < 1:
             raise ValueError(f"n_providers must be >= 1, got {self.n_providers}")
+        # beta is drawn from [0, 1/alpha], so alpha must stay positive.
+        if self.alpha_min <= 0.0:
+            raise ValueError(f"alpha_min must be > 0, got {self.alpha_min}")
         for name in ("price_sd", "alpha_sd"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -119,48 +115,56 @@ class PopulationSpec:
             raise ValueError(f"phi must lie in [0, 5], got {self.phi}")
 
 
-def _truncated(draw, lo: float, hi: float, cap: int, name: str) -> float:
-    for _ in range(cap):
-        x = draw()
-        if lo <= x <= hi:
-            return float(x)
-    raise SamplingError(f"could not draw {name} inside [{lo}, {hi}] in {cap} attempts")
+def sample_table(spec: PopulationSpec) -> tuple[ParamTable, np.ndarray]:
+    """Draw the full provider group as a validated parameter table and the
+    providers' declared prices, one row per provider.
+
+    Provider i draws from its own Philox substream, in this order: price and
+    alpha (each redrawn until inside its band), beta (redrawn until
+    0 < alpha*beta <= alpha_beta_cap), gamma, psi (only when spec.psi is
+    None) and k1. This stream is what makes a population reproducible.
+    """
+    cap = spec.max_attempts
+    draws = []
+    for seq in np.random.SeedSequence(spec.seed).spawn(spec.n_providers):
+        rng = np.random.Generator(np.random.Philox(seq))
+        for _ in range(cap):
+            price = rng.normal(spec.price_mean, spec.price_sd)
+            if spec.price_min <= price <= spec.price_max:
+                break
+        else:
+            raise SamplingError(f"could not draw price inside [{spec.price_min}, "
+                                f"{spec.price_max}] in {cap} attempts")
+        for _ in range(cap):
+            alpha = rng.normal(spec.alpha_mean, spec.alpha_sd)
+            if spec.alpha_min <= alpha <= spec.alpha_max:
+                break
+        else:
+            raise SamplingError(f"could not draw alpha inside [{spec.alpha_min}, "
+                                f"{spec.alpha_max}] in {cap} attempts")
+        for _ in range(cap):
+            beta = rng.uniform(0.0, 1.0 / alpha)
+            if 0.0 < alpha * beta <= spec.alpha_beta_cap:
+                break
+        else:
+            raise SamplingError(f"could not draw beta with 0 < alpha*beta <= "
+                                f"{spec.alpha_beta_cap} in {cap} attempts")
+        gamma = rng.uniform(spec.gamma_min, spec.gamma_max)
+        psi = spec.psi if spec.psi is not None else rng.uniform(spec.psi_min, spec.psi_max)
+        draws.append((price, alpha, beta, gamma, psi, rng.uniform(spec.k1_min, spec.k1_max)))
+    price, alpha, beta, gamma, psi, k1 = np.array(draws, dtype=float).T
+    table = ParamTable.from_columns(
+        alpha=alpha, beta=beta, gamma=gamma, psi=psi, phi=spec.phi, k1=k1,
+        k2=spec.k2, f_c=spec.f_c_factor * price, f_s=spec.f_s, p_s=spec.p_s)
+    check_domain(table)
+    return table, price
 
 
 def sample_providers(spec: PopulationSpec) -> list[Provider]:
-    """Draw the full provider group, one Philox substream per provider."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.n_providers)
-    cap = spec.max_attempts
-    providers = []
-    for i, seq in enumerate(children):
-        rng = np.random.Generator(np.random.Philox(seq))
-        price = _truncated(lambda: rng.normal(spec.price_mean, spec.price_sd),
-                           spec.price_min, spec.price_max, cap, "price")
-        alpha = _truncated(lambda: rng.normal(spec.alpha_mean, spec.alpha_sd),
-                           spec.alpha_min, spec.alpha_max, cap, "alpha")
-
-        def draw_beta():
-            b = rng.uniform(0.0, 1.0 / alpha)
-            # reject zero and products beyond the validation cap
-            return b if 0.0 < alpha * b <= spec.alpha_beta_cap else float("nan")
-
-        beta = _truncated(draw_beta, 0.0, float("inf"), cap, "beta")
-        gamma = float(rng.uniform(spec.gamma_min, spec.gamma_max))
-        psi = spec.psi if spec.psi is not None else float(
-            rng.uniform(spec.psi_min, spec.psi_max))
-        k1 = float(rng.uniform(spec.k1_min, spec.k1_max))
-        params = MarketParams(
-            alpha=alpha, beta=beta, gamma=gamma, psi=psi, phi=spec.phi,
-            k1=k1, k2=spec.k2, f_c=spec.f_c_factor * price,
-            f_s=spec.f_s, p_s=spec.p_s,
-        )
-        providers.append(Provider(provider_id=i, params=params, declared_price=price))
-    return providers
-
-
-def sample_population(spec: PopulationSpec) -> list[MarketParams]:
-    """The sampled parameter sets alone (ids and prices stripped)."""
-    return [p.params for p in sample_providers(spec)]
+    """The sampled population as records, with provider ids 0..n-1."""
+    table, price = sample_table(spec)
+    return [Provider(provider_id=i, params=params, declared_price=p)
+            for i, (params, p) in enumerate(zip(table.rows(), price.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +244,6 @@ class SweepSeries:
     mean_share: float | None
 
 
-def _run_scenario(providers: Sequence[Provider], scenario: str,
-                  mode: str) -> list[ScenarioRecord]:
-    if scenario == TWO_SIDED:
-        return run_two_sided(providers, mode=mode)
-    if scenario == FIFTY_FIFTY:
-        return run_fifty_fifty(providers)
-    if scenario == PAY_AS_YOU_GO:
-        return run_pay_as_you_go(providers)
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
 def _sweep_table(base: ParamTable, axis: str,
                  cells: Sequence[tuple[float, float]]) -> ParamTable:
     """`base` tiled once per cell, with the axis and phi columns of each cell.
@@ -274,25 +267,18 @@ def _sweep_table(base: ParamTable, axis: str,
 def _series(spec: SweepSpec, cell: tuple[float, float], scenario: str,
             out: Outcome, rows: slice) -> SweepSeries:
     feasible = out.feasible[rows]
-    count = int(feasible.sum())
-
-    def mean(column):
-        if column is None or not count:
-            return None
-        return float(column[rows][feasible].mean())
-
     return SweepSeries(
         axis=spec.axis,
         axis_value=cell[0],
         scenario=scenario,
         phi_level=cell[1],
         n_providers=feasible.size,
-        feasible_count=count,
-        mean_cloud_payoff=mean(out.cloud_payoff),
-        mean_provider_payoff=mean(out.provider_payoff),
-        mean_demand=mean(out.demand),
-        mean_supply=mean(out.supply),
-        mean_share=mean(out.share),
+        feasible_count=int(feasible.sum()),
+        mean_cloud_payoff=out.feasible_mean("cloud_payoff", rows),
+        mean_provider_payoff=out.feasible_mean("provider_payoff", rows),
+        mean_demand=out.feasible_mean("demand", rows),
+        mean_supply=out.feasible_mean("supply", rows),
+        mean_share=out.feasible_mean("share", rows),
     )
 
 
@@ -304,14 +290,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepSeries]:
     cell is the mean over its feasible rows. Results are sorted by
     (axis_value, scenario, phi_level).
     """
-    providers = sample_providers(spec.population)
-    n = len(providers)
+    base, declared = sample_table(spec.population)
+    n = len(base)
     # (axis value, phi level) per cell; the phi axis is its own level.
     cells = ([(value, value) for value in spec.grid] if spec.axis == AXIS_PHI
              else [(value, level) for value in spec.grid for level in spec.phi_levels])
-    table = _sweep_table(ParamTable.from_params([p.params for p in providers]),
-                        spec.axis, cells)
-    price = np.tile([p.declared_price for p in providers], len(cells))
+    table = _sweep_table(base, spec.axis, cells)
+    price = np.tile(declared, len(cells))
     series = []
     for scenario in spec.scenarios:
         out = scenario_columns(scenario, table, price, spec.mode)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ TWO_SIDED = "two_sided"
 FIFTY_FIFTY = "fifty_fifty"
 PAY_AS_YOU_GO = "pay_as_you_go"
 SCENARIOS = (TWO_SIDED, FIFTY_FIFTY, PAY_AS_YOU_GO)
+FIFTY_FIFTY_SHARE = 0.5
 
 MODE_EQUILIBRIUM = "equilibrium"
 MODE_DECLARED_PRICE = "declared-price"
@@ -107,10 +109,12 @@ class ScenarioStats:
 class Outcome:
     """One scenario's results over a ParamTable, one column entry per row.
 
+    `params` is the table the scenario ran on (fifty_fifty's has phi = 1).
     Rows where `feasible` is False hold NaN. `share` is None for a scenario
     without a share (pay_as_you_go).
     """
 
+    params: ParamTable
     feasible: np.ndarray
     price: np.ndarray
     share: np.ndarray | None
@@ -118,6 +122,29 @@ class Outcome:
     supply: np.ndarray
     provider_payoff: np.ndarray
     cloud_payoff: np.ndarray
+
+    def feasible_mean(self, column: str, rows=slice(None)) -> float | None:
+        """The mean of a column over the feasible rows among `rows`; None
+        where there are none, or the scenario has no such column."""
+        values = getattr(self, column)
+        feasible = self.feasible[rows]
+        if values is None or not feasible.any():
+            return None
+        return float(values[rows][feasible].mean())
+
+    def rows(self, scenario: str):
+        """Each row's (price, share, demand, supply, provider_payoff,
+        cloud_payoff, feasible) as Python values, as records and CSV rows
+        hold them. An infeasible row keeps zero payoffs so aggregates can
+        count it; its price, demand and supply are None, and so is its share
+        unless the scenario fixes one (fifty_fifty's 0.5)."""
+        infeasible = (None, FIFTY_FIFTY_SHARE if scenario == FIFTY_FIFTY else None,
+                      None, None, 0.0, 0.0, False)
+        share = self.share.tolist() if self.share is not None else repeat(None)
+        for row in zip(self.price.tolist(), share, self.demand.tolist(),
+                       self.supply.tolist(), self.provider_payoff.tolist(),
+                       self.cloud_payoff.tolist(), self.feasible.tolist()):
+            yield row if row[-1] else infeasible
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +180,7 @@ def _outcome_at(feasible, price, share, t: ParamTable, c: Coefficients) -> Outco
     log_price, log_share = np.log(price), np.log(share)
     demand = np.exp(_log_demand_reduced(log_price, log_share, t, c))
     return Outcome(
+        params=t,
         feasible=feasible,
         price=price,
         share=share,
@@ -185,8 +213,9 @@ def _fifty_fifty_columns(t: ParamTable) -> Outcome:
     report = check_feasibility(t)
     feasible = report.f1_price_positive & report.f2_price_max
     with np.errstate(divide="ignore", invalid="ignore"):
-        price = np.where(feasible, _best_price_unchecked(0.5, c, t.f_c), np.nan)
-    return _outcome_at(feasible, price, np.full(len(t), 0.5), t, c)
+        price = np.where(feasible, _best_price_unchecked(FIFTY_FIFTY_SHARE, c, t.f_c),
+                         np.nan)
+    return _outcome_at(feasible, price, np.full(len(t), FIFTY_FIFTY_SHARE), t, c)
 
 
 def _payg_supply(price, params):
@@ -204,6 +233,7 @@ def _pay_as_you_go_columns(t: ParamTable, price) -> Outcome:
     supply = _payg_supply(price, t)
     demand = np.exp(_log_demand_primitive(np.log(price), np.log(supply), t))
     return Outcome(
+        params=t,
         feasible=price > t.f_c,
         price=price,
         share=None,
@@ -232,36 +262,17 @@ def scenario_columns(scenario: str, t: ParamTable, price, mode: str) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def _ordered(providers: Sequence[Provider]) -> list[Provider]:
+def _run(providers: Sequence[Provider], scenario: str,
+         mode: str = MODE_EQUILIBRIUM) -> list[ScenarioRecord]:
+    """One scenario's kernel over the providers, as records sorted by
+    provider_id; each record keeps its row of the table the kernel ran on."""
     if not providers:
         raise ValueError("population must be non-empty")
-    return sorted(providers, key=lambda p: p.provider_id)
-
-
-def _records(ordered: Sequence[Provider], scenario: str,
-             params: Sequence[MarketParams], out: Outcome,
-             infeasible_share: float | None = None) -> list[ScenarioRecord]:
-    # Only feasible rows become Python floats; infeasible draws are retained
-    # with zeroed payoffs so sweeps can count them.
-    ok = out.feasible
-    shares = out.share[ok].tolist() if out.share is not None else [None] * int(ok.sum())
-    values = iter(zip(out.price[ok].tolist(), shares, out.demand[ok].tolist(),
-                      out.supply[ok].tolist(), out.provider_payoff[ok].tolist(),
-                      out.cloud_payoff[ok].tolist()))
-    records = []
-    for prov, p, feasible in zip(ordered, params, ok.tolist()):
-        if feasible:
-            price, share, demand, supply, pay_p, pay_c = next(values)
-            records.append(ScenarioRecord(
-                provider_id=prov.provider_id, scenario=scenario, params=p,
-                price=price, share=share, demand=demand, supply=supply,
-                provider_payoff=pay_p, cloud_payoff=pay_c, feasible=True))
-        else:
-            records.append(ScenarioRecord(
-                provider_id=prov.provider_id, scenario=scenario, params=p,
-                price=None, share=infeasible_share, demand=None, supply=None,
-                provider_payoff=0.0, cloud_payoff=0.0, feasible=False))
-    return records
+    ordered = sorted(providers, key=lambda p: p.provider_id)
+    out = scenario_columns(scenario, ParamTable.from_params([p.params for p in ordered]),
+                           np.array([p.declared_price for p in ordered]), mode)
+    return [ScenarioRecord(prov.provider_id, scenario, params, *row)
+            for prov, params, row in zip(ordered, out.params.rows(), out.rows(scenario))]
 
 
 def run_two_sided(providers: Sequence[Provider],
@@ -272,13 +283,9 @@ def run_two_sided(providers: Sequence[Provider],
     mode keeps the sampled price and lets the platform optimize its share
     against it. Records come back sorted by provider_id.
     """
-    ordered = _ordered(providers)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    params = [p.params for p in ordered]
-    prices = np.array([p.declared_price for p in ordered])
-    out = scenario_columns(TWO_SIDED, ParamTable.from_params(params), prices, mode)
-    return _records(ordered, TWO_SIDED, params, out)
+    return _run(providers, TWO_SIDED, mode)
 
 
 def run_fifty_fifty(providers: Sequence[Provider]) -> list[ScenarioRecord]:
@@ -288,10 +295,7 @@ def run_fifty_fifty(providers: Sequence[Provider]) -> list[ScenarioRecord]:
     follow from the reduced forms at (price, 0.5). Draws where the price
     response does not exist are flagged infeasible.
     """
-    ordered = _ordered(providers)
-    params = [dataclasses.replace(p.params, phi=1.0) for p in ordered]
-    out = _fifty_fifty_columns(ParamTable.from_params(params))
-    return _records(ordered, FIFTY_FIFTY, params, out, infeasible_share=0.5)
+    return _run(providers, FIFTY_FIFTY)
 
 
 def payg_supply(price: float, params: MarketParams) -> float:
@@ -311,11 +315,7 @@ def run_pay_as_you_go(providers: Sequence[Provider]) -> list[ScenarioRecord]:
     Draws whose price does not cover the per-access cost have no valid
     rental optimum and are flagged infeasible. Share is not applicable.
     """
-    ordered = _ordered(providers)
-    params = [p.params for p in ordered]
-    prices = np.array([p.declared_price for p in ordered])
-    out = _pay_as_you_go_columns(ParamTable.from_params(params), prices)
-    return _records(ordered, PAY_AS_YOU_GO, params, out)
+    return _run(providers, PAY_AS_YOU_GO)
 
 
 # ---------------------------------------------------------------------------

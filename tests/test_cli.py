@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from tsm import cli, core
+from tsm import cli, core, population, scenarios
 from tests.test_equilibrium import FEASIBLE_PARAMS
 
 FEASIBLE_FLAGS = [
@@ -96,6 +97,71 @@ class TestScenarioCommand:
                   "--mode", "declared-price", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["equilibrium", "declared-price"])
+    def test_matches_record_runners(self, tmp_path, capsys, mode):
+        # phi 0.1 and psi 0 give one two_sided equilibrium among these draws
+        out = tmp_path / "sc.csv"
+        assert cli.main(["scenario", "--seed", "11", "--n-providers", "200",
+                         "--phi", "0.1", "--psi", "0.0", "--mode", mode,
+                         "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        providers = population.sample_providers(
+            population.PopulationSpec(n_providers=200, seed=11, phi=0.1, psi=0.0))
+        runs = {"fifty_fifty": scenarios.run_fifty_fifty(providers),
+                "pay_as_you_go": scenarios.run_pay_as_you_go(providers),
+                "two_sided": scenarios.run_two_sided(providers, mode=mode)}
+        lines, summary = [",".join(cli.SCENARIO_COLUMNS)], []
+        for name, records in runs.items():
+            for r in records:
+                p = r.params
+                lines.append(",".join(cli._format_value(v) for v in (
+                    r.provider_id, r.scenario, p.alpha, p.beta, p.gamma, p.psi, p.phi,
+                    p.k1, p.f_c, r.price, r.share, r.demand, r.supply,
+                    r.provider_payoff, r.cloud_payoff, r.feasible)))
+            stats = scenarios.summarize_records(records)
+            cloud = stats.cloud_payoff.mean if stats.cloud_payoff else None
+            prov = stats.provider_payoff.mean if stats.provider_payoff else None
+            summary.append(f"{name}: feasible {stats.n_feasible}/{stats.n}"
+                           f" mean_cloud_payoff={cli._format_value(cloud)}"
+                           f" mean_provider_payoff={cli._format_value(prov)}")
+        assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        assert stdout.splitlines()[1:] == summary
+        if mode == "equilibrium":   # both kinds of two_sided row were compared
+            assert 0 < sum(r.feasible for r in runs["two_sided"]) < 200
+        _, rows = read_csv(out)
+        blocked = [r for r in rows if r["scenario"] == "fifty_fifty"
+                   and r["feasible"] == "false"]
+        assert blocked
+        for r in blocked:
+            assert (r["share"], r["phi"]) == ("0.5", "1.0")
+            assert (r["provider_payoff"], r["cloud_payoff"]) == ("0.0", "0.0")
+            assert r["price"] == r["demand"] == r["supply"] == ""
+
+    def test_builds_no_parameter_records(self, tmp_path, market_params_count):
+        assert cli.main(["scenario", "--seed", "3", "--n-providers", "20",
+                         "--out", str(tmp_path / "sc.csv")]) == 0
+        assert market_params_count == [0]
+        population.sample_providers(population.PopulationSpec(n_providers=20))
+        assert market_params_count == [20]
+
+    def test_blank_cells_follow_feasible_mask(self, tmp_path, monkeypatch):
+        # a feasible nan or inf is printed; an infeasible finite value is not
+        original = scenarios.scenario_columns
+
+        def patched(name, t, price, mode):
+            out = original(name, t, price, mode)
+            return dataclasses.replace(out, feasible=np.array([True, True, False]),
+                                       price=np.array([np.nan, np.inf, 1.0]))
+
+        monkeypatch.setattr(scenarios, "scenario_columns", patched)
+        out = tmp_path / "sc.csv"
+        assert cli.main(["scenario", "--seed", "3", "--n-providers", "3",
+                         "--scenario", "pay_as_you_go", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r["price"] for r in rows] == ["nan", "inf", ""]
+        assert rows[2]["demand"] == "" and rows[2]["cloud_payoff"] == "0.0"
+        assert rows[0]["demand"] != ""
+
     def test_unknown_scenario_exit_1(self, tmp_path):
         assert cli.main(["scenario", "--scenario", "barter",
                          "--out", str(tmp_path / "x.csv")]) == 1
@@ -107,6 +173,8 @@ class TestScenarioCommand:
         "gamma_max: .inf",
         "price_sd: -1.0",     # numpy's normal() rejects a negative scale
         "alpha_sd: -0.1",
+        "alpha_min: -0.5\nalpha_mean: 0.0",   # beta's draw needs 1/alpha
+        "alpha_min: 0.0",
     ])
     def test_bad_population_value_exit_1(self, tmp_path, subprocess_env, setting):
         cfg = tmp_path / "cfg.yaml"
@@ -119,6 +187,27 @@ class TestScenarioCommand:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+
+    @pytest.mark.parametrize("setting", [
+        "gamma_min: -0.5",
+        "k1_min: -0.5",
+        "f_c_factor: -1.0",
+    ])
+    def test_out_of_domain_draws_exit_1(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(setting + "\n", encoding="utf-8")
+        assert cli.main(["scenario", "--config", str(cfg), "--n-providers", "20",
+                         "--out", str(tmp_path / "sc.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid parameters: ")
+
+    def test_unsatisfiable_band_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("price_min: 5.0\nprice_max: 5.0\n", encoding="utf-8")
+        assert cli.main(["scenario", "--config", str(cfg), "--n-providers", "2",
+                         "--out", str(tmp_path / "sc.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: could not draw price inside [5.0, 5.0] in 1000000 attempts\n")
 
 
 class TestSweepCommand:

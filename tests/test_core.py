@@ -1,11 +1,15 @@
 """Tests for the parameter types and the demand/supply/payoff curves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tsm.core import (
     DomainError,
     MarketParams,
+    ParamTable,
+    check_domain,
     check_feasibility,
     cloud_payoff,
     consumer_demand_primitive,
@@ -47,17 +51,28 @@ class TestValidation:
         ("beta", 0.0), ("beta", -1.0),
         ("gamma", -0.01), ("psi", -0.01), ("phi", -0.5),
         ("k1", 0.0), ("k2", 0.0), ("f_c", -0.1), ("f_s", -0.1), ("p_s", 0.0),
-        ("k1", float("nan")), ("beta", float("inf")),
+        ("k1", float("nan")), ("beta", float("inf")), ("gamma", float("inf")),
     ])
     def test_rejects_out_of_domain(self, field, value):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as scalar:
             make_params(**{field: value})
+        # a table breaking the rule in one row fails with the same message
+        good = dataclasses.asdict(make_params())
+        with pytest.raises(DomainError) as column:
+            check_domain(ParamTable.from_columns(
+                **{**good, field: [good[field], value, good[field]]}))
+        assert str(column.value) == str(scalar.value)
 
     def test_rejects_externality_product_near_one(self):
         with pytest.raises(DomainError):
             make_params(alpha=0.5, beta=1.999)
+        with pytest.raises(DomainError):
+            check_domain(ParamTable.from_columns(
+                **{**dataclasses.asdict(make_params()), "alpha": 0.5,
+                   "beta": [1.99, 1.999]}))
         # just inside the cap is fine
         make_params(alpha=0.5, beta=1.99)
+        check_domain(ParamTable.from_params([make_params(alpha=0.5, beta=1.99)] * 2))
 
 
 class TestCoefficients:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsm.core import ParamTable
 from tsm.equilibrium import stackelberg_solve
 from tsm.population import (
     AXES,
@@ -24,8 +23,8 @@ from tsm.population import (
     _sweep_table,
     default_grid,
     run_sweep,
-    sample_population,
     sample_providers,
+    sample_table,
 )
 from tsm.scenarios import (
     FIFTY_FIFTY,
@@ -54,12 +53,11 @@ class TestSampling:
 
     def test_price_mean_matches_distribution(self):
         # law of large numbers: the truncation band is symmetric around 1.7
-        providers = sample_providers(PopulationSpec(n_providers=100_000, seed=5))
-        mean = np.mean([p.declared_price for p in providers])
-        assert abs(mean - 1.7) <= 0.05
+        _, price = sample_table(PopulationSpec(n_providers=100_000, seed=5))
+        assert abs(price.mean() - 1.7) <= 0.05
 
     def test_every_draw_passes_validation(self):
-        for params in sample_population(PopulationSpec(n_providers=300, seed=9)):
+        for params in sample_table(PopulationSpec(n_providers=300, seed=9))[0].rows():
             # reconstructing re-runs the full validation
             assert dataclasses.replace(params) == params
             assert 0.1 <= params.alpha <= 0.7
@@ -73,11 +71,37 @@ class TestSampling:
                                                     rel=1e-15)
 
     def test_psi_fixed_by_default_uniform_when_none(self):
-        fixed = sample_population(PopulationSpec(n_providers=20, seed=13))
-        assert all(p.psi == 0.1 for p in fixed)
-        drawn = sample_population(PopulationSpec(n_providers=20, seed=13, psi=None))
-        assert len({p.psi for p in drawn}) > 1
-        assert all(0.0 <= p.psi <= 0.35 for p in drawn)
+        fixed, _ = sample_table(PopulationSpec(n_providers=20, seed=13))
+        assert np.all(fixed.psi == 0.1)
+        drawn, _ = sample_table(PopulationSpec(n_providers=20, seed=13, psi=None))
+        assert len(set(drawn.psi.tolist())) > 1
+        assert np.all((drawn.psi >= 0.0) & (drawn.psi <= 0.35))
+
+    def test_stream_is_unchanged(self):
+        # frozen draws; narrow bands make each rejection loop redraw
+        spec = PopulationSpec(n_providers=3, seed=11, psi=None, price_min=1.7,
+                              alpha_max=0.38, alpha_beta_cap=0.5)
+        table, price = sample_table(spec)
+        assert price.tolist() == [2.273922375320776, 1.7446255290879757,
+                                  1.8164882920355454]
+        assert table.alpha.tolist() == [0.22173221345353777, 0.35670807093529355,
+                                        0.36270800440601825]
+        assert table.beta.tolist() == [0.532555695287184, 0.0321307319038222,
+                                       0.42874301990460284]
+        assert table.gamma.tolist() == [0.1519003264715859, 0.3246229938021119,
+                                        0.17889054114292946]
+        assert table.psi.tolist() == [0.08375439390007333, 0.29839028630301156,
+                                      0.31057310765752405]
+        assert table.k1.tolist() == [0.7106126444222106, 0.7392239625851457,
+                                     0.6259278262054211]
+
+    def test_records_are_the_table_rows(self):
+        spec = PopulationSpec(n_providers=30, seed=4, psi=None)
+        table, price = sample_table(spec)
+        providers = sample_providers(spec)
+        assert [p.provider_id for p in providers] == list(range(30))
+        assert [p.params for p in providers] == table.rows()
+        assert [p.declared_price for p in providers] == price.tolist()
 
     def test_exhaustion_error(self):
         spec = PopulationSpec(n_providers=1, seed=1, price_min=3.0, price_max=3.0,
@@ -92,6 +116,8 @@ class TestSampling:
             PopulationSpec(k1_min=0.9, k1_max=0.1)
         with pytest.raises(ValueError):
             PopulationSpec(psi=0.5)
+        with pytest.raises(ValueError):
+            PopulationSpec(alpha_min=0.0)
 
 
 SMALL_POP = PopulationSpec(n_providers=6, seed=21)
@@ -160,7 +186,7 @@ class TestSweepEngine:
         assert all(s.phi_level == s.axis_value for s in series)
 
     def test_externality_override_sets_product_exactly(self):
-        base = ParamTable.from_params(sample_population(SMALL_POP))
+        base, _ = sample_table(SMALL_POP)
         cells = [(0.2, 1.5), (0.4, 1.5), (0.4, 5.0)]
         table = _sweep_table(base, AXIS_ALPHA_BETA, cells)
         n = len(base)
@@ -186,6 +212,10 @@ class TestSweepEngine:
                 stats.cloud_payoff.mean, rel=1e-12)
             assert cell.mean_provider_payoff == pytest.approx(
                 stats.provider_payoff.mean, rel=1e-12)
+
+    def test_builds_no_parameter_records(self, market_params_count):
+        run_sweep(SweepSpec(axis=AXIS_ALPHA_BETA, population=SMALL_POP))
+        assert market_params_count == [0]
 
     def test_empty_cells_have_no_aggregates(self):
         # weak externalities leave equilibrium mode with zero feasible draws
