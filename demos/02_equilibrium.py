@@ -9,7 +9,6 @@ oracle that knows nothing about the closed forms.
 
 from tsm import (
     MarketParams,
-    MarketState,
     build_share_equation,
     check_feasibility,
     first_order_residuals,
@@ -43,14 +42,13 @@ print(f"  platform payoff = {result.cloud_payoff:+.6f} USD/hour")
 print(f"  share-equation residual = {result.residual:.2e}")
 
 # Check 1: both players are stationary at the reported point.
-at = MarketState(price=result.price_star, share=result.share_star,
-                 demand=result.demand, supply=result.supply)
-foc_price, foc_share = first_order_residuals(params, at)
+foc_price, foc_share = first_order_residuals(params, result.price_star,
+                                             result.share_star)
 print(f"\nfinite-difference stationarity: provider {foc_price:.2e}, "
       f"platform {foc_share:.2e} (both should be ~0)")
 
 # Check 2: both stationary points are maxima, numerically and analytically.
-soc = second_order_check(params, at)
+soc = second_order_check(params, result.price_star, result.share_star)
 print(f"curvature: provider {soc.d2_provider:+.3e} (negative: "
       f"{soc.provider_soc_negative}), platform {soc.d2_cloud:+.3e} "
       f"(negative: {soc.cloud_soc_negative})")

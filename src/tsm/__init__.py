@@ -14,7 +14,6 @@ from .core import (
     FeasibilityReport,
     InfeasibilityError,
     MarketParams,
-    MarketState,
     check_feasibility,
     cloud_payoff,
     consumer_demand_primitive,

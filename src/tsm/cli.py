@@ -17,24 +17,24 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, equilibrium, population, scenarios
-from .core import DomainError, MarketParams, MarketState
+from .core import DomainError, MarketParams
 from .population import (
     AXES,
     AXIS_ALPHA_BETA,
     AXIS_GAMMA,
     AXIS_K1,
     AXIS_PHI,
+    AXIS_RANGES,
     PopulationSpec,
     SweepSpec,
 )
-from .scenarios import MODES, SCENARIOS, TWO_SIDED
+from .scenarios import MODE_EQUILIBRIUM, MODES, SCENARIOS, TWO_SIDED, Outcome
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -336,65 +336,70 @@ class PropertyResult:
     detail: str
 
 
-def sample_table_params(rng: np.random.Generator, n: int) -> list[MarketParams]:
-    """Vectorized draw of n parameter sets from the simulation-setup ranges."""
-    out = []
-    while len(out) < n:
-        m = max(256, 2 * (n - len(out)))
-        price = rng.normal(1.7, 0.5, m)
-        alpha = rng.normal(0.38, 0.1, m)
-        ok = (price >= 0.2) & (price <= 3.2) & (alpha >= 0.1) & (alpha <= 0.7)
+def sample_table_params(rng: np.random.Generator, n: int) -> core.ParamTable:
+    """Vectorized draw of n parameter sets from the simulation-setup ranges
+    (PopulationSpec's default bands), as one validated table."""
+    spec, (phi_lo, phi_hi) = PopulationSpec(), AXIS_RANGES[AXIS_PHI]
+    parts = []
+    while (got := sum(map(len, parts))) < n:
+        m = max(256, 2 * (n - got))
+        price = rng.normal(spec.price_mean, spec.price_sd, m)
+        alpha = rng.normal(spec.alpha_mean, spec.alpha_sd, m)
+        ok = ((price >= spec.price_min) & (price <= spec.price_max)
+              & (alpha >= spec.alpha_min) & (alpha <= spec.alpha_max))
         price, alpha = price[ok], alpha[ok]
         beta = rng.uniform(0.0, 1.0, price.size) / alpha
-        gamma = rng.uniform(0.1, 0.35, price.size)
-        phi = rng.uniform(0.0, 5.0, price.size)
-        k1 = rng.uniform(0.1, 0.9, price.size)
-        keep = (alpha * beta > 0.0) & (alpha * beta <= 0.999) & (phi > 0.0)
-        out += core.ParamTable.from_columns(
-            alpha=alpha[keep], beta=beta[keep], gamma=gamma[keep], psi=0.1,
-            phi=phi[keep], k1=k1[keep], f_c=0.66 * price[keep],
-        ).take(slice(n - len(out))).rows()
-    return out
+        gamma = rng.uniform(spec.gamma_min, spec.gamma_max, price.size)
+        phi = rng.uniform(phi_lo, phi_hi, price.size)
+        k1 = rng.uniform(spec.k1_min, spec.k1_max, price.size)
+        keep = (alpha * beta > 0.0) & (alpha * beta <= spec.alpha_beta_cap) & (phi > 0.0)
+        parts.append(core.ParamTable.from_columns(
+            alpha=alpha[keep], beta=beta[keep], gamma=gamma[keep], psi=spec.psi,
+            phi=phi[keep], k1=k1[keep], f_c=spec.f_c_factor * price[keep],
+        ).take(slice(n - got)))
+    table = core.ParamTable.concat(parts)
+    core.check_domain(table)
+    return table
 
 
 def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000):
     """Sample parameter draws until `count` of them yield a reported equilibrium.
 
-    Each batch's draws inside the simulation-setup ranges are solved as one
-    parameter table; its rows with a reported equilibrium are kept in draw
-    order. Returns (cases, n_drawn) where cases is a list of
-    (params, EquilibriumResult).
-    """
+    Each batch's draws inside the simulation-setup ranges (PopulationSpec's
+    default bands) is solved as one table, and its rows with a reported
+    equilibrium are kept in draw order. Returns (the equilibrium-mode
+    two_sided Outcome of the kept games, n_drawn)."""
+    spec, (phi_lo, phi_hi) = PopulationSpec(), AXIS_RANGES[AXIS_PHI]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    cases = []
-    drawn = 0
-    while len(cases) < count and drawn < max_draws:
+    kept, drawn = [core.ParamTable.from_params([])], 0   # concat needs one table
+    while (got := sum(map(len, kept))) < count and drawn < max_draws:
         m = 200_000
         drawn += m
-        price = rng.normal(1.7, 0.5, m)
-        alpha = rng.normal(0.38, 0.1, m)
+        price = rng.normal(spec.price_mean, spec.price_sd, m)
+        alpha = rng.normal(spec.alpha_mean, spec.alpha_sd, m)
         beta = rng.uniform(0.0, 1.0, m) / np.clip(alpha, 1e-9, None)
-        gamma = rng.uniform(0.1, 0.35, m)
-        phi = rng.uniform(0.0, 5.0, m)
-        k1 = rng.uniform(0.1, 0.9, m)
-        ok = ((price >= 0.2) & (price <= 3.2) & (alpha >= 0.1) & (alpha <= 0.7)
-              & (alpha * beta > 0.0) & (alpha * beta <= 0.999) & (phi > 0.0))
+        gamma = rng.uniform(spec.gamma_min, spec.gamma_max, m)
+        phi = rng.uniform(phi_lo, phi_hi, m)
+        k1 = rng.uniform(spec.k1_min, spec.k1_max, m)
+        ok = ((price >= spec.price_min) & (price <= spec.price_max)
+              & (alpha >= spec.alpha_min) & (alpha <= spec.alpha_max)
+              & (alpha * beta > 0.0) & (alpha * beta <= spec.alpha_beta_cap) & (phi > 0.0))
         table = core.ParamTable.from_columns(
-            alpha=alpha[ok], beta=beta[ok], gamma=gamma[ok], psi=0.1, phi=phi[ok],
-            k1=k1[ok], f_c=0.66 * price[ok])
+            alpha=alpha[ok], beta=beta[ok], gamma=gamma[ok], psi=spec.psi, phi=phi[ok],
+            k1=k1[ok], f_c=spec.f_c_factor * price[ok])
         del price, alpha, beta, gamma, phi, k1, ok   # bounds the solve's peak memory
-        cases += equilibrium._reported_rows(table)[:count - len(cases)]
-    return cases, drawn
+        reported = np.nonzero(~np.isnan(equilibrium._equilibrium_shares(table)[1]))[0]
+        kept.append(table.take(reported[:count - got]))
+    table = core.ParamTable.concat(kept)
+    return scenarios.scenario_columns(TWO_SIDED, table, None, MODE_EQUILIBRIUM), drawn
 
 
-def run_oracle_comparison(cases, grid_n: int):
-    """(|chi* - chi_oracle|, |P* - P_oracle|/P*) for each reported equilibrium."""
-    oracle = equilibrium.oracle_equilibrium(
-        core.ParamTable.from_params([params for params, _ in cases]), grid_n=grid_n)
-    share = np.array([res.share_star for _, res in cases])
-    price = np.array([res.price_star for _, res in cases])
-    return list(zip(np.abs(share - oracle.share).tolist(),
-                    (np.abs(price - oracle.price) / price).tolist()))
+def run_oracle_comparison(cases: Outcome, grid_n: int):
+    """Columns (|chi* - chi_oracle|, |P* - P_oracle|/P*) over the reported
+    equilibria of `cases`."""
+    oracle = equilibrium.oracle_equilibrium(cases.params, grid_n=grid_n)
+    return (np.abs(cases.share - oracle.share),
+            np.abs(cases.price - oracle.price) / cases.price)
 
 
 def verify_properties(seed: int, draws: int, grid_n: int,
@@ -403,75 +408,60 @@ def verify_properties(seed: int, draws: int, grid_n: int,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     results = []
 
-    # Reduced forms solve the primitive curves.
-    worst = 0.0
-    for params in sample_table_params(rng, pairs):
-        price = float(rng.uniform(0.2, 3.2))
-        share = float(rng.uniform(0.001, 0.999))
-        c = core.derive_coefficients(params)
-        log_dc = core._log_demand_reduced(np.log(price), np.log(share), params, c)
-        log_ds = core._log_supply_reduced(np.log(price), np.log(share), params, c)
-        eq1 = core._log_demand_primitive(np.log(price), log_ds, params)
-        eq2 = core._log_supply_primitive(np.log(share), np.log(price), log_dc, params)
-        worst = max(worst, abs(float(eq1 - log_dc)), abs(float(eq2 - log_ds)))
+    # Reduced forms solve the primitive curves. Each row draws its price,
+    # then its share.
+    t = sample_table_params(rng, pairs)
+    log_price, log_share = np.log(rng.uniform(np.tile([0.2, 0.001], pairs),
+                                              np.tile([3.2, 0.999], pairs))).reshape(-1, 2).T
+    c = core.derive_coefficients(t)
+    log_dc = core._log_demand_reduced(log_price, log_share, t, c)
+    log_ds = core._log_supply_reduced(log_price, log_share, t, c)
+    worst = float(np.max(np.abs([
+        core._log_demand_primitive(log_price, log_ds, t) - log_dc,
+        core._log_supply_primitive(log_share, log_price, log_dc, t) - log_ds])))
     results.append(PropertyResult(
         "fixed_point_consistency", worst <= 1e-9,
         f"max log-relative defect {worst:.3e} over {pairs} pairs (tol 1e-9)"))
 
     # Reported equilibria: stationarity, curvature, oracle agreement.
     cases, drawn = draw_reported_equilibria(seed + 1, draws)
-    if not cases:
+    n = len(cases.params)
+    if not n:
         results.append(PropertyResult(
             "feasible_region", False,
             f"region empty: no reported equilibrium in {drawn} draws"))
         return results
 
-    worst_foc = 0.0
-    soc_fail = 0
-    for params, res in cases:
-        at = MarketState(price=res.price_star, share=res.share_star,
-                         demand=res.demand, supply=res.supply)
-        foc_p, foc_s = equilibrium.first_order_residuals(params, at)
-        worst_foc = max(worst_foc, foc_p, foc_s)
-        soc = equilibrium.second_order_check(params, at)
-        if not (soc.provider_soc_negative and soc.cloud_soc_negative
-                and soc.provider_agreement and soc.cloud_agreement):
-            soc_fail += 1
+    at = (cases.params, cases.price, cases.share)
+    worst_foc = float(np.max(equilibrium.first_order_residuals(*at)))
+    soc = equilibrium.second_order_check(*at)
+    soc_pass = np.count_nonzero(soc.provider_soc_negative & soc.cloud_soc_negative
+                                & soc.provider_agreement & soc.cloud_agreement)
     results.append(PropertyResult(
         "first_order_conditions", worst_foc <= 1e-6,
-        f"max relative FOC {worst_foc:.3e} over {len(cases)} equilibria (tol 1e-6)"))
+        f"max relative FOC {worst_foc:.3e} over {n} equilibria (tol 1e-6)"))
     results.append(PropertyResult(
-        "second_order_conditions", soc_fail == 0,
-        f"{len(cases) - soc_fail}/{len(cases)} equilibria pass curvature checks"))
+        "second_order_conditions", soc_pass == n,
+        f"{soc_pass}/{n} equilibria pass curvature checks"))
 
     tol = 2.0 / grid_n
-    diffs = run_oracle_comparison(cases, grid_n)
-    bad = sum(1 for d_chi, d_price in diffs if d_chi > tol or d_price > tol)
-    worst_chi = max(d for d, _ in diffs)
-    worst_price = max(d for _, d in diffs)
+    d_chi, d_price = run_oracle_comparison(cases, grid_n)
     results.append(PropertyResult(
-        "oracle_agreement", bad == 0,
-        f"max |dchi| {worst_chi:.3e}, max |dP|/P {worst_price:.3e} over "
-        f"{len(diffs)} equilibria (tol {tol:.1e})"))
+        "oracle_agreement", not np.any((d_chi > tol) | (d_price > tol)),
+        f"max |dchi| {d_chi.max():.3e}, max |dP|/P {d_price.max():.3e} over "
+        f"{n} equilibria (tol {tol:.1e})"))
 
     # Pay-as-you-go rental optimum satisfies its own first-order condition.
-    worst_payg = 0.0
-    for params in sample_table_params(rng, min(500, pairs)):
-        price = float(rng.uniform(0.2, 3.2))
-        if price <= params.f_c:
-            continue
-        supply = scenarios.payg_supply(price, params)
-        h = 1e-6 * supply
-
-        def payoff(ds):
-            demand = core.consumer_demand_primitive(price, ds, params)
-            return (price - params.f_c) * demand - params.p_s * ds
-
-        slope = (payoff(supply + h) - payoff(supply - h)) / (2.0 * h)
-        scale = max(params.p_s * supply,
-                    (price - params.f_c) * core.consumer_demand_primitive(
-                        price, supply, params))
-        worst_payg = max(worst_payg, abs(slope) * supply / scale)
+    t = sample_table_params(rng, min(500, pairs))
+    price = rng.uniform(0.2, 3.2, len(t))
+    covered = price > t.f_c
+    t, price = t.take(covered), price[covered]
+    supply = scenarios._payg_supply(price, t)
+    h = 1e-6 * supply
+    slope = (scenarios._rental(price, supply + h, t)[1]
+             - scenarios._rental(price, supply - h, t)[1]) / (2.0 * h)
+    scale = np.maximum(t.p_s * supply, (price - t.f_c) * scenarios._rental(price, supply, t)[0])
+    worst_payg = float(np.max(np.abs(slope) * supply / scale, initial=0.0))
     results.append(PropertyResult(
         "payg_rental_foc", worst_payg <= 1e-6,
         f"max relative rental FOC {worst_payg:.3e} (tol 1e-6)"))
@@ -479,14 +469,15 @@ def verify_properties(seed: int, draws: int, grid_n: int,
 
 
 def cmd_verify(args, config: dict) -> int:
-    draws = int(_setting(args, config, "draws", 200))
-    grid_n = int(_setting(args, config, "grid_n", 2000))
-    pairs = int(_setting(args, config, "pairs", 2000))
-    seed = int(_setting(args, config, "seed", 1729))
-    for name, value in (("draws", draws), ("pairs", pairs)):
-        if value < 1:
-            print(f"error: --{name} must be >= 1", file=sys.stderr)
-            return EXIT_INVALID
+    settings = {}
+    for name, default, low in (("draws", 200, 1), ("grid_n", 2000, equilibrium.ORACLE_MIN_GRID_N),
+                               ("pairs", 2000, 1), ("seed", 1729, 0)):
+        settings[name] = _setting(args, config, name, default)
+        try:
+            population.check_integer(name, settings[name], low)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+    draws, grid_n, pairs, seed = settings.values()
     print(f"# command=verify seed={seed} draws={draws} grid_n={grid_n} pairs={pairs}")
     results = verify_properties(seed, draws, grid_n, pairs)
     all_ok = True

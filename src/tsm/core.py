@@ -136,6 +136,12 @@ class ParamTable:
         return cls(*np.broadcast_arrays(*(np.asarray(columns.get(f.name, f.default), float)
                                           for f in fields(MarketParams))))
 
+    @classmethod
+    def concat(cls, tables: Sequence["ParamTable"]) -> "ParamTable":
+        """The tables' rows, one after another."""
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tables])
+                     for f in fields(cls)))
+
     def __len__(self) -> int:
         return self.alpha.size
 
@@ -186,26 +192,6 @@ def derive_coefficients(params: MarketParams | ParamTable) -> Coefficients:
         share_exp_a=(a4 - params.phi) / a2 + 1.0,
         share_exp_b=(a1 + a3) / a2 - 1.0,
     )
-
-
-@dataclass(frozen=True)
-class MarketState:
-    """One evaluated operating point of a provider/platform pair."""
-
-    price: float
-    share: float
-    demand: float
-    supply: float
-
-    def __post_init__(self):
-        if self.price <= 0.0:
-            raise DomainError(f"price must be > 0, got {self.price}")
-        if not 0.0 < self.share < 1.0:
-            raise DomainError(f"share must lie in (0, 1), got {self.share}")
-        if self.demand < 0.0:
-            raise DomainError(f"demand must be >= 0, got {self.demand}")
-        if self.supply < 0.0:
-            raise DomainError(f"supply must be >= 0, got {self.supply}")
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,10 @@ from .core import (
     FeasibilityReport,
     InfeasibilityError,
     MarketParams,
-    MarketState,
     ParamTable,
     _cloud_payoff_arr,
     _log_demand_reduced,
+    _provider_payoff_arr,
     check_feasibility,
     cloud_payoff,
     demand_reduced,
@@ -237,30 +237,6 @@ def _equilibrium_shares(t: ParamTable) -> np.ndarray:
     return columns
 
 
-def _reported_rows(t: ParamTable) -> list[tuple[MarketParams, EquilibriumResult]]:
-    """Validated parameters and reported equilibrium of every row of `t` that
-    has one, in row order."""
-    n_roots, shares, residuals = _equilibrium_shares(t)
-    cases = []
-    reported = np.nonzero(~np.isnan(shares))[0]
-    for i, params in zip(reported, t.take(reported).rows()):
-        share = shares[i].item()
-        price = provider_best_price(share, params)
-        cases.append((params, EquilibriumResult(
-            feasible=True,
-            feasibility=check_feasibility(params),
-            share_roots_found=int(n_roots[i]),
-            price_star=price,
-            share_star=share,
-            demand=demand_reduced(price, share, params),
-            supply=supply_reduced(price, share, params),
-            provider_payoff=provider_payoff(price, share, params),
-            cloud_payoff=cloud_payoff(price, share, params),
-            residual=residuals[i].item(),
-        )))
-    return cases
-
-
 def build_share_equation(params: MarketParams) -> ShareEquation:
     """Assemble the platform's share equation from the model constants."""
     if not check_feasibility(params).f1_price_positive:
@@ -297,11 +273,17 @@ def stackelberg_solve(params: MarketParams) -> EquilibriumResult:
     Any failed existence condition, or a rootless share equation, yields a
     result flagged infeasible with no equilibrium values.
     """
-    reported = _reported_rows(ParamTable.from_params([params]))
-    if reported:
-        return reported[0][1]
-    return EquilibriumResult(feasible=False, feasibility=check_feasibility(params),
-                             share_roots_found=0)
+    n_roots, share, residual = _equilibrium_shares(ParamTable.from_params([params]))[:, 0].tolist()
+    report = check_feasibility(params)
+    if math.isnan(share):
+        return EquilibriumResult(feasible=False, feasibility=report, share_roots_found=0)
+    price = _best_price_unchecked(share, derive_coefficients(params), params.f_c)
+    return EquilibriumResult(
+        feasible=True, feasibility=report, share_roots_found=int(n_roots),
+        price_star=price, share_star=share, residual=residual,
+        demand=demand_reduced(price, share, params), supply=supply_reduced(price, share, params),
+        provider_payoff=provider_payoff(price, share, params),
+        cloud_payoff=cloud_payoff(price, share, params))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +295,7 @@ PEAK_HALVINGS = 60            # best responses: down to the float nearest the pe
 ROOT_HALVINGS = 30            # fixed points: a probe spacing down to about 1e-12
 SHARE_SCAN = 24
 COMPLEX_STEP = 1e-30
+ORACLE_MIN_GRID_N = 100
 
 
 def _bisect_peak(f, lo, hi):
@@ -426,8 +409,8 @@ def oracle_equilibrium(params: MarketParams | ParamTable,
     boundary cell for degenerate inputs, e.g. f_s = 0). Games are searched in
     blocks, so memory does not grow with their number.
     """
-    if grid_n < 100:
-        raise DomainError(f"grid_n must be >= 100, got {grid_n}")
+    if grid_n < ORACLE_MIN_GRID_N:
+        raise DomainError(f"grid_n must be >= {ORACLE_MIN_GRID_N}, got {grid_n}")
     t = ParamTable.from_params([params]) if isinstance(params, MarketParams) else params
     if np.any(t.f_c <= 0.0):
         raise DomainError("oracle requires f_c > 0 (price response degenerates)")
@@ -464,48 +447,51 @@ FOC_REL_STEP = 1e-6
 SOC_REL_STEP = 1e-4
 
 
-def first_order_residuals(params: MarketParams, at: MarketState) -> tuple[float, float]:
-    """Scale-free first-order conditions at a candidate equilibrium.
+def _payoff_slices(params: MarketParams | ParamTable, price, share):
+    """The provider payoff as a function of price at `share`, and the platform
+    payoff as a function of share at `price`, elementwise over a ParamTable."""
+    if not (np.all(price > 0.0) and np.all((0.0 < share) & (share < 1.0))):
+        raise DomainError("price must be > 0 and share must lie in (0, 1)")
+    c = derive_coefficients(params)
+    return (lambda p: _provider_payoff_arr(p, share, params, c),
+            lambda s: _cloud_payoff_arr(price, s, params, c))
+
+
+def first_order_residuals(params: MarketParams | ParamTable, price, share):
+    """Scale-free first-order conditions at a candidate equilibrium,
+    elementwise over a ParamTable (a MarketParams call gives floats).
 
     Returns (|d pi_i / d ln price| / |pi_i|, |d pi / d ln share| / |pi|) via
     central differences with relative step 1e-6. Both are ~0 at a true
     stationary point.
     """
-    hp = FOC_REL_STEP * at.price
-    d_provider = (provider_payoff(at.price + hp, at.share, params)
-                  - provider_payoff(at.price - hp, at.share, params)) / (2.0 * hp)
-    hs = FOC_REL_STEP * at.share
-    d_cloud = (cloud_payoff(at.price, at.share + hs, params)
-               - cloud_payoff(at.price, at.share - hs, params)) / (2.0 * hs)
-    provider_scale = max(abs(provider_payoff(at.price, at.share, params)), 1e-300)
-    cloud_scale = max(abs(cloud_payoff(at.price, at.share, params)), 1e-300)
-    return (abs(d_provider) * at.price / provider_scale,
-            abs(d_cloud) * at.share / cloud_scale)
+    provider, cloud = _payoff_slices(params, price, share)
+    hp = FOC_REL_STEP * price
+    d_provider = (provider(price + hp) - provider(price - hp)) / (2.0 * hp)
+    hs = FOC_REL_STEP * share
+    d_cloud = (cloud(share + hs) - cloud(share - hs)) / (2.0 * hs)
+    residuals = (np.abs(d_provider) * price / np.maximum(np.abs(provider(price)), 1e-300),
+                 np.abs(d_cloud) * share / np.maximum(np.abs(cloud(share)), 1e-300))
+    return tuple(map(float, residuals)) if isinstance(params, MarketParams) else residuals
 
 
-def second_order_check(params: MarketParams, at: MarketState) -> SecondOrderReport:
-    """Second-derivative tests at a candidate optimum.
+def second_order_check(params: MarketParams | ParamTable, price, share) -> SecondOrderReport:
+    """Second-derivative tests at a candidate optimum, elementwise over a
+    ParamTable (a MarketParams call gives Python bools and floats).
 
     Central second differences (relative step 1e-4) of the provider payoff
     in price and the platform payoff in share, compared against the analytic
     sign conditions (1 - a1/a2) < 0 and a4 + a2 - phi < 0.
     """
     report = check_feasibility(params)
-    hp = SOC_REL_STEP * at.price
-    d2p = (provider_payoff(at.price + hp, at.share, params)
-           - 2.0 * provider_payoff(at.price, at.share, params)
-           + provider_payoff(at.price - hp, at.share, params)) / hp**2
-    hs = min(SOC_REL_STEP * at.share, 0.5 * (1.0 - at.share))
-    d2c = (cloud_payoff(at.price, at.share + hs, params)
-           - 2.0 * cloud_payoff(at.price, at.share, params)
-           + cloud_payoff(at.price, at.share - hs, params)) / hs**2
-    return SecondOrderReport(
-        provider_soc_negative=bool(d2p < 0.0),
-        cloud_soc_negative=bool(d2c < 0.0),
-        provider_soc_analytic=report.f2_price_max,
-        cloud_soc_analytic=report.f3_share_max,
-        provider_agreement=bool((d2p < 0.0) == report.f2_price_max),
-        cloud_agreement=bool((d2c < 0.0) == report.f3_share_max),
-        d2_provider=float(d2p),
-        d2_cloud=float(d2c),
-    )
+    provider, cloud = _payoff_slices(params, price, share)
+    hp = SOC_REL_STEP * price
+    d2p = (provider(price + hp) - 2.0 * provider(price) + provider(price - hp)) / hp**2
+    hs = np.minimum(SOC_REL_STEP * share, 0.5 * (1.0 - share))
+    d2c = (cloud(share + hs) - 2.0 * cloud(share) + cloud(share - hs)) / hs**2
+    values = (d2p < 0.0, d2c < 0.0, report.f2_price_max, report.f3_share_max,
+              (d2p < 0.0) == report.f2_price_max, (d2c < 0.0) == report.f3_share_max,
+              d2p, d2c)
+    if isinstance(params, MarketParams):
+        values = (np.asarray(v).item() for v in values)
+    return SecondOrderReport(*values)

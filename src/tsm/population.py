@@ -54,6 +54,12 @@ class SamplingError(RuntimeError):
     """A truncated draw could not be satisfied within the attempt cap."""
 
 
+def check_integer(name: str, value, low: int) -> None:
+    """Raise ValueError unless `value` is an integer (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Distributional description of one provider population.
@@ -96,8 +102,8 @@ class PopulationSpec:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        if self.n_providers < 1:
-            raise ValueError(f"n_providers must be >= 1, got {self.n_providers}")
+        check_integer("n_providers", self.n_providers, 1)
+        check_integer("seed", self.seed, 0)
         # beta is drawn from [0, 1/alpha], so alpha must stay positive.
         if self.alpha_min <= 0.0:
             raise ValueError(f"alpha_min must be > 0, got {self.alpha_min}")

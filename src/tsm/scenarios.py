@@ -229,9 +229,16 @@ def _payg_supply(price, params):
     return np.exp(log_base / (params.alpha - 1.0))
 
 
+def _rental(price, supply, t: ParamTable):
+    """Demand and the renting provider's payoff (price - f_c)*demand - p_s*supply
+    at a rented supply, elementwise."""
+    demand = np.exp(_log_demand_primitive(np.log(price), np.log(supply), t))
+    return demand, (price - t.f_c) * demand - t.p_s * supply
+
+
 def _pay_as_you_go_columns(t: ParamTable, price) -> Outcome:
     supply = _payg_supply(price, t)
-    demand = np.exp(_log_demand_primitive(np.log(price), np.log(supply), t))
+    demand, provider_payoff = _rental(price, supply, t)
     return Outcome(
         params=t,
         feasible=price > t.f_c,
@@ -239,7 +246,7 @@ def _pay_as_you_go_columns(t: ParamTable, price) -> Outcome:
         share=None,
         demand=demand,
         supply=supply,
-        provider_payoff=(price - t.f_c) * demand - t.p_s * supply,
+        provider_payoff=provider_payoff,
         cloud_payoff=(t.p_s - t.f_s) * supply,
     )
 

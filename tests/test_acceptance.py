@@ -19,7 +19,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from tsm import cli, core, equilibrium, scenarios
-from tsm.core import MarketParams, MarketState
+from tsm.core import MarketParams
 from tsm.population import PopulationSpec, SweepSpec, run_sweep
 from tsm.scenarios import MODE_DECLARED_PRICE, PAY_AS_YOU_GO, TWO_SIDED, payg_supply
 
@@ -68,18 +68,19 @@ def series_of(cells, scenario, phi_level, column):
 def test_criterion_1_oracle_equivalence():
     cases = reported_equilibria()
     t0 = time.perf_counter()
-    diffs = cli.run_oracle_comparison(cases, GRID_N)
+    d_chi, d_price = cli.run_oracle_comparison(cases, GRID_N)
     elapsed = _CACHE["draw_seconds"] + (time.perf_counter() - t0)
     tol = 2.0 / GRID_N
-    worst_chi = max(d for d, _ in diffs)
-    worst_price = max(d for _, d in diffs)
-    ok = (len(cases) == N_ORACLE_DRAWS and worst_chi <= tol
+    n = len(cases.params)
+    worst_chi = d_chi.max()
+    worst_price = d_price.max()
+    ok = (n == N_ORACLE_DRAWS and worst_chi <= tol
           and worst_price <= tol and elapsed <= 60.0)
     report(1, ok,
-           f"{len(cases)} reported equilibria (from {_CACHE['drawn']} draws), "
+           f"{n} reported equilibria (from {_CACHE['drawn']} draws), "
            f"max |dchi|={worst_chi:.2e}, max |dP|/P={worst_price:.2e} "
            f"(tol {tol:.1e}), runtime {elapsed:.1f}s")
-    assert len(cases) == N_ORACLE_DRAWS
+    assert n == N_ORACLE_DRAWS
     assert worst_chi <= tol
     assert worst_price <= tol
     assert elapsed <= 60.0
@@ -87,20 +88,17 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_foc_soc_suite():
     cases = reported_equilibria()
-    worst_foc = 0.0
-    failures = 0
-    for params, res in cases:
-        at = MarketState(price=res.price_star, share=res.share_star,
-                         demand=res.demand, supply=res.supply)
-        foc_p, foc_s = equilibrium.first_order_residuals(params, at)
-        worst_foc = max(worst_foc, foc_p, foc_s)
-        soc = equilibrium.second_order_check(params, at)
-        if not (soc.provider_soc_negative and soc.cloud_soc_negative
-                and soc.provider_agreement and soc.cloud_agreement):
-            failures += 1
+    at = (cases.params, cases.price, cases.share)
+    foc_p, foc_s = equilibrium.first_order_residuals(*at)
+    worst_foc = np.max([foc_p, foc_s])
+    soc = equilibrium.second_order_check(*at)
+    passed = (soc.provider_soc_negative & soc.cloud_soc_negative
+              & soc.provider_agreement & soc.cloud_agreement)
+    n = len(cases.params)
+    failures = n - int(np.count_nonzero(passed))
     ok = worst_foc <= 1e-6 and failures == 0
     report(2, ok, f"max relative FOC {worst_foc:.2e} (tol 1e-6), "
-                  f"{len(cases) - failures}/{len(cases)} pass curvature checks")
+                  f"{n - failures}/{n} pass curvature checks")
     assert worst_foc <= 1e-6
     assert failures == 0
 
@@ -109,7 +107,7 @@ def test_criterion_3_fixed_point_suite():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(ACCEPT_SEED)))
     n_pairs = 10_000
     worst = 0.0
-    for params in cli.sample_table_params(rng, n_pairs):
+    for params in cli.sample_table_params(rng, n_pairs).rows():
         price = float(rng.uniform(0.2, 3.2))
         share = float(rng.uniform(0.001, 0.999))
         c = core.derive_coefficients(params)
@@ -138,7 +136,7 @@ def test_criterion_4_rental_optimum():
     worst = 0.0
     checked = 0
     while checked < 1000:
-        [params] = cli.sample_table_params(rng, 1)
+        [params] = cli.sample_table_params(rng, 1).rows()
         price = float(rng.uniform(0.2, 3.2))
         if price <= params.f_c:
             continue

@@ -301,8 +301,11 @@ class TestVerifyCommand:
         assert "[FAIL] fixed_point_consistency" in out
 
     def test_empty_region_reported(self, capsys, monkeypatch):
+        empty = scenarios.scenario_columns(
+            scenarios.TWO_SIDED, core.ParamTable.from_params([]), None,
+            scenarios.MODE_EQUILIBRIUM)
         monkeypatch.setattr("tsm.cli.draw_reported_equilibria",
-                            lambda seed, count, max_draws=0: ([], 100_000))
+                            lambda seed, count, max_draws=0: (empty, 100_000))
         code = cli.main(["verify", "--draws", "2", "--pairs", "20",
                          "--seed", "3"])
         out = capsys.readouterr().out
@@ -318,6 +321,14 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "[PASS]" not in captured.out
+
+    @pytest.mark.parametrize("grid_n", ["0", "50"])
+    def test_bad_grid_n_exit_1(self, capsys, grid_n):
+        # rejected before any draw: the oracle needs at least 100 grid points
+        assert cli.main(["verify", "--grid-n", grid_n, "--draws", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""   # no header and no [PASS] line
 
 
 class TestGoldenFiles:
@@ -369,3 +380,26 @@ class TestConfigLoading:
         # values parse back to the exact doubles that were written
         assert float(row["alpha"]) == FEASIBLE_PARAMS.alpha
         assert float(row["f_c"]) == FEASIBLE_PARAMS.f_c
+
+    @pytest.mark.parametrize("command, setting", [
+        ("scenario --seed -1", ""),
+        ("sweep --preset fig4 --seed -1", ""),
+        ("verify --seed -1", ""),
+        ("scenario", "seed: 1.5"),
+        ("scenario", "n_providers: 2.5"),
+        ("scenario", "n_providers: true"),   # YAML's true would run one provider
+        ("verify", "draws: 2.5"),
+        ("verify", "draws: true"),
+    ])
+    def test_bad_integer_setting_exit_1(self, tmp_path, subprocess_env, command, setting):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(setting + "\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsm.cli", *command.split(), "--config", str(cfg),
+             "--out", str(tmp_path / "x.csv")],
+            env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
+            timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "[PASS]" not in proc.stdout

@@ -14,7 +14,6 @@ from tsm.core import (
     DomainError,
     InfeasibilityError,
     MarketParams,
-    MarketState,
     ParamTable,
     check_feasibility,
     cloud_payoff,
@@ -327,9 +326,8 @@ class TestStackelbergSolve:
 
     def test_first_order_conditions(self):
         res = stackelberg_solve(FEASIBLE_PARAMS)
-        at = MarketState(price=res.price_star, share=res.share_star,
-                         demand=res.demand, supply=res.supply)
-        foc_price, foc_share = first_order_residuals(FEASIBLE_PARAMS, at)
+        foc_price, foc_share = first_order_residuals(FEASIBLE_PARAMS, res.price_star,
+                                                     res.share_star)
         assert foc_price <= 1e-6
         assert foc_share <= 1e-6
 
@@ -370,8 +368,8 @@ class TestOracle:
         # Each interior fixed point is found once: the oracle's count equals
         # the share equation's roots strictly inside its interior window.
         cases, _ = draw_reported_equilibria(1730, 50)
-        oracle = oracle_equilibrium(ParamTable.from_params([p for p, _ in cases]))
-        for (p, _), found in zip(cases, oracle.n_candidates):
+        oracle = oracle_equilibrium(cases.params)
+        for p, found in zip(cases.params.rows(), oracle.n_candidates):
             roots = solve_share(build_share_equation(p), p).roots
             assert found == sum(in_oracle_window(r) for r in roots)
 
@@ -425,17 +423,13 @@ def test_oracle_matches_closed_form_at_extremes():
 
 class TestSecondOrder:
     def test_analytic_provider_condition_tracks_f2(self):
-        soc = second_order_check(
-            FEASIBLE_PARAMS,
-            MarketState(price=2.26, share=0.31, demand=1.0, supply=1.0))
+        soc = second_order_check(FEASIBLE_PARAMS, 2.26, 0.31)
         assert check_feasibility(FEASIBLE_PARAMS).f2_price_max
         assert soc.provider_soc_analytic
 
     def test_numeric_agreement_at_equilibrium(self):
         res = stackelberg_solve(FEASIBLE_PARAMS)
-        at = MarketState(price=res.price_star, share=res.share_star,
-                         demand=res.demand, supply=res.supply)
-        soc = second_order_check(FEASIBLE_PARAMS, at)
+        soc = second_order_check(FEASIBLE_PARAMS, res.price_star, res.share_star)
         assert soc.provider_soc_negative and soc.cloud_soc_negative
         assert soc.provider_agreement and soc.cloud_agreement
         assert soc.d2_provider < 0.0 and soc.d2_cloud < 0.0
@@ -444,7 +438,31 @@ class TestSecondOrder:
         # phi below a4 + a2: the share stationary point cannot be a maximum
         p = MarketParams(alpha=0.5, beta=1.0, gamma=0.3, psi=0.1, phi=0.2,
                          k1=0.5, f_c=1.0)
-        soc = second_order_check(
-            p, MarketState(price=1.7, share=0.4, demand=1.0, supply=1.0))
+        soc = second_order_check(p, 1.7, 0.4)
         assert not soc.cloud_soc_analytic
         assert soc.cloud_agreement == (soc.cloud_soc_negative is False)
+
+    def test_table_matches_batches_of_one(self):
+        # Both derivative checks over a table give each row exactly what a
+        # MarketParams call gives it, and that call gives Python values.
+        cases, _ = draw_reported_equilibria(1730, 20)
+        assert len(cases.params) == 20 and cases.feasible.all()
+        foc = first_order_residuals(cases.params, cases.price, cases.share)
+        soc = second_order_check(cases.params, cases.price, cases.share)
+        for i, p in enumerate(cases.params.rows()):
+            price, share = cases.price[i].item(), cases.share[i].item()
+            one_foc = first_order_residuals(p, price, share)
+            assert one_foc == (foc[0][i], foc[1][i])
+            assert all(type(v) is float for v in one_foc)
+            one_soc = second_order_check(p, price, share)
+            for f in dataclasses.fields(one_soc):
+                value = getattr(one_soc, f.name)
+                assert type(value) in (bool, float)
+                assert value == getattr(soc, f.name)[i]
+
+    def test_point_outside_domain_rejected(self):
+        for price, share in ((0.0, 0.3), (1.7, 0.0), (1.7, 1.0)):
+            with pytest.raises(DomainError):
+                first_order_residuals(FEASIBLE_PARAMS, price, share)
+            with pytest.raises(DomainError):
+                second_order_check(FEASIBLE_PARAMS, price, share)

@@ -47,7 +47,7 @@ class TestTwoSided:
         # One batch gives every game exactly what a batch of one gives it:
         # 20 reported equilibria of the verify sampler, then 20 games that
         # pass f1-f3 but whose share equation has no root.
-        reported = [params for params, _ in draw_reported_equilibria(1730, 20)[0]]
+        reported = draw_reported_equilibria(1730, 20)[0].params.rows()
         rootless = [p.params for p in sample_providers(PopulationSpec(seed=1729))
                     if check_feasibility(p.params).all_ok][:20]
         games = [FEASIBLE_PARAMS] + reported + rootless

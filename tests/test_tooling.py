@@ -7,15 +7,25 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
+
+import pytest
+
+from tests.test_cli import FEASIBLE_FLAGS
 
 LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "layers.py")
 
 
-def test_perfbench_spans_resolve():
+def load_layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_perfbench_spans_resolve():
+    layers = load_layers()
     assert layers.SPANS
     for module, name in layers.SPANS:
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
@@ -28,3 +38,21 @@ def test_cli_import_does_not_load_yaml(subprocess_env):
         env=subprocess_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--draws", "4", "--grid-n", "400", "--pairs", "40", "--seed", "3"],
+    ["scenario", "--mode", "equilibrium", "--n-providers", "20"],
+    ["sweep", "--axis", "k1", "--n-providers", "2"],
+    ["equilibrium", *FEASIBLE_FLAGS],
+])
+def test_commands_run_under_perfbench_tracer(tmp_path, capsys, argv):
+    # The harness wraps tsm functions and reads their results: the draw
+    # count off draw_reported_equilibria, feasibility off stackelberg_solve.
+    import tsm.cli
+
+    with load_layers().Tracer(time.perf_counter) as tracer:
+        assert tsm.cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    metrics = tracer.metrics(1.0)
+    if argv[0] == "verify":
+        assert metrics["cli.draw_reported_equilibria.drawn"] > 0
