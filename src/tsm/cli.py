@@ -183,6 +183,11 @@ def cmd_equilibrium(args, config: dict) -> int:
     for key in PARAM_KEYS:
         value = _setting(args, config, key)
         if value is not None:
+            try:
+                population.check_number(key, value)
+            except ValueError as exc:
+                print(f"error: invalid parameters: {exc}", file=sys.stderr)
+                return EXIT_INVALID
             values[key] = float(value)
     values.setdefault("psi", 0.1)
     missing = [k for k in ("alpha", "beta", "gamma", "phi", "k1", "f_c")

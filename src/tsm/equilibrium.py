@@ -13,10 +13,10 @@ bisects all rows of a ParamTable at once; when the equation admits two roots
 is reported. The scalar entry points are validated batches of one.
 
 `oracle_equilibrium` is an independent check: it knows nothing about the
-closed forms. It finds each best response by bisecting the complex-step
-slope of a payoff, and the equilibria as fixed points of the two
-best-response maps. Closed-form results are validated against it in the
-test suite and in `tsm verify`.
+closed forms. It finds each best response by bisecting the forward-mode
+slope of a payoff (exact, in real arithmetic), and the equilibria as fixed
+points of the two best-response maps. Closed-form results are validated
+against it in the test suite and in `tsm verify`.
 """
 
 from __future__ import annotations
@@ -294,20 +294,97 @@ ORACLE_BLOCK_ROWS = 1 << 15   # (game, share) pairs searched at once; bounds mem
 PEAK_HALVINGS = 60            # best responses: down to the float nearest the peak
 ROOT_HALVINGS = 30            # fixed points: a probe spacing down to about 1e-12
 SHARE_SCAN = 24
-COMPLEX_STEP = 1e-30
 ORACLE_MIN_GRID_N = 100
 
 
+class _Slope:
+    """A value v and its derivative d, v + d*eps with eps^2 = 0: forward-mode
+    differentiation in real arithmetic. The payoffs' numpy expressions run on
+    it unchanged through the arithmetic operators and np.exp/log/log1p."""
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, other):
+        if isinstance(other, _Slope):
+            return _Slope(self.v + other.v, self.d + other.d)
+        return _Slope(self.v + other, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, _Slope):
+            return _Slope(self.v - other.v, self.d - other.d)
+        return _Slope(self.v - other, self.d)
+
+    def __rsub__(self, other):
+        return _Slope(other - self.v, -self.d)
+
+    def __mul__(self, other):
+        if isinstance(other, _Slope):
+            return _Slope(self.v * other.v, self.d * other.v + self.v * other.d)
+        return _Slope(self.v * other, self.d * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _Slope):
+            q = self.v / other.v
+            return _Slope(q, (self.d - q * other.d) / other.v)
+        return _Slope(self.v / other, self.d / other)
+
+    def __rtruediv__(self, other):
+        q = other / self.v
+        return _Slope(q, -q * self.d / self.v)
+
+    def __neg__(self):
+        return _Slope(-self.v, -self.d)
+
+    def _exp(self):
+        e = np.exp(self.v)
+        return _Slope(e, e * self.d)
+
+    def _log(self):
+        return _Slope(np.log(self.v), self.d / self.v)
+
+    def _log1p(self):
+        return _Slope(np.log1p(self.v), self.d / (1.0 + self.v))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        op = _SLOPE_UFUNCS.get(ufunc) if method == "__call__" and not kwargs else None
+        if op is None:
+            return NotImplemented
+        # An array on the left of a binary operation takes the reflected one.
+        return op[0](*inputs) if inputs[0] is self else op[1](self, inputs[0])
+
+
+_SLOPE_UFUNCS = {
+    np.exp: (_Slope._exp,), np.log: (_Slope._log,), np.log1p: (_Slope._log1p,),
+    np.negative: (_Slope.__neg__,),
+    np.add: (_Slope.__add__, _Slope.__radd__),
+    np.subtract: (_Slope.__sub__, _Slope.__rsub__),
+    np.multiply: (_Slope.__mul__, _Slope.__rmul__),
+    np.true_divide: (_Slope.__truediv__, _Slope.__rtruediv__),
+}
+
+
 def _bisect_peak(f, lo, hi):
-    """Elementwise argmax over [lo, hi] of an analytic f that rises then falls
-    (or is monotone there): bisection on the sign of its complex-step slope
-    Im f(x + ih)/h, which has no cancellation error, so the peak is placed to
-    rounding rather than to the square root of it."""
+    """Elementwise argmax over [lo, hi] of a smooth f that rises then falls
+    (or is monotone there): bisection on the sign of its forward-mode slope,
+    which has no cancellation error, so the peak is placed to rounding rather
+    than to the square root of it."""
     for _ in range(PEAK_HALVINGS):
         mid = 0.5 * (lo + hi)
-        rising = f(mid + COMPLEX_STEP * 1j).imag > 0.0
+        rising = f(_Slope(mid, 1.0)).d > 0.0
         lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _price_log_payoff(u, log_breakeven, log_chi, t: ParamTable, c: Coefficients):
+    """The provider payoff's log at P = breakeven * (1 + e^u), less log f_c."""
+    return u + _log_demand_reduced(log_breakeven + np.log1p(np.exp(u)), log_chi, t, c)
 
 
 def _oracle_price(chi, t: ParamTable, c: Coefficients):
@@ -318,12 +395,9 @@ def _oracle_price(chi, t: ParamTable, c: Coefficients):
     [log 1e-9, log 1e8] on the payoff's log, log f_c + u + log demand.
     """
     breakeven = t.f_c / (1.0 - chi)
-    log_breakeven, log_chi = np.log(breakeven), np.log(chi)
-
-    def log_payoff(u):   # less the constant log f_c
-        return u + _log_demand_reduced(log_breakeven + np.log1p(np.exp(u)), log_chi, t, c)
-
-    return breakeven * (1.0 + np.exp(_bisect_peak(log_payoff, math.log(1e-9), math.log(1e8))))
+    args = np.log(breakeven), np.log(chi), t, c
+    u = _bisect_peak(lambda u: _price_log_payoff(u, *args), math.log(1e-9), math.log(1e8))
+    return breakeven * (1.0 + np.exp(u))
 
 
 def _oracle_share(price, t: ParamTable, c: Coefficients, lo: float, hi: float):
@@ -349,8 +423,8 @@ def _defect(chi, t: ParamTable, c: Coefficients, window) -> np.ndarray:
 
 
 def _blocks(n: int, width: int) -> list[slice]:
-    """Slices over n games, each holding at most ORACLE_BLOCK_ROWS games times
-    `width` shares (but at least one game)."""
+    """Slices over n games (or brackets), each holding at most
+    ORACLE_BLOCK_ROWS games times `width` shares (but at least one game)."""
     step = max(1, ORACLE_BLOCK_ROWS // width)
     return [slice(i, i + step) for i in range(0, n, step)]
 
@@ -365,23 +439,30 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
     `t`, for its highest-payoff interior fixed point; NaN without one.
 
     Every sign change of the defect between neighbouring probes becomes one
-    bracket, and all brackets are bisected together. Clamping the response
-    to the window only fabricates crossings at its edges, which the interior
-    filter drops.
+    bracket. The probes run in blocks of games, then all brackets are
+    bisected together, in blocks of brackets. Clamping the response to the
+    window only fabricates crossings at its edges, which the interior filter
+    drops.
     """
-    col = _as_column(t)
-    negative = _defect(probes, col, derive_coefficients(col), window) < 0.0
-    case, j = np.nonzero(negative[:, :-1] != negative[:, 1:])
-    sub = t.take(case)
-    c = derive_coefficients(sub)
-    lo, hi, lo_negative = probes[j], probes[j + 1], negative[case, j]
-    for _ in range(ROOT_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        to_lo = (_defect(mid, sub, c, window) < 0.0) == lo_negative
-        lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
-    chi = 0.5 * (lo + hi)
-    price = _oracle_price(chi, sub, c)
-    pay = _cloud_payoff_arr(price, chi, sub, c)
+    found = [(np.empty(0, int), np.empty(0, int), np.empty(0, bool))]
+    for rows in _blocks(len(t), probes.size):
+        col = _as_column(t.take(rows))
+        negative = _defect(probes, col, derive_coefficients(col), window) < 0.0
+        case, j = np.nonzero(negative[:, :-1] != negative[:, 1:])
+        found.append((case + rows.start, j, negative[case, j]))
+    case, j, lo_negative = (np.concatenate(v) for v in zip(*found))
+    chi, price, pay = np.empty((3, case.size))
+    for b in _blocks(case.size, 1):
+        sub = t.take(case[b])
+        c = derive_coefficients(sub)
+        lo, hi = probes[j[b]], probes[j[b] + 1]
+        for _ in range(ROOT_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            to_lo = (_defect(mid, sub, c, window) < 0.0) == lo_negative[b]
+            lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
+        chi[b] = 0.5 * (lo + hi)
+        price[b] = _oracle_price(chi[b], sub, c)
+        pay[b] = _cloud_payoff_arr(price[b], chi[b], sub, c)
     spacing = probes[1] - probes[0]
     inside = (window[0] + spacing < chi) & (chi < window[1] - spacing)
     case, chi, price, pay = (v[inside] for v in (case, chi, price, pay))
@@ -419,12 +500,10 @@ def oracle_equilibrium(params: MarketParams | ParamTable,
     idx = np.arange(0, grid_n, max(1, grid_n // 384))
     if idx[-1] != grid_n - 1:
         idx = np.append(idx, grid_n - 1)
-    out = np.empty((4, len(t)))
     # Near the alpha*beta cap the payoffs' 1/a2 exponents overflow far from
     # any peak; inf ranks in order there, and NaN (inf - inf) compares false.
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _blocks(len(t), idx.size):
-            out[:, rows] = _fixed_points(t.take(rows), share_grid[idx], window)
+        out = _fixed_points(t, share_grid[idx], window)
         none = np.nonzero(out[3] == 0)[0]
         for rows in _blocks(none.size, grid_n):
             col = _as_column(t.take(none[rows]))

@@ -60,6 +60,12 @@ def check_integer(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_number(name: str, value) -> None:
+    """Raise ValueError unless `value` is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Distributional description of one provider population.
@@ -97,11 +103,8 @@ class PopulationSpec:
         # From YAML, `1.0e300` is a string; `.nan` or `.inf` stall or overflow draws.
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(f.default, float) or (f.name == "psi" and value is None):
-                continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if isinstance(f.default, float) and not (f.name == "psi" and value is None):
+                check_number(f.name, value)
         check_integer("n_providers", self.n_providers, 1)
         check_integer("seed", self.seed, 0)
         # beta is drawn from [0, 1/alpha], so alpha must stay positive.

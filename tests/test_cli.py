@@ -403,3 +403,24 @@ class TestConfigLoading:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert "[PASS]" not in proc.stdout
+
+    @pytest.mark.parametrize("setting", [
+        "alpha: abc",
+        "beta: true",   # YAML's true would run as beta=1.0
+        "phi: .inf",
+    ])
+    def test_bad_parameter_value_exit_1(self, tmp_path, subprocess_env, setting):
+        key = setting.split(":")[0]
+        lines = [f"{k}: {getattr(FEASIBLE_PARAMS, k)!r}"
+                 for k in ("alpha", "beta", "gamma", "psi", "phi", "k1", "f_c") if k != key]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("\n".join(lines + [setting]) + "\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsm.cli", "equilibrium", "--config", str(cfg),
+             "--out", str(tmp_path / "eq.csv")],
+            env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
+            timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: invalid parameters: {key} must be")
+        assert not (tmp_path / "eq.csv").exists()

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tsm import equilibrium
 from tsm.core import (
     Coefficients,
     DomainError,
     InfeasibilityError,
     MarketParams,
     ParamTable,
+    _cloud_payoff_arr,
+    check_domain,
     check_feasibility,
     cloud_payoff,
     demand_reduced,
@@ -27,6 +30,8 @@ from tsm.equilibrium import (
     SHARE_EPS,
     ShareEquation,
     _best_price_unchecked,
+    _price_log_payoff,
+    _Slope,
     build_share_equation,
     first_order_residuals,
     oracle_equilibrium,
@@ -372,6 +377,85 @@ class TestOracle:
         for p, found in zip(cases.params.rows(), oracle.n_candidates):
             roots = solve_share(build_share_equation(p), p).roots
             assert found == sum(in_oracle_window(r) for r in roots)
+
+    @pytest.mark.parametrize("block_rows", [2 * 401, 16])
+    def test_block_size_does_not_change_results(self, monkeypatch, block_rows):
+        # 2 * 401 puts two games' 401 probes in each probe block; 16 puts one
+        # game in each and splits the brackets over several bisection blocks.
+        params = draw_reported_equilibria(1730, 20)[0].params
+        default = oracle_equilibrium(params)
+        monkeypatch.setattr(equilibrium, "ORACLE_BLOCK_ROWS", block_rows)
+        blocked = oracle_equilibrium(params)
+        for field in ("price", "share", "n_candidates"):
+            assert np.array_equal(getattr(blocked, field), getattr(default, field)), field
+
+
+def slope_games(seed: int, n: int) -> ParamTable:
+    """n valid games with f_s = 0 and phi = 0 in about one row in eight each,
+    and alpha*beta in [0.99, 0.999] in about one row in three."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.05, 0.95, n)
+    product = np.where(rng.random(n) < 0.35, rng.uniform(0.99, 0.999, n),
+                       rng.uniform(0.001, 0.99, n))
+    t = ParamTable.from_columns(
+        alpha=alpha, beta=product / alpha, gamma=rng.uniform(0.0, 1.0, n),
+        psi=rng.uniform(0.0, 0.35, n),
+        phi=np.where(rng.random(n) < 0.125, 0.0, rng.uniform(0.0, 5.0, n)),
+        k1=rng.uniform(0.05, 1.0, n), k2=rng.uniform(0.5, 2.0, n),
+        f_c=rng.uniform(0.05, 2.0, n),
+        f_s=np.where(rng.random(n) < 0.125, 0.0, 10.0 ** rng.uniform(-6.0, 6.0, n)))
+    check_domain(t)
+    return t
+
+
+COMPLEX_STEP = 1e-30
+
+
+def test_slope_arithmetic_matches_complex_step():
+    # Every operation _Slope carries, with it on either side of an array.
+    x = np.linspace(0.1, 3.0, 50)
+    a = np.linspace(-2.0, 2.0, 50)
+
+    def f(z):
+        return (np.exp(-z) * (a + z) / (1.0 + z) - a / z + np.log(z) * np.log1p(z)
+                - (z - a) * z / np.exp(z) + (a - z) / (2.0 * z) + (z + a) * a / (a + 3.0))
+
+    slope = f(_Slope(x, 1.0))
+    np.testing.assert_allclose(slope.v, f(x), rtol=1e-15)
+    np.testing.assert_allclose(slope.d, np.imag(f(x + COMPLEX_STEP * 1j)) / COMPLEX_STEP,
+                               rtol=1e-13)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_slope_matches_complex_step(seed):
+    # The forward-mode slope that the oracle bisects equals the complex step
+    # Im f(x + ih)/h on both of its payoffs: the provider's log payoff in u
+    # and the platform payoff in share. Where h*f' falls below the normal
+    # floats the complex step underflows, and there the slope must be tiny.
+    t = slope_games(seed, 2000)
+    assert np.sum(t.f_s == 0.0) > 100 and np.sum(t.phi == 0.0) > 100
+    assert np.sum(t.alpha * t.beta >= 0.99) > 500
+    rng = np.random.default_rng(seed)
+    c = derive_coefficients(t)
+    chi = rng.uniform(0.01, 0.99, len(t))
+    price = t.f_c / (1.0 - chi) * (1.0 + 10.0 ** rng.uniform(-3.0, 2.0, len(t)))
+    u = rng.uniform(math.log(1e-9), math.log(1e8), len(t))
+    args = np.log(t.f_c / (1.0 - chi)), np.log(chi), t, c
+    payoffs = ((lambda x: _price_log_payoff(x, *args), u),
+               (lambda s: _cloud_payoff_arr(price, s, t, c), chi))
+    tiny = np.finfo(float).tiny
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for f, x in payoffs:
+            value = f(x)
+            slope = f(_Slope(x, 1.0))
+            step = np.imag(f(x + COMPLEX_STEP * 1j))
+            finite = np.isfinite(value)
+            normal = finite & (np.abs(step) >= tiny)
+            assert normal.sum() > 1500
+            assert np.array_equal(slope.v[finite], value[finite])
+            np.testing.assert_allclose(slope.d[normal], step[normal] / COMPLEX_STEP,
+                                       rtol=1e-12, atol=0.0)
+            assert np.all(np.abs(slope.d[finite & ~normal]) < tiny / COMPLEX_STEP)
 
 
 # The oracle's probes are 2000 // 384 = 5 steps apart on its default
