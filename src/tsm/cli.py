@@ -6,12 +6,16 @@ produces sensitivity series (with figure presets), and `verify` runs the
 numerical verification suite (brute-force oracle agreement, derivative
 checks, curve consistency) over random draws.
 
-Configuration comes from an optional YAML file of flat keys plus flags;
-flags win. Unknown config keys are a hard error. All outputs are UTF-8 CSV
-with LF line endings and full-precision (round-trip) floats.
+Configuration comes from an optional YAML file of flat keys plus flags.
+`main` merges them once into one settings dict (`_settings`), in which
+every flag given wins over its config key (`--scenario` over `scenarios`),
+and each command reads only that dict. Unknown config keys are a hard
+error. All outputs are UTF-8 CSV with LF line endings and full-precision
+(round-trip) floats.
 
 Exit codes: 0 success, 1 invalid input, 2 infeasible game, 3 verification
-failure.
+failure. Every input error is raised as `ConfigError` (or `DomainError`
+for a parameter value) up to `main`, which prints its one `error:` line.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ POPULATION_KEYS = (
 )
 SWEEP_KEYS = ("axis", "grid", "phi_levels")
 VERIFY_KEYS = ("draws", "grid_n", "pairs")
-COMMON_KEYS = ("seed", "out", "format", "mode", "scenarios", "preset")
+COMMON_KEYS = ("seed", "out", "mode", "scenarios", "preset")
 ALLOWED_CONFIG_KEYS = frozenset(
     PARAM_KEYS + POPULATION_KEYS + SWEEP_KEYS + VERIFY_KEYS + COMMON_KEYS
 )
@@ -105,9 +109,12 @@ def _format_value(value) -> str:
 
 def write_csv(path: str, header: tuple[str, ...], rows) -> None:
     """Write the header, then each row as it comes; `rows` may be a generator."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_format_value, row)) + "\n" for row in rows)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(map(_format_value, row)) + "\n" for row in rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def load_config(path: str | None) -> dict:
@@ -132,38 +139,30 @@ def load_config(path: str | None) -> dict:
     return data
 
 
-def _setting(args, config: dict, key: str, default=None):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
+def _settings(args, config: dict) -> dict:
+    """The run's settings: the config's keys, then every flag given over them.
+
+    A null config value counts as absent, except `psi: null`, which selects
+    uniform psi sampling. `--scenario` fills `scenarios`."""
+    s = {k: v for k, v in config.items() if v is not None or k == "psi"}
+    for dest, value in vars(args).items():
+        if value is not None and dest not in ("command", "config"):
+            s["scenarios" if dest == "scenario" else dest] = value
+    return s
 
 
-def _population_spec(args, config: dict) -> PopulationSpec:
-    fields = {}
-    for key in POPULATION_KEYS + ("seed", "phi", "k2", "f_s", "p_s"):
-        value = _setting(args, config, key)
-        if value is not None:
-            fields[key] = value
-    # psi=None in the config selects uniform sampling; distinguish "absent".
-    if getattr(args, "psi", None) is not None:
-        fields["psi"] = args.psi
-    elif "psi" in config:
-        fields["psi"] = config["psi"]
+def _population_spec(s: dict) -> PopulationSpec:
+    keys = POPULATION_KEYS + ("seed", "phi", "psi", "k2", "f_s", "p_s")
     try:
-        return PopulationSpec(**fields)
+        return PopulationSpec(**{k: s[k] for k in keys if k in s})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid population settings: {exc}")
 
 
-def _scenario_list(args, config: dict) -> tuple[str, ...]:
-    raw = _setting(args, config, "scenarios") or _setting(args, config, "scenario")
-    if raw is None:
-        return SCENARIOS
+def _scenario_list(s: dict) -> tuple[str, ...]:
+    raw = s.get("scenarios", SCENARIOS)
     if isinstance(raw, str):
-        raw = [s.strip() for s in raw.split(",") if s.strip()]
+        raw = [n.strip() for n in raw.split(",") if n.strip()]
     names = tuple(raw)
     for name in names:
         if name not in SCENARIOS:
@@ -178,29 +177,21 @@ def _scenario_list(args, config: dict) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_equilibrium(args, config: dict) -> int:
+def cmd_equilibrium(s: dict) -> int:
     values = {}
     for key in PARAM_KEYS:
-        value = _setting(args, config, key)
-        if value is not None:
+        if s.get(key) is not None:
             try:
-                population.check_number(key, value)
+                population.check_number(key, s[key])
             except ValueError as exc:
-                print(f"error: invalid parameters: {exc}", file=sys.stderr)
-                return EXIT_INVALID
-            values[key] = float(value)
+                raise DomainError(str(exc))
+            values[key] = float(s[key])
     values.setdefault("psi", 0.1)
     missing = [k for k in ("alpha", "beta", "gamma", "phi", "k1", "f_c")
                if k not in values]
     if missing:
-        print(f"error: missing required parameter(s): {', '.join(missing)}",
-              file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        params = MarketParams(**values)
-    except DomainError as exc:
-        print(f"error: invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
+    params = MarketParams(**values)
 
     result = equilibrium.stackelberg_solve(params)
     row = [getattr(params, k) for k in PARAM_KEYS]
@@ -210,12 +201,8 @@ def cmd_equilibrium(args, config: dict) -> int:
             result.demand, result.supply, result.provider_payoff,
             result.cloud_payoff, result.residual]
 
-    out = _setting(args, config, "out", "equilibrium.csv")
-    try:
-        write_csv(out, EQUILIBRIUM_COLUMNS, [row])
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    out = s.get("out", "equilibrium.csv")
+    write_csv(out, EQUILIBRIUM_COLUMNS, [row])
 
     print(f"# command=equilibrium out={out}")
     for name, value in zip(EQUILIBRIUM_COLUMNS, row):
@@ -228,13 +215,12 @@ def cmd_equilibrium(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_scenario(args, config: dict) -> int:
-    spec = _population_spec(args, config)
-    names = sorted(_scenario_list(args, config))
-    mode = _setting(args, config, "mode", scenarios.MODE_EQUILIBRIUM)
+def cmd_scenario(s: dict) -> int:
+    spec = _population_spec(s)
+    names = sorted(_scenario_list(s))
+    mode = s.get("mode", scenarios.MODE_EQUILIBRIUM)
     if mode not in MODES:
-        print(f"error: unknown mode {mode!r}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ConfigError(f"unknown mode {mode!r}")
 
     table, price = population.sample_table(spec)
     outcomes = {name: scenarios.scenario_columns(name, table, price, mode)
@@ -248,12 +234,8 @@ def cmd_scenario(args, config: dict) -> int:
             for i, (p, cells) in enumerate(zip(params, out.rows(name))):
                 yield (i, name, *p, *cells)
 
-    out_path = _setting(args, config, "out", "scenario.csv")
-    try:
-        write_csv(out_path, SCENARIO_COLUMNS, rows())
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    out_path = s.get("out", "scenario.csv")
+    write_csv(out_path, SCENARIO_COLUMNS, rows())
 
     print(f"# command=scenario seed={spec.seed} n_providers={spec.n_providers} "
           f"mode={mode} scenarios={','.join(names)} out={out_path}")
@@ -270,28 +252,24 @@ def cmd_scenario(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_sweep(args, config: dict) -> int:
-    preset_name = _setting(args, config, "preset")
-    scenario_names = _scenario_list(args, config)
-    axis = _setting(args, config, "axis")
+def cmd_sweep(s: dict) -> int:
+    preset_name = s.get("preset")
+    scenario_names = _scenario_list(s)
+    axis = s.get("axis")
     plot_column = None
     if preset_name is not None:
         if preset_name not in PRESETS:
-            print(f"error: unknown preset {preset_name!r}", file=sys.stderr)
-            return EXIT_INVALID
+            raise ConfigError(f"unknown preset {preset_name!r}")
         axis, preset_scenarios, plot_column = PRESETS[preset_name]
-        if _setting(args, config, "scenarios") is None and \
-                getattr(args, "scenario", None) is None:
+        if "scenarios" not in s:
             scenario_names = preset_scenarios
     if axis is None:
-        print(f"error: sweep needs --axis or --preset (axes: {', '.join(AXES)})",
-              file=sys.stderr)
-        return EXIT_INVALID
+        raise ConfigError(f"sweep needs --axis or --preset (axes: {', '.join(AXES)})")
 
-    pop_spec = _population_spec(args, config)
-    grid = _setting(args, config, "grid")
-    phi_levels = _setting(args, config, "phi_levels")
-    mode = _setting(args, config, "mode", scenarios.MODE_DECLARED_PRICE)
+    pop_spec = _population_spec(s)
+    grid = s.get("grid")
+    phi_levels = s.get("phi_levels")
+    mode = s.get("mode", scenarios.MODE_DECLARED_PRICE)
     try:
         spec = SweepSpec(
             axis=axis,
@@ -302,8 +280,7 @@ def cmd_sweep(args, config: dict) -> int:
             mode=mode,
         )
     except ValueError as exc:
-        print(f"error: invalid sweep: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ConfigError(f"invalid sweep: {exc}")
 
     series = population.run_sweep(spec)
     rows = [
@@ -313,12 +290,8 @@ def cmd_sweep(args, config: dict) -> int:
         for s in series
     ]
     default_out = f"{preset_name}.csv" if preset_name else "sweep.csv"
-    out = _setting(args, config, "out", default_out)
-    try:
-        write_csv(out, SWEEP_COLUMNS, rows)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    out = s.get("out", default_out)
+    write_csv(out, SWEEP_COLUMNS, rows)
 
     meta = (f"# command=sweep axis={spec.axis} seed={pop_spec.seed} mode={spec.mode} "
             f"scenarios={','.join(spec.scenarios)} cells={len(rows)} "
@@ -473,11 +446,11 @@ def verify_properties(seed: int, draws: int, grid_n: int,
     return results
 
 
-def cmd_verify(args, config: dict) -> int:
+def cmd_verify(s: dict) -> int:
     settings = {}
     for name, default, low in (("draws", 200, 1), ("grid_n", 2000, equilibrium.ORACLE_MIN_GRID_N),
                                ("pairs", 2000, 1), ("seed", 1729, 0)):
-        settings[name] = _setting(args, config, name, default)
+        settings[name] = s.get(name, default)
         try:
             population.check_integer(name, settings[name], low)
         except ValueError as exc:
@@ -549,22 +522,14 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        fmt = config.get("format", "csv")
-        if fmt != "csv":
-            raise ConfigError(f"unsupported output format {fmt!r}; only csv")
-        return COMMANDS[args.command](args, config)
-    except ConfigError as exc:
+        return COMMANDS[args.command](_settings(args, load_config(args.config)))
+    except (ConfigError, population.SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except DomainError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except population.SamplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

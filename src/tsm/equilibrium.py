@@ -442,7 +442,10 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
     bracket. The probes run in blocks of games, then all brackets are
     bisected together, in blocks of brackets. Clamping the response to the
     window only fabricates crossings at its edges, which the interior filter
-    drops.
+    drops. Where the platform payoff underflows over the whole share scan,
+    the response falls to the window's lower edge and the defect changes
+    sign where no fixed point is; such a candidate's payoff is below the
+    smallest normal float, far below any true root's, and is dropped too.
     """
     found = [(np.empty(0, int), np.empty(0, int), np.empty(0, bool))]
     for rows in _blocks(len(t), probes.size):
@@ -464,7 +467,8 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
         price[b] = _oracle_price(chi[b], sub, c)
         pay[b] = _cloud_payoff_arr(price[b], chi[b], sub, c)
     spacing = probes[1] - probes[0]
-    inside = (window[0] + spacing < chi) & (chi < window[1] - spacing)
+    inside = ((window[0] + spacing < chi) & (chi < window[1] - spacing)
+              & (np.abs(pay) >= np.finfo(float).tiny))
     case, chi, price, pay = (v[inside] for v in (case, chi, price, pay))
     out = np.full((4, len(t)), np.nan)
     out[3] = np.bincount(case, minlength=len(t))

@@ -18,6 +18,10 @@ FEASIBLE_FLAGS = [
     "--f_c", repr(FEASIBLE_PARAMS.f_c),
 ]
 
+# --out in a directory that does not exist
+UNWRITABLE = ("cannot write nodir/x.csv: [Errno 2] No such file or directory: "
+              "'nodir/x.csv'")
+
 
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -403,6 +407,59 @@ class TestConfigLoading:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert "[PASS]" not in proc.stdout
+
+    @pytest.mark.parametrize("command, setting, line", [
+        ("sweep", "preset: fig99", "unknown preset 'fig99'"),
+        ("scenario --n-providers 2", "mode: sideways", "unknown mode 'sideways'"),
+        ("sweep", "", "sweep needs --axis or --preset "
+                      "(axes: alpha_beta_product, phi, gamma, k1)"),
+        ("equilibrium --alpha 0.5 --beta 1.0 --gamma 0.3 --k1 0.5 --f_c 1.0", "",
+         "missing required parameter(s): phi"),
+        ("sweep --axis k1 --n-providers 2", "grid: [0.5, 0.2]",
+         "invalid sweep: axis grid must be strictly increasing"),
+        ("equilibrium --alpha 0.5 --beta 1.0 --gamma 0.3 --phi 2.0 --k1 0.5 --f_c 1.0",
+         "", UNWRITABLE),
+        ("scenario --n-providers 2", "", UNWRITABLE),
+        ("sweep --axis k1 --n-providers 2", "", UNWRITABLE),
+    ])
+    def test_input_error_line(self, tmp_path, subprocess_env, command, setting, line):
+        # Each input error ends the run with one exact stderr line and exit 1.
+        (tmp_path / "cfg.yaml").write_text(setting + "\n", encoding="utf-8")
+        out = "nodir/x.csv" if line == UNWRITABLE else "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsm.cli", *command.split(), "--config", "cfg.yaml",
+             "--out", out],
+            env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
+            timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {line}\n"
+
+    def test_flags_beat_every_config_key(self, tmp_path, capsys):
+        # --scenario fills `scenarios`, so it beats the config's list as
+        # --seed, --mode and --n-providers beat theirs.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenarios: [two_sided]\nseed: 1\nmode: equilibrium\n"
+                       "n_providers: 3\n", encoding="utf-8")
+        flags = ["--scenario", "fifty_fifty", "--seed", "2", "--mode", "declared-price",
+                 "--n-providers", "4"]
+        for command in (["scenario"], ["sweep", "--preset", "fig8"]):
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            assert cli.main([*command, "--config", str(cfg), *flags, "--out", str(a)]) == 0
+            with_config = capsys.readouterr().out.replace(str(a), "OUT")
+            assert cli.main([*command, *flags, "--out", str(b)]) == 0
+            flags_only = capsys.readouterr().out.replace(str(b), "OUT")
+            assert with_config == flags_only
+            assert "seed=2" in flags_only and "mode=declared-price" in flags_only
+            assert "scenarios=fifty_fifty " in flags_only
+            assert a.read_bytes() == b.read_bytes()
+        _, rows = read_csv(a)
+        assert {r["scenario"] for r in rows} == {"fifty_fifty"}
+        # There is no `format` key: every output is CSV.
+        cfg.write_text("format: csv\n", encoding="utf-8")
+        assert cli.main(["scenario", "--config", str(cfg), "--n-providers", "2",
+                         "--out", str(tmp_path / "sc.csv")]) == 1
+        assert capsys.readouterr().err == "error: unknown config key(s): format\n"
 
     @pytest.mark.parametrize("setting", [
         "alpha: abc",

@@ -371,12 +371,15 @@ class TestOracle:
 
     def test_candidates_are_the_closed_form_roots_in_window(self):
         # Each interior fixed point is found once: the oracle's count equals
-        # the share equation's roots strictly inside its interior window.
-        cases, _ = draw_reported_equilibria(1730, 50)
-        oracle = oracle_equilibrium(cases.params)
-        for p, found in zip(cases.params.rows(), oracle.n_candidates):
+        # the share equation's roots strictly inside its interior window. In
+        # a few of the extreme games the platform payoff underflows over the
+        # whole share scan, which must add no candidate.
+        games = [*draw_reported_equilibria(1730, 50)[0].params.rows(),
+                 *(p for p, _ in extreme_games(0, 60))]
+        oracle = oracle_equilibrium(ParamTable.from_params(games))
+        for p, found in zip(games, oracle.n_candidates):
             roots = solve_share(build_share_equation(p), p).roots
-            assert found == sum(in_oracle_window(r) for r in roots)
+            assert found == sum(in_oracle_window(r) for r in roots), p
 
     @pytest.mark.parametrize("block_rows", [2 * 401, 16])
     def test_block_size_does_not_change_results(self, monkeypatch, block_rows):

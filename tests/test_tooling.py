@@ -1,7 +1,10 @@
-"""Guards for the benchmark harness under perfbench/, which traces tsm
-functions by module and name: a rename inside tsm would otherwise drop a
-span from `perfbench/run.py --trace 1` without an error."""
+"""Guards for tooling that finds tsm code by name: the benchmark harness
+under perfbench/, which traces tsm functions by module and name (a rename
+inside tsm would otherwise drop a span from `perfbench/run.py --trace 1`
+without an error), and the CLI, which merges flags over config keys by
+name."""
 
+import argparse
 import importlib
 import importlib.util
 import os
@@ -38,6 +41,21 @@ def test_cli_import_does_not_load_yaml(subprocess_env):
         env=subprocess_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_every_flag_names_a_config_key():
+    # The CLI merges flags over the config by name, so each flag's dest must
+    # be a config key; `--scenario` fills `scenarios`.
+    from tsm import cli
+
+    [subparsers] = [a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction) or action.dest == "config":
+                continue
+            key = "scenarios" if action.dest == "scenario" else action.dest
+            assert key in cli.ALLOWED_CONFIG_KEYS, (command, action.dest)
 
 
 @pytest.mark.parametrize("argv", [
