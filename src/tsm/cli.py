@@ -45,6 +45,9 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 
+# Rows per block of the scenario CSV: formatted cells never outgrow one block.
+CSV_BLOCK_ROWS = 2048
+
 
 class ConfigError(ValueError):
     """Bad configuration file or flag combination."""
@@ -107,12 +110,22 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    """Write the header, then each row as it comes; `rows` may be a generator."""
+def _block(rows) -> list[list[str]]:
+    """Rows of Python values as one block of formatted columns."""
+    return [list(map(_format_value, column)) for column in zip(*rows)]
+
+
+def write_csv(path: str, header: tuple[str, ...], blocks) -> None:
+    """Write the header, then each block as it comes; `blocks` may be a
+    generator. A block is a list of equal-length columns of formatted cells."""
+    if not isinstance(path, str):   # open() takes an integer as a file descriptor
+        raise ConfigError(f"out must be a file path, got {path!r}")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(map(_format_value, row)) + "\n" for row in rows)
+            for columns in blocks:
+                fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+                del columns   # so that only one block is alive while the next is built
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
 
@@ -163,6 +176,8 @@ def _scenario_list(s: dict) -> tuple[str, ...]:
     raw = s.get("scenarios", SCENARIOS)
     if isinstance(raw, str):
         raw = [n.strip() for n in raw.split(",") if n.strip()]
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"scenarios must be a list of names, got {raw!r}")
     names = tuple(raw)
     for name in names:
         if name not in SCENARIOS:
@@ -202,7 +217,7 @@ def cmd_equilibrium(s: dict) -> int:
             result.cloud_payoff, result.residual]
 
     out = s.get("out", "equilibrium.csv")
-    write_csv(out, EQUILIBRIUM_COLUMNS, [row])
+    write_csv(out, EQUILIBRIUM_COLUMNS, [_block([row])])
 
     print(f"# command=equilibrium out={out}")
     for name, value in zip(EQUILIBRIUM_COLUMNS, row):
@@ -213,6 +228,14 @@ def cmd_equilibrium(s: dict) -> int:
 # ---------------------------------------------------------------------------
 # scenario
 # ---------------------------------------------------------------------------
+
+
+def _cells(col, rows: slice, ok, fill: str) -> list[str]:
+    """`repr` of `col[rows]` where `ok`, and `fill` elsewhere."""
+    if col is None or not ok.any():
+        return [fill] * len(ok)
+    feasible = map(repr, col[rows][ok].tolist())
+    return [next(feasible) if f else fill for f in ok.tolist()]
 
 
 def cmd_scenario(s: dict) -> int:
@@ -226,16 +249,23 @@ def cmd_scenario(s: dict) -> int:
     outcomes = {name: scenarios.scenario_columns(name, table, price, mode)
                 for name in names}
 
-    def rows():
+    def blocks():
         for name, out in outcomes.items():
             t = out.params
-            params = zip(t.alpha.tolist(), t.beta.tolist(), t.gamma.tolist(),
-                         t.psi.tolist(), t.phi.tolist(), t.k1.tolist(), t.f_c.tolist())
-            for i, (p, cells) in enumerate(zip(params, out.rows(name))):
-                yield (i, name, *p, *cells)
+            params = (t.alpha, t.beta, t.gamma, t.psi, t.phi, t.k1, t.f_c)
+            values = (out.price, out.share, out.demand, out.supply,
+                      out.provider_payoff, out.cloud_payoff)
+            fills = tuple(map(_format_value, scenarios.INFEASIBLE_FILL[name]))
+            for lo in range(0, len(price), CSV_BLOCK_ROWS):
+                rows = slice(lo, lo + CSV_BLOCK_ROWS)
+                ok = out.feasible[rows]
+                yield ([list(map(str, range(lo, lo + len(ok)))), [name] * len(ok)]
+                       + [list(map(repr, col[rows].tolist())) for col in params]
+                       + [_cells(col, rows, ok, fill) for col, fill in zip(values, fills)]
+                       + [["true" if f else "false" for f in ok.tolist()]])
 
     out_path = s.get("out", "scenario.csv")
-    write_csv(out_path, SCENARIO_COLUMNS, rows())
+    write_csv(out_path, SCENARIO_COLUMNS, blocks())
 
     print(f"# command=scenario seed={spec.seed} n_providers={spec.n_providers} "
           f"mode={mode} scenarios={','.join(names)} out={out_path}")
@@ -258,7 +288,7 @@ def cmd_sweep(s: dict) -> int:
     axis = s.get("axis")
     plot_column = None
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise ConfigError(f"unknown preset {preset_name!r}")
         axis, preset_scenarios, plot_column = PRESETS[preset_name]
         if "scenarios" not in s:
@@ -279,7 +309,7 @@ def cmd_sweep(s: dict) -> int:
             population=pop_spec,
             mode=mode,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sweep: {exc}")
 
     series = population.run_sweep(spec)
@@ -291,7 +321,7 @@ def cmd_sweep(s: dict) -> int:
     ]
     default_out = f"{preset_name}.csv" if preset_name else "sweep.csv"
     out = s.get("out", default_out)
-    write_csv(out, SWEEP_COLUMNS, rows)
+    write_csv(out, SWEEP_COLUMNS, [_block(rows)])
 
     meta = (f"# command=sweep axis={spec.axis} seed={pop_spec.seed} mode={spec.mode} "
             f"scenarios={','.join(spec.scenarios)} cells={len(rows)} "

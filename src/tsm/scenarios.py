@@ -18,6 +18,7 @@ alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -43,6 +44,11 @@ FIFTY_FIFTY = "fifty_fifty"
 PAY_AS_YOU_GO = "pay_as_you_go"
 SCENARIOS = (TWO_SIDED, FIFTY_FIFTY, PAY_AS_YOU_GO)
 FIFTY_FIFTY_SHARE = 0.5
+# Per scenario, an infeasible row's (price, share, demand, supply, provider_payoff,
+# cloud_payoff): zero payoffs, so aggregates can count it; no price, demand or
+# supply; and no share, unless the scenario fixes one (fifty_fifty's 0.5).
+INFEASIBLE_FILL = {s: (None, FIFTY_FIFTY_SHARE if s == FIFTY_FIFTY else None,
+                       None, None, 0.0, 0.0) for s in SCENARIOS}
 
 MODE_EQUILIBRIUM = "equilibrium"
 MODE_DECLARED_PRICE = "declared-price"
@@ -110,8 +116,8 @@ class Outcome:
     """One scenario's results over a ParamTable, one column entry per row.
 
     `params` is the table the scenario ran on (fifty_fifty's has phi = 1).
-    Rows where `feasible` is False hold NaN. `share` is None for a scenario
-    without a share (pay_as_you_go).
+    Infeasible rows may hold any value, feasible ones only finite values.
+    `share` is None for a scenario without a share (pay_as_you_go).
     """
 
     params: ParamTable
@@ -134,12 +140,9 @@ class Outcome:
 
     def rows(self, scenario: str):
         """Each row's (price, share, demand, supply, provider_payoff,
-        cloud_payoff, feasible) as Python values, as records and CSV rows
-        hold them. An infeasible row keeps zero payoffs so aggregates can
-        count it; its price, demand and supply are None, and so is its share
-        unless the scenario fixes one (fifty_fifty's 0.5)."""
-        infeasible = (None, FIFTY_FIFTY_SHARE if scenario == FIFTY_FIFTY else None,
-                      None, None, 0.0, 0.0, False)
+        cloud_payoff, feasible) as Python values, as records hold them; an
+        infeasible row holds INFEASIBLE_FILL[scenario], as the CSV does."""
+        infeasible = (*INFEASIBLE_FILL[scenario], False)
         share = self.share.tolist() if self.share is not None else repeat(None)
         for row in zip(self.price.tolist(), share, self.demand.tolist(),
                        self.supply.tolist(), self.provider_payoff.tolist(),
@@ -175,20 +178,19 @@ def _declared_share(price, t: ParamTable, c: Coefficients) -> np.ndarray:
     return candidates[best, np.arange(s_star.size)]
 
 
+def _finite(*columns) -> np.ndarray:
+    """Per row, whether every column's value is finite."""
+    return functools.reduce(np.logical_and, map(np.isfinite, columns))
+
+
 def _outcome_at(feasible, price, share, t: ParamTable, c: Coefficients) -> Outcome:
-    """Demand, supply and both payoffs from the reduced forms at (price, share)."""
+    """Demand, supply and both payoffs from the reduced forms at (price, share);
+    a row with a non-finite value is infeasible."""
     log_price, log_share = np.log(price), np.log(share)
-    demand = np.exp(_log_demand_reduced(log_price, log_share, t, c))
-    return Outcome(
-        params=t,
-        feasible=feasible,
-        price=price,
-        share=share,
-        demand=demand,
-        supply=np.exp(_log_supply_reduced(log_price, log_share, t, c)),
-        provider_payoff=_provider_payoff_arr(price, share, t, c),
-        cloud_payoff=_cloud_payoff_arr(price, share, t, c),
-    )
+    values = (price, share, np.exp(_log_demand_reduced(log_price, log_share, t, c)),
+              np.exp(_log_supply_reduced(log_price, log_share, t, c)),
+              _provider_payoff_arr(price, share, t, c), _cloud_payoff_arr(price, share, t, c))
+    return Outcome(t, feasible & _finite(*values), *values)
 
 
 def _equilibrium_columns(t: ParamTable) -> Outcome:
@@ -239,16 +241,9 @@ def _rental(price, supply, t: ParamTable):
 def _pay_as_you_go_columns(t: ParamTable, price) -> Outcome:
     supply = _payg_supply(price, t)
     demand, provider_payoff = _rental(price, supply, t)
-    return Outcome(
-        params=t,
-        feasible=price > t.f_c,
-        price=price,
-        share=None,
-        demand=demand,
-        supply=supply,
-        provider_payoff=provider_payoff,
-        cloud_payoff=(t.p_s - t.f_s) * supply,
-    )
+    cloud_payoff = (t.p_s - t.f_s) * supply
+    feasible = (price > t.f_c) & _finite(price, demand, supply, provider_payoff, cloud_payoff)
+    return Outcome(t, feasible, price, None, demand, supply, provider_payoff, cloud_payoff)
 
 
 def scenario_columns(scenario: str, t: ParamTable, price, mode: str) -> Outcome:

@@ -166,6 +166,34 @@ class TestScenarioCommand:
         assert rows[2]["demand"] == "" and rows[2]["cloud_payoff"] == "0.0"
         assert rows[0]["demand"] != ""
 
+    @pytest.mark.parametrize("mode", ["equilibrium", "declared-price"])
+    def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, mode):
+        # Blocks of 3 rows split each scenario's 10 rows 3+3+3+1.
+        argv = ["scenario", "--seed", "0", "--n-providers", "10", "--mode", mode]
+        assert cli.main([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        assert cli.main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_infeasible_fill_lands_at_its_rows(self, tmp_path, monkeypatch):
+        # At seed 0 fifty_fifty's feasible rows are 5, 7 and 8: blocks of 3
+        # rows hold none, one and two of them.
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        out = tmp_path / "sc.csv"
+        assert cli.main(["scenario", "--seed", "0", "--n-providers", "10",
+                         "--scenario", "fifty_fifty", "--out", str(out)]) == 0
+        table, price = population.sample_table(
+            population.PopulationSpec(n_providers=10, seed=0))
+        outcome = scenarios.scenario_columns("fifty_fifty", table, price, "equilibrium")
+        assert np.flatnonzero(outcome.feasible).tolist() == [5, 7, 8]
+        columns = cli.SCENARIO_COLUMNS[9:]
+        _, rows = read_csv(out)
+        for row, cells in zip(rows, outcome.rows("fifty_fifty"), strict=True):
+            assert [row[k] for k in columns] == list(map(cli._format_value, cells))
+            if row["feasible"] == "false":
+                assert [row[k] for k in columns] == ["", "0.5", "", "", "0.0", "0.0",
+                                                     "false"]
+
     def test_unknown_scenario_exit_1(self, tmp_path):
         assert cli.main(["scenario", "--scenario", "barter",
                          "--out", str(tmp_path / "x.csv")]) == 1
@@ -421,14 +449,27 @@ class TestConfigLoading:
          "", UNWRITABLE),
         ("scenario --n-providers 2", "", UNWRITABLE),
         ("sweep --axis k1 --n-providers 2", "", UNWRITABLE),
+        # config values of the wrong type
+        ("sweep --axis k1 --n-providers 2", "scenarios: 5",
+         "scenarios must be a list of names, got 5"),
+        ("sweep --axis k1 --n-providers 2", "grid: 5",
+         "invalid sweep: 'int' object is not iterable"),
+        ("sweep --axis k1 --n-providers 2", "phi_levels: 5",
+         "invalid sweep: 'int' object is not iterable"),
+        ("sweep --n-providers 2", "preset: [a]", "unknown preset ['a']"),
+        ("scenario --n-providers 2", "scenarios: 5",
+         "scenarios must be a list of names, got 5"),
+        # open() would take 5 as a file descriptor
+        ("scenario --n-providers 2", "out: 5", "out must be a file path, got 5"),
     ])
     def test_input_error_line(self, tmp_path, subprocess_env, command, setting, line):
         # Each input error ends the run with one exact stderr line and exit 1.
         (tmp_path / "cfg.yaml").write_text(setting + "\n", encoding="utf-8")
-        out = "nodir/x.csv" if line == UNWRITABLE else "x.csv"
+        out = [] if setting.startswith("out:") else [
+            "--out", "nodir/x.csv" if line == UNWRITABLE else "x.csv"]
         proc = subprocess.run(
             [sys.executable, "-m", "tsm.cli", *command.split(), "--config", "cfg.yaml",
-             "--out", out],
+             *out],
             env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
             timeout=120)
         assert proc.returncode == 1, proc.stderr

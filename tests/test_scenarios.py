@@ -12,6 +12,7 @@ from tsm.cli import draw_reported_equilibria
 from tsm.core import (
     DomainError,
     MarketParams,
+    ParamTable,
     _cloud_payoff_arr,
     check_feasibility,
     cloud_payoff,
@@ -27,6 +28,7 @@ from tsm.scenarios import (
     MODE_DECLARED_PRICE,
     MODE_EQUILIBRIUM,
     PAY_AS_YOU_GO,
+    SCENARIOS,
     TWO_SIDED,
     PopulationMismatchError,
     Provider,
@@ -35,6 +37,7 @@ from tsm.scenarios import (
     run_fifty_fifty,
     run_pay_as_you_go,
     run_two_sided,
+    scenario_columns,
     summarize_records,
 )
 from tests.test_equilibrium import FEASIBLE_PARAMS
@@ -178,17 +181,39 @@ def test_closed_form_share_matches_numeric_search(game):
     with np.errstate(over="ignore", invalid="ignore"):
         pay = _cloud_payoff_arr(price, SHARE_SCAN, params, derive_coefficients(params))
     assume(np.all(np.isfinite(pay)))  # the model overflows double range
-    with np.errstate(over="ignore"):  # supply alone may overflow where f_s = 0
-        [rec] = run_two_sided([Provider(0, params, price)], mode=MODE_DECLARED_PRICE)
+    # The kernel's columns, not a record: supply alone may overflow where
+    # f_s = 0, which makes the row infeasible and its record's payoffs 0.0.
+    with np.errstate(over="ignore"):
+        out = scenario_columns(TWO_SIDED, ParamTable.from_params([params]),
+                               np.array([price]), MODE_DECLARED_PRICE)
     share = searched_share(price, params)
     searched = cloud_payoff(price, share, params)
-    assert rec.cloud_payoff >= searched - 1e-12 * abs(searched)
+    assert out.cloud_payoff[0] >= searched - 1e-12 * abs(searched)
     # Shares can only be ranked where the payoff over the share domain is a
     # normal number and varies beyond rounding: a tiny R*s^e1 next to a
     # huge K*s^e2, or a payoff in the subnormals, is flat in floating point.
     scale = np.abs(pay).max()
     if scale >= np.finfo(float).tiny and np.ptp(pay) > 1e-6 * scale:
-        assert rec.share == pytest.approx(share, abs=1e-6)
+        assert out.share[0] == pytest.approx(share, abs=1e-6)
+
+
+def test_non_finite_rows_are_infeasible():
+    # At declared price 0.25 this game's fifty_fifty demand overflows and its
+    # payoffs are NaN, as are two_sided's declared-price payoffs.
+    params = MarketParams(alpha=0.5, beta=1.99609375, gamma=1.0, psi=0.0, phi=0.0,
+                          k1=1.0, k2=2.0, f_c=0.0, f_s=0.0)
+    for mode in (MODE_EQUILIBRIUM, MODE_DECLARED_PRICE):
+        for name in SCENARIOS:
+            with np.errstate(all="ignore"):
+                out = scenario_columns(name, ParamTable.from_params([params]),
+                                       np.array([0.25]), mode)
+            for column in ("price", "share", "demand", "supply", "provider_payoff",
+                           "cloud_payoff"):
+                values = getattr(out, column)
+                if values is not None:
+                    assert not out.feasible[0] or np.isfinite(values[0]), (mode, name)
+                mean = out.feasible_mean(column)
+                assert mean is None or np.isfinite(mean), (mode, name, column)
 
 
 class TestFiftyFifty:

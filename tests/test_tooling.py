@@ -66,11 +66,17 @@ def test_every_flag_names_a_config_key():
 ])
 def test_commands_run_under_perfbench_tracer(tmp_path, capsys, argv):
     # The harness wraps tsm functions and reads their results: the draw
-    # count off draw_reported_equilibria, feasibility off stackelberg_solve.
+    # count off draw_reported_equilibria, feasibility off stackelberg_solve,
+    # and the CSV's size off write_csv's first argument. Cells are formatted
+    # while write_csv runs, so its span times the formatting too.
     import tsm.cli
 
+    out = tmp_path / "out.csv"
     with load_layers().Tracer(time.perf_counter) as tracer:
-        assert tsm.cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert tsm.cli.main([*argv, "--out", str(out)]) == 0
     metrics = tracer.metrics(1.0)
     if argv[0] == "verify":
         assert metrics["cli.draw_reported_equilibria.drawn"] > 0
+    else:
+        assert metrics["cli.write_csv.bytes"] == os.path.getsize(out)
+        assert metrics["cli.write_csv.s"] > 0
