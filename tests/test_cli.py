@@ -461,6 +461,13 @@ class TestConfigLoading:
          "scenarios must be a list of names, got 5"),
         # open() would take 5 as a file descriptor
         ("scenario --n-providers 2", "out: 5", "out must be a file path, got 5"),
+        # YAML 1.1 exponent floats without a dot or an exponent sign are text
+        ("scenario --n-providers 2", "price_sd: 5e-1",
+         "invalid population settings: price_sd must be a finite number, got '5e-1' "
+         "(YAML 1.1 reads 5e-1 as text; write 5.0e-1)"),
+        ("equilibrium --alpha 0.5 --beta 1.0 --gamma 0.3 --phi 2.0 --k1 0.5", "f_c: 1e-1",
+         "invalid parameters: f_c must be a finite number, got '1e-1' "
+         "(YAML 1.1 reads 1e-1 as text; write 1.0e-1)"),
     ])
     def test_input_error_line(self, tmp_path, subprocess_env, command, setting, line):
         # Each input error ends the run with one exact stderr line and exit 1.

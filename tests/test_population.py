@@ -20,6 +20,7 @@ from tsm.population import (
     PopulationSpec,
     SamplingError,
     SweepSpec,
+    _child_keys,
     _sweep_table,
     default_grid,
     run_sweep,
@@ -36,6 +37,25 @@ from tsm.scenarios import (
     run_two_sided,
     summarize_records,
 )
+
+
+def scalar_draws(spec, rng):
+    """One provider's (price, alpha, beta, gamma, psi, k1) by rejection
+    loops on its own generator: the sampler as it was before its keys were
+    derived at once."""
+    price = rng.normal(spec.price_mean, spec.price_sd)
+    while not spec.price_min <= price <= spec.price_max:
+        price = rng.normal(spec.price_mean, spec.price_sd)
+    alpha = rng.normal(spec.alpha_mean, spec.alpha_sd)
+    while not spec.alpha_min <= alpha <= spec.alpha_max:
+        alpha = rng.normal(spec.alpha_mean, spec.alpha_sd)
+    beta = rng.uniform(0.0, 1.0 / alpha)
+    while not 0.0 < alpha * beta <= spec.alpha_beta_cap:
+        beta = rng.uniform(0.0, 1.0 / alpha)
+    gamma = rng.uniform(spec.gamma_min, spec.gamma_max)
+    psi = spec.psi if spec.psi is not None else rng.uniform(spec.psi_min, spec.psi_max)
+    return price, alpha, beta, gamma, psi, rng.uniform(spec.k1_min, spec.k1_max)
+
 
 class TestSampling:
     def test_same_seed_identical_population(self):
@@ -109,6 +129,38 @@ class TestSampling:
         with pytest.raises(SamplingError):
             sample_providers(spec)
 
+    @pytest.mark.parametrize("seed", [0, 1729, 2**32 - 1, 2**32, 10**60, np.uint64(2**63 + 5)])
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_child_keys_match_spawn(self, seed, n):
+        spawned = [child.generate_state(2, np.uint64)
+                   for child in np.random.SeedSequence(seed).spawn(n)]
+        keys = _child_keys(seed, n)
+        assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+        assert np.array_equal(keys, spawned)
+
+    @pytest.mark.parametrize("changes", [
+        *({"seed": seed, "n_providers": 300} for seed in (1729, 7, 11, 23)),
+        {"seed": 5, "n_providers": 300, "psi": None},
+        {"seed": 7, "n_providers": 300, "price_sd": 0.0},
+        # integer settings, as YAML gives them; 10**30 does not fit an int64
+        {"seed": 1729, "n_providers": 50, "price_mean": 2, "gamma_min": 0, "gamma_max": 1,
+         "k1_min": 0, "k1_max": 10**30},
+        # narrow bands: most rows miss one on their first draws and are redrawn
+        {"seed": 11, "n_providers": 500, "psi": None, "price_min": 1.7,
+         "alpha_max": 0.38, "alpha_beta_cap": 0.5},
+        {"seed": 23, "n_providers": 200, "price_min": 2.5, "price_max": 2.6,
+         "alpha_min": 0.45, "alpha_beta_cap": 0.1},
+    ])
+    def test_table_matches_per_provider_generators(self, changes):
+        spec = PopulationSpec(**changes)
+        table, price = sample_table(spec)
+        want = np.array([scalar_draws(spec, np.random.Generator(np.random.Philox(child)))
+                         for child in np.random.SeedSequence(spec.seed).spawn(
+                             spec.n_providers)])
+        got = np.column_stack([price, table.alpha, table.beta, table.gamma, table.psi,
+                               table.k1])
+        assert got.dtype == want.dtype == float and got.tobytes() == want.tobytes()
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PopulationSpec(n_providers=0)
@@ -118,6 +170,14 @@ class TestSampling:
             PopulationSpec(psi=0.5)
         with pytest.raises(ValueError):
             PopulationSpec(alpha_min=0.0)
+
+    def test_more_providers_than_spawn_keys_rejected(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(np.random, "SeedSequence", fail)
+        with pytest.raises(ValueError, match=r"n_providers must be <= 2\*\*32"):
+            PopulationSpec(n_providers=2**32 + 1)
 
 
 SMALL_POP = PopulationSpec(n_providers=6, seed=21)

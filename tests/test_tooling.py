@@ -2,7 +2,9 @@
 under perfbench/, which traces tsm functions by module and name (a rename
 inside tsm would otherwise drop a span from `perfbench/run.py --trace 1`
 without an error), and the CLI, which merges flags over config keys by
-name."""
+name. The benchmark's CSV workloads also run here against their stored
+references, so a change to their outputs fails tier-1 and not only the
+benchmark."""
 
 import argparse
 import importlib
@@ -16,19 +18,25 @@ import pytest
 
 from tests.test_cli import FEASIBLE_FLAGS
 
-LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "layers.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+def load_perfbench(name):
+    """A perfbench module, loaded by file path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_perfbench("workloads")
 
 
 def test_perfbench_spans_resolve():
-    layers = load_layers()
+    layers = load_perfbench("layers")
     assert layers.SPANS
     for module, name in layers.SPANS:
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
@@ -72,7 +80,7 @@ def test_commands_run_under_perfbench_tracer(tmp_path, capsys, argv):
     import tsm.cli
 
     out = tmp_path / "out.csv"
-    with load_layers().Tracer(time.perf_counter) as tracer:
+    with load_perfbench("layers").Tracer(time.perf_counter) as tracer:
         assert tsm.cli.main([*argv, "--out", str(out)]) == 0
     metrics = tracer.metrics(1.0)
     if argv[0] == "verify":
@@ -80,3 +88,16 @@ def test_commands_run_under_perfbench_tracer(tmp_path, capsys, argv):
     else:
         assert metrics["cli.write_csv.bytes"] == os.path.getsize(out)
         assert metrics["cli.write_csv.s"] > 0
+
+
+@pytest.mark.parametrize("workload, seed", [
+    *(("fig4-sweep", seed) for seed in workloads.INPUT_SEEDS),
+    ("scenario-eq", workloads.INPUT_SEEDS[0]),
+])
+def test_benchmark_outputs_match_references(tmp_path, capsys, workload, seed):
+    # The benchmark's output checks, run on its own argv at full size.
+    import tsm.cli
+
+    out = tmp_path / "out.csv"
+    assert tsm.cli.main(workloads.WORKLOADS[workload].argv(seed, str(out))) == 0
+    assert workloads.check_csv(out, workloads.load_reference(workload, seed)) == []
