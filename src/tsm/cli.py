@@ -116,8 +116,8 @@ def _block(rows) -> list[list[str]]:
 
 
 def write_csv(path: str, header: tuple[str, ...], blocks) -> None:
-    """Write the header, then each block as it comes; `blocks` may be a
-    generator. A block is a list of equal-length columns of formatted cells."""
+    """Write the header, then each block as it comes; `blocks` may be a generator.
+    A block is a list of equal-length columns of cells, each one or more fields."""
     if not isinstance(path, str):   # open() takes an integer as a file descriptor
         raise ConfigError(f"out must be a file path, got {path!r}")
     try:
@@ -231,14 +231,18 @@ def cmd_equilibrium(s: dict) -> int:
 
 
 def _cells(col, rows: slice, ok, fill: str) -> list[str]:
-    """`repr` of `col[rows]` where `ok`, and `fill` elsewhere."""
-    if col is None or not ok.any():
-        return [fill] * len(ok)
-    feasible = map(repr, col[rows][ok].tolist())
-    return [next(feasible) if f else fill for f in ok.tolist()]
+    """`repr` of `col[rows]` where `ok`, and `fill` elsewhere: only the rows
+    at `ok` are formatted, and scattered over a column of `fill`."""
+    cells = np.full(len(ok), fill, dtype=object)
+    if col is not None:
+        cells[ok] = list(map(repr, col[rows][ok].tolist()))
+    return cells.tolist()
 
 
 def cmd_scenario(s: dict) -> int:
+    """Write each scenario's rows over one sampled table, block by block. Each run of
+    parameter columns is formatted once per block and shared by every scenario whose
+    table holds its arrays; outcome cells are formatted only at feasible rows."""
     spec = _population_spec(s)
     names = sorted(_scenario_list(s))
     mode = s.get("mode", scenarios.MODE_EQUILIBRIUM)
@@ -248,11 +252,19 @@ def cmd_scenario(s: dict) -> int:
     table, price = population.sample_table(spec)
     outcomes = {name: scenarios.scenario_columns(name, table, price, mode)
                 for name in names}
+    memo = {}   # (block start, ids of arrays `outcomes` keeps alive) -> "\n"-joined rows
+
+    def joined(lo, rows, run):
+        key = (lo, *map(id, run))
+        if key not in memo:
+            cells = zip(*(map(repr, col[rows].tolist()) for col in run))
+            memo[key] = "\n".join(map(",".join, cells))
+        return memo[key].split("\n")
 
     def blocks():
         for name, out in outcomes.items():
             t = out.params
-            params = (t.alpha, t.beta, t.gamma, t.psi, t.phi, t.k1, t.f_c)
+            runs = ((t.alpha, t.beta, t.gamma, t.psi), (t.phi,), (t.k1, t.f_c))
             values = (out.price, out.share, out.demand, out.supply,
                       out.provider_payoff, out.cloud_payoff)
             fills = tuple(map(_format_value, scenarios.INFEASIBLE_FILL[name]))
@@ -260,7 +272,7 @@ def cmd_scenario(s: dict) -> int:
                 rows = slice(lo, lo + CSV_BLOCK_ROWS)
                 ok = out.feasible[rows]
                 yield ([list(map(str, range(lo, lo + len(ok)))), [name] * len(ok)]
-                       + [list(map(repr, col[rows].tolist())) for col in params]
+                       + [joined(lo, rows, run) for run in runs]
                        + [_cells(col, rows, ok, fill) for col, fill in zip(values, fills)]
                        + [["true" if f else "false" for f in ok.tolist()]])
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, CSV schemas, determinism."""
 
+import builtins
 import dataclasses
 import os
 import subprocess
@@ -193,6 +194,59 @@ class TestScenarioCommand:
             if row["feasible"] == "false":
                 assert [row[k] for k in columns] == ["", "0.5", "", "", "0.0", "0.0",
                                                      "false"]
+
+    @pytest.mark.parametrize("mode", ["equilibrium", "declared-price"])
+    def test_scenarios_share_parameter_cells(self, tmp_path, monkeypatch, mode):
+        # The parameter cells of a block are formatted once for every scenario
+        # whose table holds the same arrays; fifty_fifty's phi column is its own.
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("psi: null\n", encoding="utf-8")   # psi drawn per row
+        argv = ["scenario", "--config", str(cfg), "--seed", "0", "--n-providers", "10",
+                "--mode", mode]
+        both = tmp_path / "all.csv"
+        assert cli.main([*argv, "--out", str(both)]) == 0
+        lines = both.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        _, rows = read_csv(both)
+        table, _ = population.sample_table(
+            population.PopulationSpec(n_providers=10, seed=0, psi=None))
+        assert len(set(table.psi.tolist())) == 10
+        for name in scenarios.SCENARIOS:
+            single = tmp_path / f"{name}.csv"
+            assert cli.main([*argv, "--scenario", name, "--out", str(single)]) == 0
+            body = single.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+            assert [line for line in lines if line.split(",")[1] == name] == body
+            mine = [r for r in rows if r["scenario"] == name]
+            phi = table.phi.tolist() if name != scenarios.FIFTY_FIFTY else [1.0] * 10
+            assert [r["phi"] for r in mine] == list(map(repr, phi))
+            assert [r["psi"] for r in mine] == list(map(repr, table.psi.tolist()))
+
+    def test_each_parameter_cell_is_formatted_once(self, tmp_path, monkeypatch):
+        # Seven sampled columns once for all three scenarios plus fifty_fifty's
+        # phi, outcome cells only at feasible rows, and each float fill and
+        # summary mean once.
+        calls = []
+
+        def counting_repr(value):
+            calls.append(value)
+            return builtins.repr(value)
+
+        monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+        n = 10
+        assert cli.main(["scenario", "--seed", "0", "--n-providers", str(n),
+                         "--out", str(tmp_path / "sc.csv")]) == 0
+        table, price = population.sample_table(population.PopulationSpec(n_providers=n,
+                                                                          seed=0))
+        expected = 8 * n
+        for name in scenarios.SCENARIOS:
+            out = scenarios.scenario_columns(name, table, price, "equilibrium")
+            values = (out.price, out.share, out.demand, out.supply,
+                      out.provider_payoff, out.cloud_payoff)
+            expected += int(out.feasible.sum()) * sum(v is not None for v in values)
+            expected += sum(isinstance(v, float) for v in scenarios.INFEASIBLE_FILL[name])
+            expected += sum(isinstance(out.feasible_mean(c), float)
+                            for c in ("cloud_payoff", "provider_payoff"))
+        assert len(calls) == expected
 
     def test_unknown_scenario_exit_1(self, tmp_path):
         assert cli.main(["scenario", "--scenario", "barter",

@@ -91,8 +91,8 @@ def test_commands_run_under_perfbench_tracer(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("workload, seed", [
-    *(("fig4-sweep", seed) for seed in workloads.INPUT_SEEDS),
-    ("scenario-eq", workloads.INPUT_SEEDS[0]),
+    (workload, seed) for workload in ("fig4-sweep", "scenario-eq")
+    for seed in workloads.INPUT_SEEDS
 ])
 def test_benchmark_outputs_match_references(tmp_path, capsys, workload, seed):
     # The benchmark's output checks, run on its own argv at full size.
