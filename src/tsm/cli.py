@@ -6,12 +6,13 @@ produces sensitivity series (with figure presets), and `verify` runs the
 numerical verification suite (brute-force oracle agreement, derivative
 checks, curve consistency) over random draws.
 
-Configuration comes from an optional YAML file of flat keys plus flags.
-`main` merges them once into one settings dict (`_settings`), in which
-every flag given wins over its config key (`--scenario` over `scenarios`),
-and each command reads only that dict. Unknown config keys are a hard
-error. All outputs are UTF-8 CSV with LF line endings and full-precision
-(round-trip) floats.
+Configuration comes from an optional YAML file of flat keys plus flags,
+each stated once in `SETTINGS` (kind, flag, error prefix). `main` merges
+them once into one settings dict (`_settings`), in which every flag given
+wins over its config key (`--scenario` over `scenarios`), and each command
+reads only that dict. A key of another command is checked for its kind and
+otherwise ignored; unknown keys are a hard error. All outputs are UTF-8 CSV
+with LF line endings and full-precision (round-trip) floats.
 
 Exit codes: 0 success, 1 invalid input, 2 infeasible game, 3 verification
 failure. Every input error is raised as `ConfigError` (or `DomainError`
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,19 +54,6 @@ CSV_BLOCK_ROWS = 2048
 class ConfigError(ValueError):
     """Bad configuration file or flag combination."""
 
-
-PARAM_KEYS = ("alpha", "beta", "gamma", "psi", "phi", "k1", "k2", "f_c", "f_s", "p_s")
-POPULATION_KEYS = (
-    "n_providers", "price_mean", "price_sd", "price_min", "price_max",
-    "alpha_mean", "alpha_sd", "alpha_min", "alpha_max", "gamma_min", "gamma_max",
-    "psi_min", "psi_max", "k1_min", "k1_max", "f_c_factor",
-)
-SWEEP_KEYS = ("axis", "grid", "phi_levels")
-VERIFY_KEYS = ("draws", "grid_n", "pairs")
-COMMON_KEYS = ("seed", "out", "mode", "scenarios", "preset")
-ALLOWED_CONFIG_KEYS = frozenset(
-    PARAM_KEYS + POPULATION_KEYS + SWEEP_KEYS + VERIFY_KEYS + COMMON_KEYS
-)
 
 EQUILIBRIUM_COLUMNS = (
     "alpha", "beta", "gamma", "psi", "phi", "k1", "k2", "f_c", "f_s", "p_s",
@@ -100,6 +89,45 @@ PRESETS = {
 }
 
 
+class Setting(NamedTuple):
+    """One config key: what its values must be, which commands take it as a
+    flag and how that flag is spelled, and what its error line starts with."""
+
+    kind: str       # int (>= arg), float (finite), path, choice (of arg), names or numbers
+    commands: tuple[str, ...] = ()
+    flag: str | None = None
+    prefix: str = ""
+    arg: object = None
+
+
+EQ, SC, SW, VF = "equilibrium", "scenario", "sweep", "verify"
+PARAMS, POPULATION = "invalid parameters: ", "invalid population settings: "
+SWEEP = "invalid sweep: "
+PARAM_KEYS = tuple(f.name for f in fields(MarketParams))
+_PARAM_FLAGS = {"phi": (EQ, SC), "psi": (EQ, SC, SW)}
+
+# Every config key, in the order of the flags' help; --scenario fills `scenarios`.
+SETTINGS = {
+    "seed": Setting("int", (SC, SW, VF), "--seed", arg=0),
+    "out": Setting("path", (EQ, SC, SW), "--out"),
+    "scenarios": Setting("names", (SC, SW), "--scenario"),
+    "mode": Setting("choice", (SC, SW), "--mode", arg=MODES),
+    "n_providers": Setting("int", (SC, SW), "--n-providers", POPULATION, 1),
+    "preset": Setting("choice", (SW,), "--preset", arg=sorted(PRESETS)),
+    "axis": Setting("choice", (SW,), "--axis", SWEEP, AXES),
+    "grid": Setting("numbers", prefix=SWEEP),
+    "phi_levels": Setting("numbers", prefix=SWEEP),
+    "draws": Setting("int", (VF,), "--draws", arg=1),
+    "grid_n": Setting("int", (VF,), "--grid-n", arg=equilibrium.ORACLE_MIN_GRID_N),
+    "pairs": Setting("int", (VF,), "--pairs", arg=1),
+    **{k: Setting("float", _PARAM_FLAGS.get(k, (EQ,)), f"--{k}", PARAMS) for k in PARAM_KEYS},
+    # PopulationSpec's bands; alpha_beta_cap and max_attempts keep their defaults.
+    **{f.name: Setting("float", prefix=POPULATION) for f in fields(PopulationSpec)
+       if isinstance(f.default, float) and f.name not in (*PARAM_KEYS, "alpha_beta_cap")},
+}
+ALLOWED_CONFIG_KEYS = frozenset(SETTINGS)
+
+
 def _format_value(value) -> str:
     if value is None:
         return ""
@@ -118,8 +146,6 @@ def _block(rows) -> list[list[str]]:
 def write_csv(path: str, header: tuple[str, ...], blocks) -> None:
     """Write the header, then each block as it comes; `blocks` may be a generator.
     A block is a list of equal-length columns of cells, each one or more fields."""
-    if not isinstance(path, str):   # open() takes an integer as a file descriptor
-        raise ConfigError(f"out must be a file path, got {path!r}")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
@@ -152,39 +178,61 @@ def load_config(path: str | None) -> dict:
     return data
 
 
-def _settings(args, config: dict) -> dict:
-    """The run's settings: the config's keys, then every flag given over them.
+# kind -> (what a value must be, its test), for the kinds that population does not check
+_KINDS = {
+    "path": ("a file path", lambda v: isinstance(v, str)),
+    "names": ("a list of names", lambda v: isinstance(v, (list, tuple))),
+    "numbers": ("a list of finite numbers",
+                lambda v: isinstance(v, (list, tuple)) and all(map(population.finite_number, v))),
+}
 
-    A null config value counts as absent, except `psi: null`, which selects
-    uniform psi sampling. `--scenario` fills `scenarios`."""
+
+def _checked(key: str, value):
+    """`value` as setting `key` holds it, lists as tuples and scenario names kept at
+    their first mention; ValueError `<key> must be <kind>, got <value>` if it is not."""
+    kind, arg = SETTINGS[key].kind, SETTINGS[key].arg
+    if kind == "names" and isinstance(value, str):   # --scenario a,b
+        value = [n.strip() for n in value.split(",") if n.strip()]
+    if kind == "int":
+        population.check_integer(key, value, arg)
+    elif kind == "float":
+        population.check_number(key, value)   # hints at YAML 1.1 exponent text
+    elif kind == "choice" and value not in arg:
+        raise ValueError(f"unknown {key} {value!r}")
+    elif kind in _KINDS and not _KINDS[kind][1](value):
+        raise ValueError(f"{key} must be {_KINDS[kind][0]}, got {value!r}")
+    elif kind == "names":
+        for name in value:
+            if name not in SCENARIOS:
+                raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
+        if not value:
+            raise ValueError("scenario list must be non-empty")
+        return tuple(dict.fromkeys(value))
+    return tuple(value) if kind == "numbers" else value
+
+
+def _settings(args, config: dict) -> dict:
+    """The run's settings: the config's keys, then every flag given over them, each
+    checked against its kind. A null config value counts as absent, except
+    `psi: null`, which selects uniform psi sampling."""
     s = {k: v for k, v in config.items() if v is not None or k == "psi"}
-    for dest, value in vars(args).items():
-        if value is not None and dest not in ("command", "config"):
-            s["scenarios" if dest == "scenario" else dest] = value
+    for key, setting in SETTINGS.items():   # argparse's dest is the flag with _ for -
+        value = getattr(args, setting.flag[2:].replace("-", "_"), None) if setting.flag else None
+        if value is not None:
+            s[key] = value
+    for key, value in s.items():
+        try:
+            s[key] = value if value is None else _checked(key, value)
+        except ValueError as exc:
+            raise ConfigError(f"{SETTINGS[key].prefix}{exc}")
     return s
 
 
 def _population_spec(s: dict) -> PopulationSpec:
-    keys = POPULATION_KEYS + ("seed", "phi", "psi", "k2", "f_s", "p_s")
     try:
-        return PopulationSpec(**{k: s[k] for k in keys if k in s})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid population settings: {exc}")
-
-
-def _scenario_list(s: dict) -> tuple[str, ...]:
-    raw = s.get("scenarios", SCENARIOS)
-    if isinstance(raw, str):
-        raw = [n.strip() for n in raw.split(",") if n.strip()]
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"scenarios must be a list of names, got {raw!r}")
-    names = tuple(raw)
-    for name in names:
-        if name not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-    if not names:
-        raise ConfigError("scenario list must be non-empty")
-    return names
+        return PopulationSpec(**{f.name: s[f.name] for f in fields(PopulationSpec) if f.name in s})
+    except ValueError as exc:
+        raise ConfigError(f"{POPULATION}{exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,28 +241,17 @@ def _scenario_list(s: dict) -> tuple[str, ...]:
 
 
 def cmd_equilibrium(s: dict) -> int:
-    values = {}
-    for key in PARAM_KEYS:
-        if s.get(key) is not None:
-            try:
-                population.check_number(key, s[key])
-            except ValueError as exc:
-                raise DomainError(str(exc))
-            values[key] = float(s[key])
+    values = {k: float(s[k]) for k in PARAM_KEYS if s.get(k) is not None}
     values.setdefault("psi", 0.1)
-    missing = [k for k in ("alpha", "beta", "gamma", "phi", "k1", "f_c")
-               if k not in values]
+    missing = [f.name for f in fields(MarketParams)
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
     params = MarketParams(**values)
 
     result = equilibrium.stackelberg_solve(params)
-    row = [getattr(params, k) for k in PARAM_KEYS]
-    row += [result.feasible, result.feasibility.f1_price_positive,
-            result.feasibility.f2_price_max, result.feasibility.f3_share_max,
-            result.share_roots_found, result.price_star, result.share_star,
-            result.demand, result.supply, result.provider_payoff,
-            result.cloud_payoff, result.residual]
+    cells = {**vars(params), **vars(result.feasibility), **vars(result)}
+    row = [cells[k] for k in EQUILIBRIUM_COLUMNS]
 
     out = s.get("out", "equilibrium.csv")
     write_csv(out, EQUILIBRIUM_COLUMNS, [_block([row])])
@@ -244,10 +281,8 @@ def cmd_scenario(s: dict) -> int:
     parameter columns is formatted once per block and shared by every scenario whose
     table holds its arrays; outcome cells are formatted only at feasible rows."""
     spec = _population_spec(s)
-    names = sorted(_scenario_list(s))
+    names = sorted(s.get("scenarios", SCENARIOS))
     mode = s.get("mode", scenarios.MODE_EQUILIBRIUM)
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
 
     table, price = population.sample_table(spec)
     outcomes = {name: scenarios.scenario_columns(name, table, price, mode)
@@ -296,43 +331,36 @@ def cmd_scenario(s: dict) -> int:
 
 def cmd_sweep(s: dict) -> int:
     preset_name = s.get("preset")
-    scenario_names = _scenario_list(s)
+    scenario_names = s.get("scenarios", SCENARIOS)
     axis = s.get("axis")
     plot_column = None
     if preset_name is not None:
-        if not isinstance(preset_name, str) or preset_name not in PRESETS:
-            raise ConfigError(f"unknown preset {preset_name!r}")
-        axis, preset_scenarios, plot_column = PRESETS[preset_name]
+        preset_axis, preset_scenarios, plot_column = PRESETS[preset_name]
+        if axis not in (None, preset_axis):
+            raise ConfigError(f"axis must be {preset_axis!r} for preset {preset_name}, "
+                              f"got {axis!r}")
+        axis = preset_axis
         if "scenarios" not in s:
             scenario_names = preset_scenarios
     if axis is None:
         raise ConfigError(f"sweep needs --axis or --preset (axes: {', '.join(AXES)})")
 
     pop_spec = _population_spec(s)
-    grid = s.get("grid")
-    phi_levels = s.get("phi_levels")
-    mode = s.get("mode", scenarios.MODE_DECLARED_PRICE)
     try:
         spec = SweepSpec(
             axis=axis,
-            grid=tuple(grid) if grid else (),
-            phi_levels=tuple(phi_levels) if phi_levels else population.DEFAULT_PHI_LEVELS,
-            scenarios=tuple(scenario_names),
+            grid=s.get("grid", ()),
+            phi_levels=s.get("phi_levels") or population.DEFAULT_PHI_LEVELS,
+            scenarios=scenario_names,
             population=pop_spec,
-            mode=mode,
+            mode=s.get("mode", scenarios.MODE_DECLARED_PRICE),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep: {exc}")
+    except ValueError as exc:
+        raise ConfigError(f"{SWEEP}{exc}")
 
     series = population.run_sweep(spec)
-    rows = [
-        (s.axis, s.axis_value, s.scenario, s.phi_level, s.mean_cloud_payoff,
-         s.mean_provider_payoff, s.mean_demand, s.mean_supply, s.mean_share,
-         s.feasible_count)
-        for s in series
-    ]
-    default_out = f"{preset_name}.csv" if preset_name else "sweep.csv"
-    out = s.get("out", default_out)
+    rows = [[getattr(cell, column) for column in SWEEP_COLUMNS] for cell in series]
+    out = s.get("out", f"{preset_name or 'sweep'}.csv")
     write_csv(out, SWEEP_COLUMNS, [_block(rows)])
 
     meta = (f"# command=sweep axis={spec.axis} seed={pop_spec.seed} mode={spec.mode} "
@@ -489,27 +517,26 @@ def verify_properties(seed: int, draws: int, grid_n: int,
 
 
 def cmd_verify(s: dict) -> int:
-    settings = {}
-    for name, default, low in (("draws", 200, 1), ("grid_n", 2000, equilibrium.ORACLE_MIN_GRID_N),
-                               ("pairs", 2000, 1), ("seed", 1729, 0)):
-        settings[name] = s.get(name, default)
-        try:
-            population.check_integer(name, settings[name], low)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    draws, grid_n, pairs, seed = settings.values()
+    draws, grid_n, pairs, seed = (s.get("draws", 200), s.get("grid_n", 2000),
+                                  s.get("pairs", 2000), s.get("seed", 1729))
     print(f"# command=verify seed={seed} draws={draws} grid_n={grid_n} pairs={pairs}")
     results = verify_properties(seed, draws, grid_n, pairs)
-    all_ok = True
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
-        all_ok &= res.passed
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+
+COMMANDS = {
+    EQ: (cmd_equilibrium, "solve one parameterized game"),
+    SC: (cmd_scenario, "run business models over a population"),
+    SW: (cmd_sweep, "run a sensitivity sweep"),
+    VF: (cmd_verify, "run the numerical verification suite"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,55 +545,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-sided cloud data-market simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="YAML config file (flags override it)")
-        p.add_argument("--seed", type=int, help="population / draw seed")
-        p.add_argument("--out", help="output CSV path")
-
-    p_eq = sub.add_parser("equilibrium", help="solve one parameterized game")
-    common(p_eq)
-    for key in PARAM_KEYS:
-        p_eq.add_argument(f"--{key}", type=float, dest=key)
-
-    p_sc = sub.add_parser("scenario", help="run business models over a population")
-    common(p_sc)
-    p_sc.add_argument("--scenario", help="comma-separated scenario list")
-    p_sc.add_argument("--mode", choices=MODES)
-    p_sc.add_argument("--n-providers", type=int, dest="n_providers")
-    p_sc.add_argument("--phi", type=float, dest="phi")
-    p_sc.add_argument("--psi", type=float, dest="psi")
-
-    p_sw = sub.add_parser("sweep", help="run a sensitivity sweep")
-    common(p_sw)
-    p_sw.add_argument("--axis", choices=AXES)
-    p_sw.add_argument("--preset", choices=sorted(PRESETS))
-    p_sw.add_argument("--scenario", help="comma-separated scenario list")
-    p_sw.add_argument("--mode", choices=MODES)
-    p_sw.add_argument("--n-providers", type=int, dest="n_providers")
-    p_sw.add_argument("--psi", type=float, dest="psi")
-
-    p_vf = sub.add_parser("verify", help="run the numerical verification suite")
-    common(p_vf)
-    p_vf.add_argument("--draws", type=int)
-    p_vf.add_argument("--grid-n", type=int, dest="grid_n")
-    p_vf.add_argument("--pairs", type=int)
-
+        for setting in SETTINGS.values():
+            if command in setting.commands:
+                p.add_argument(setting.flag, type={"int": int, "float": float}.get(setting.kind),
+                               choices=setting.arg if setting.kind == "choice" else None)
     return parser
-
-
-COMMANDS = {
-    "equilibrium": cmd_equilibrium,
-    "scenario": cmd_scenario,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](_settings(args, load_config(args.config)))
+        return COMMANDS[args.command][0](_settings(args, load_config(args.config)))
     except (ConfigError, population.SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -64,9 +64,14 @@ def check_integer(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def finite_number(value) -> bool:
+    """Whether `value` is a finite real number (not a bool)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def check_number(name: str, value) -> None:
     """Raise ValueError unless `value` is a finite real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    if not finite_number(value):
         # YAML 1.1 reads an exponent float as text unless it has a dot and a signed exponent.
         m = isinstance(value, str) and re.fullmatch(r"([-+]?\d+)(\.\d*)?[eE]([-+]?)(\d+)", value)
         hint = (f" (YAML 1.1 reads {value} as text; write "

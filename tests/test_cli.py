@@ -332,6 +332,24 @@ class TestSweepCommand:
                          "--n-providers", "2", "--out", str(out)]) == code
         assert out.exists() == (code == 0)
 
+    def test_repeated_scenario_runs_once(self, tmp_path, capsys):
+        # A repeated name is kept at its first mention, as `scenario` does.
+        printed = []
+        for names, out in (("two_sided,two_sided", "a.csv"), ("two_sided", "b.csv")):
+            assert cli.main(["sweep", "--axis", "k1", "--scenario", names, "--n-providers", "2",
+                             "--out", str(tmp_path / out)]) == 0
+            printed.append(capsys.readouterr().out.replace(str(tmp_path / out), "OUT"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert printed[0] == printed[1] and "scenarios=two_sided " in printed[0]
+
+    def test_preset_takes_its_own_axis(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("axis: phi\n", encoding="utf-8")
+        for command in (["--config", str(cfg)], ["--axis", "phi"]):
+            assert cli.main(["sweep", "--preset", "fig9", *command, "--n-providers", "2",
+                             "--out", str(tmp_path / "fig9.csv")]) == 0
+            assert "axis=phi " in capsys.readouterr().out
+
     def test_thread_count_does_not_change_output(self, tmp_path, subprocess_env):
         # TSM_THREADS only caps workers; bytes must match exactly
         outputs = []
@@ -480,9 +498,9 @@ class TestConfigLoading:
     def test_bad_integer_setting_exit_1(self, tmp_path, subprocess_env, command, setting):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(setting + "\n", encoding="utf-8")
+        out = [] if command.startswith("verify") else ["--out", str(tmp_path / "x.csv")]
         proc = subprocess.run(
-            [sys.executable, "-m", "tsm.cli", *command.split(), "--config", str(cfg),
-             "--out", str(tmp_path / "x.csv")],
+            [sys.executable, "-m", "tsm.cli", *command.split(), "--config", str(cfg), *out],
             env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
             timeout=120)
         assert proc.returncode == 1, proc.stderr
@@ -507,9 +525,17 @@ class TestConfigLoading:
         ("sweep --axis k1 --n-providers 2", "scenarios: 5",
          "scenarios must be a list of names, got 5"),
         ("sweep --axis k1 --n-providers 2", "grid: 5",
-         "invalid sweep: 'int' object is not iterable"),
+         "invalid sweep: grid must be a list of finite numbers, got 5"),
         ("sweep --axis k1 --n-providers 2", "phi_levels: 5",
-         "invalid sweep: 'int' object is not iterable"),
+         "invalid sweep: phi_levels must be a list of finite numbers, got 5"),
+        # YAML's true would run as a phi level of 1.0
+        ("sweep --axis k1 --n-providers 2", "phi_levels: [true]",
+         "invalid sweep: phi_levels must be a list of finite numbers, got [True]"),
+        # a preset fixes its axis
+        ("sweep --preset fig8 --axis k1 --n-providers 2", "",
+         "axis must be 'alpha_beta_product' for preset fig8, got 'k1'"),
+        ("sweep --preset fig4 --n-providers 2", "axis: k1",
+         "axis must be 'alpha_beta_product' for preset fig4, got 'k1'"),
         ("sweep --n-providers 2", "preset: [a]", "unknown preset ['a']"),
         ("scenario --n-providers 2", "scenarios: 5",
          "scenarios must be a list of names, got 5"),
@@ -536,6 +562,24 @@ class TestConfigLoading:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {line}\n"
+
+    @pytest.mark.parametrize("key", sorted(cli.SETTINGS))
+    def test_wrong_kind_error_line(self, tmp_path, capsys, monkeypatch, key):
+        # A config value of the wrong kind, checked in process for every setting
+        # on a command that reads it, stops the run with one `error:` line.
+        monkeypatch.chdir(tmp_path)   # where a default output path would land
+        setting = cli.SETTINGS[key]
+        wrong = {"int": "2.5", "float": "abc", "path": "5", "choice": "[a]", "names": "5",
+                 "numbers": "[true]"}[setting.kind]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{key}: {wrong}\n", encoding="utf-8")
+        command = setting.commands[0] if setting.commands else "sweep"
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and key in line, line
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_flags_beat_every_config_key(self, tmp_path, capsys):
         # --scenario fills `scenarios`, so it beats the config's list as

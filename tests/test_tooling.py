@@ -53,17 +53,23 @@ def test_cli_import_does_not_load_yaml(subprocess_env):
 
 def test_every_flag_names_a_config_key():
     # The CLI merges flags over the config by name, so each flag's dest must
-    # be a config key; `--scenario` fills `scenarios`.
+    # be a config key; `--scenario` fills `scenarios`. Each command takes
+    # exactly the flags that the settings table gives it, plus --config.
     from tsm import cli
 
     [subparsers] = [a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(cli.COMMANDS)
     for command, parser in subparsers.choices.items():
+        flags = {"--config"}
         for action in parser._actions:
             if isinstance(action, argparse._HelpAction) or action.dest == "config":
                 continue
             key = "scenarios" if action.dest == "scenario" else action.dest
             assert key in cli.ALLOWED_CONFIG_KEYS, (command, action.dest)
+            flags.update(action.option_strings)
+        assert flags == {"--config"} | {
+            s.flag for s in cli.SETTINGS.values() if command in s.commands}, command
 
 
 @pytest.mark.parametrize("argv", [
@@ -80,8 +86,9 @@ def test_commands_run_under_perfbench_tracer(tmp_path, capsys, argv):
     import tsm.cli
 
     out = tmp_path / "out.csv"
+    flags = [] if argv[0] == "verify" else ["--out", str(out)]   # verify writes no CSV
     with load_perfbench("layers").Tracer(time.perf_counter) as tracer:
-        assert tsm.cli.main([*argv, "--out", str(out)]) == 0
+        assert tsm.cli.main([*argv, *flags]) == 0
     metrics = tracer.metrics(1.0)
     if argv[0] == "verify":
         assert metrics["cli.draw_reported_equilibria.drawn"] > 0
