@@ -184,14 +184,8 @@ def derive_coefficients(params: MarketParams | ParamTable) -> Coefficients:
     a2 = 1.0 - params.alpha * params.beta
     a3 = params.psi - params.gamma * params.beta
     a4 = params.alpha * params.phi
-    return Coefficients(
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        a4=a4,
-        share_exp_a=(a4 - params.phi) / a2 + 1.0,
-        share_exp_b=(a1 + a3) / a2 - 1.0,
-    )
+    return Coefficients(a1=a1, a2=a2, a3=a3, a4=a4, share_exp_a=(a4 - params.phi) / a2 + 1.0,
+                        share_exp_b=(a1 + a3) / a2 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -316,8 +310,7 @@ def provider_payoff(price: float, share: float, params: MarketParams) -> float:
 
 
 def _cloud_payoff_arr(price, share, params, c: Coefficients):
-    log_price = np.log(price)
-    log_share = np.log(share)
+    log_price, log_share = np.log(price), np.log(share)
     revenue = np.exp(log_price + log_share
                      + _log_demand_reduced(log_price, log_share, params, c))
     # exp(log(0) + x) = 0, so f_s = 0 falls out of the same expression.
@@ -325,6 +318,16 @@ def _cloud_payoff_arr(price, share, params, c: Coefficients):
         log_fs = np.log(params.f_s)
     cost = np.exp(log_fs + _log_supply_reduced(log_price, log_share, params, c))
     return revenue - cost
+
+
+def _cloud_share_slice(price, params, c: Coefficients):
+    """The platform payoff at a fixed price as R*s^e1 - K*s^e2 in share s:
+    (log R, e1, log K, e2), elementwise; log K is -inf where f_s = 0."""
+    log_price = np.log(price)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_k = np.log(params.f_s) + _log_supply_reduced(log_price, 0.0, params, c)
+    return (log_price + _log_demand_reduced(log_price, 0.0, params, c), c.a4 / c.a2 + 1.0,
+            log_k, params.phi / c.a2)
 
 
 def cloud_payoff(price: float, share: float, params: MarketParams) -> float:

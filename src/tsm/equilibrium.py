@@ -14,7 +14,9 @@ is reported. The scalar entry points are validated batches of one.
 
 `oracle_equilibrium` is an independent check: it knows nothing about the
 closed forms. It finds each best response by bisecting the forward-mode
-slope of a payoff (exact, in real arithmetic), and the equilibria as fixed
+slope (exact, in real arithmetic) of a payoff slice, the payoff with the other
+player's move fixed and its fixed terms computed once (R*s^e1 - K*s^e2 in
+share, the log payoff above break-even in price), and the equilibria as fixed
 points of the two best-response maps. Closed-form results are validated
 against it in the test suite and in `tsm verify`.
 """
@@ -34,6 +36,7 @@ from .core import (
     MarketParams,
     ParamTable,
     _cloud_payoff_arr,
+    _cloud_share_slice,
     _log_demand_reduced,
     _provider_payoff_arr,
     check_feasibility,
@@ -382,32 +385,32 @@ def _bisect_peak(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _price_log_payoff(u, log_breakeven, log_chi, t: ParamTable, c: Coefficients):
-    """The provider payoff's log at P = breakeven * (1 + e^u), less log f_c."""
-    return u + _log_demand_reduced(log_breakeven + np.log1p(np.exp(u)), log_chi, t, c)
+def _price_slice(chi, t: ParamTable, c: Coefficients):
+    """(breakeven, f) at share chi. The provider payoff is zero at breakeven = f_c/(1-chi)
+    and single-peaked above; f(u) = u + D0 + k*log1p(e^u) is its log less log f_c at
+    breakeven*(1 + e^u), with D0 the log demand at breakeven and k its slope in log price."""
+    breakeven = t.f_c / (1.0 - chi)
+    demand = _log_demand_reduced(_Slope(np.log(breakeven), 1.0), np.log(chi), t, c)
+    return breakeven, lambda u: u + demand.v + demand.d * np.log1p(np.exp(u))
 
 
 def _oracle_price(chi, t: ParamTable, c: Coefficients):
-    """The provider's payoff-maximizing price at share chi.
+    """The provider's payoff-maximizing price at share chi, by `_price_slice`."""
+    breakeven, log_payoff = _price_slice(chi, t, c)
+    return breakeven * (1.0 + np.exp(_bisect_peak(log_payoff, math.log(1e-9), math.log(1e8))))
 
-    The payoff is zero at the break-even price f_c/(1-chi) and single-peaked
-    above it, so the search runs over P = breakeven * (1 + e^u) for u in
-    [log 1e-9, log 1e8] on the payoff's log, log f_c + u + log demand.
-    """
-    breakeven = t.f_c / (1.0 - chi)
-    args = np.log(breakeven), np.log(chi), t, c
-    u = _bisect_peak(lambda u: _price_log_payoff(u, *args), math.log(1e-9), math.log(1e8))
-    return breakeven * (1.0 + np.exp(u))
+
+def _share_slice(price, t: ParamTable, c: Coefficients):
+    """The platform payoff at `price` as a function of share s, R*s^e1 - K*s^e2."""
+    log_r, e1, log_k, e2 = _cloud_share_slice(price, t, c)
+    return lambda s: np.exp(log_r + e1 * np.log(s)) - np.exp(log_k + e2 * np.log(s))
 
 
 def _oracle_share(price, t: ParamTable, c: Coefficients, lo: float, hi: float):
     """The platform's payoff-maximizing share in [lo, hi] at `price`. The payoff
     in share is single-peaked, monotone, or dips to one interior minimum, so a
     24-point scan brackets the maximum before the slope is bisected."""
-    def payoff(s):
-        return _cloud_payoff_arr(price, s, t, c)
-
-    scan = np.linspace(lo, hi, SHARE_SCAN)
+    payoff, scan = _share_slice(price, t, c), np.linspace(lo, hi, SHARE_SCAN)
     best, top = 0, payoff(scan[0])
     for j in range(1, SHARE_SCAN):
         pay = payoff(scan[j])

@@ -30,6 +30,7 @@ from .core import (
     MarketParams,
     ParamTable,
     _cloud_payoff_arr,
+    _cloud_share_slice,
     _log_demand_primitive,
     _log_demand_reduced,
     _log_supply_reduced,
@@ -155,22 +156,15 @@ class Outcome:
 # ---------------------------------------------------------------------------
 
 def _declared_share(price, t: ParamTable, c: Coefficients) -> np.ndarray:
-    """Per row, the share maximizing the platform payoff at a fixed price.
-
-    At a fixed price the payoff is R*s^e1 - K*s^e2 with e1 = a4/a2 + 1 and
-    e2 = phi/a2. Under f3 (e2 > e1) its only stationary point is the maximum
-    s* = (e1*R / (e2*K))^(1/(e2-e1)); otherwise the payoff is monotone or
-    dips to an interior minimum. The best of s*, clipped to the share
-    domain, and the two endpoints is returned.
-    """
-    log_price = np.log(price)
-    e1 = c.a4 / c.a2 + 1.0
-    e2 = t.phi / c.a2
-    log_r = log_price + _log_demand_reduced(log_price, 0.0, t, c)
+    """Per row, the share maximizing the platform payoff at a fixed price,
+    R*s^e1 - K*s^e2 (`_cloud_share_slice`). Under f3 (e2 > e1) its only
+    stationary point is the maximum s* = (e1*R / (e2*K))^(1/(e2-e1));
+    otherwise the payoff is monotone or dips to an interior minimum. The best
+    of s*, clipped to the share domain, and the two endpoints is returned."""
+    log_r, e1, log_k, e2 = _cloud_share_slice(price, t, c)
     # Rows without f3 (and f_s = 0, where K = 0) give inf or nan here; the
     # former are discarded below and the latter clip to the upper endpoint.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_k = np.log(t.f_s) + _log_supply_reduced(log_price, 0.0, t, c)
         s_star = np.exp((np.log(e1) + log_r - np.log(e2) - log_k) / (e2 - e1))
     lo, hi = np.full_like(s_star, SHARE_EPS), np.full_like(s_star, 1.0 - SHARE_EPS)
     candidates = np.stack([np.where(e2 > e1, np.clip(s_star, lo, hi), lo), lo, hi])

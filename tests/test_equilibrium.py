@@ -17,6 +17,8 @@ from tsm.core import (
     MarketParams,
     ParamTable,
     _cloud_payoff_arr,
+    _cloud_share_slice,
+    _provider_payoff_arr,
     check_domain,
     check_feasibility,
     cloud_payoff,
@@ -30,7 +32,8 @@ from tsm.equilibrium import (
     SHARE_EPS,
     ShareEquation,
     _best_price_unchecked,
-    _price_log_payoff,
+    _price_slice,
+    _share_slice,
     _Slope,
     build_share_equation,
     first_order_residuals,
@@ -429,22 +432,29 @@ def test_slope_arithmetic_matches_complex_step():
                                rtol=1e-13)
 
 
-@pytest.mark.parametrize("seed", [3, 4, 5])
-def test_slope_matches_complex_step(seed):
-    # The forward-mode slope that the oracle bisects equals the complex step
-    # Im f(x + ih)/h on both of its payoffs: the provider's log payoff in u
-    # and the platform payoff in share. Where h*f' falls below the normal
-    # floats the complex step underflows, and there the slope must be tiny.
+def slice_inputs(seed: int):
+    """slope_games with a share, a price above its break-even price, and a
+    u for the price slice, per row."""
     t = slope_games(seed, 2000)
-    assert np.sum(t.f_s == 0.0) > 100 and np.sum(t.phi == 0.0) > 100
-    assert np.sum(t.alpha * t.beta >= 0.99) > 500
     rng = np.random.default_rng(seed)
-    c = derive_coefficients(t)
     chi = rng.uniform(0.01, 0.99, len(t))
     price = t.f_c / (1.0 - chi) * (1.0 + 10.0 ** rng.uniform(-3.0, 2.0, len(t)))
     u = rng.uniform(math.log(1e-9), math.log(1e8), len(t))
-    args = np.log(t.f_c / (1.0 - chi)), np.log(chi), t, c
-    payoffs = ((lambda x: _price_log_payoff(x, *args), u),
+    return t, derive_coefficients(t), chi, price, u
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_slope_matches_complex_step(seed):
+    # The forward-mode slope that the oracle bisects equals the complex step
+    # Im f(x + ih)/h on the payoffs it searches: the provider's log payoff in
+    # u (the price slice), the platform payoff in share as the oracle
+    # evaluates it (the share slice), and the full platform payoff. Where
+    # h*f' falls below the normal floats the complex step underflows, and
+    # there the slope must be tiny.
+    t, c, chi, price, u = slice_inputs(seed)
+    assert np.sum(t.f_s == 0.0) > 100 and np.sum(t.phi == 0.0) > 100
+    assert np.sum(t.alpha * t.beta >= 0.99) > 500
+    payoffs = ((_price_slice(chi, t, c)[1], u), (_share_slice(price, t, c), chi),
                (lambda s: _cloud_payoff_arr(price, s, t, c), chi))
     tiny = np.finfo(float).tiny
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -459,6 +469,38 @@ def test_slope_matches_complex_step(seed):
             np.testing.assert_allclose(slope.d[normal], step[normal] / COMPLEX_STEP,
                                        rtol=1e-12, atol=0.0)
             assert np.all(np.abs(slope.d[finite & ~normal]) < tiny / COMPLEX_STEP)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_slices_match_full_payoffs(seed):
+    # The oracle's slices are the full payoffs with their fixed terms taken
+    # out: the share slice is R*s^e1 - K*s^e2 at a fixed price, and the price
+    # slice is the provider payoff's log less log f_c at breakeven*(1 + e^u).
+    t, c, chi, price, _ = slice_inputs(seed)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        full = _cloud_payoff_arr(price, chi, t, c)
+        sliced = _share_slice(price, t, c)(chi)
+        _, _, log_k, e2 = _cloud_share_slice(price, t, c)
+    checked = np.isfinite(full) & (full != 0.0)
+    assert checked.sum() > 1500
+    np.testing.assert_allclose(sliced[checked], full[checked], rtol=1e-12, atol=0.0)
+    no_fs = t.f_s == 0.0
+    assert np.all(np.exp(log_k[no_fs] + e2[no_fs] * np.log(chi[no_fs])) == 0.0)
+
+    # The price slice runs at the prices' margins over break-even, 1e-3 and
+    # up: nearer break-even, P*(1 - chi) - f_c in the full payoff cancels to
+    # about 1e-7 relative. Only normal payoffs are compared, since a
+    # subnormal one keeps fewer than 53 bits. 1e-12 absolute on the log is
+    # 1e-12 relative on the payoff.
+    breakeven, log_payoff = _price_slice(chi, t, c)
+    u = np.log(price / breakeven - 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        full = _provider_payoff_arr(breakeven * (1.0 + np.exp(u)), chi, t, c)
+        sliced = log_payoff(u)
+    checked = np.isfinite(full) & (np.abs(full) >= np.finfo(float).tiny)
+    assert checked.sum() > 1500
+    np.testing.assert_allclose(sliced[checked], np.log(full[checked] / t.f_c[checked]),
+                               rtol=0.0, atol=1e-12)
 
 
 # The oracle's probes are 2000 // 384 = 5 steps apart on its default

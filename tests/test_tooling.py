@@ -2,7 +2,7 @@
 under perfbench/, which traces tsm functions by module and name (a rename
 inside tsm would otherwise drop a span from `perfbench/run.py --trace 1`
 without an error), and the CLI, which merges flags over config keys by
-name. The benchmark's CSV workloads also run here against their stored
+name. The benchmark's three workloads also run here against their stored
 references, so a change to their outputs fails tier-1 and not only the
 benchmark."""
 
@@ -108,3 +108,18 @@ def test_benchmark_outputs_match_references(tmp_path, capsys, workload, seed):
     out = tmp_path / "out.csv"
     assert tsm.cli.main(workloads.WORKLOADS[workload].argv(seed, str(out))) == 0
     assert workloads.check_csv(out, workloads.load_reference(workload, seed)) == []
+
+
+@pytest.mark.parametrize("seed", workloads.INPUT_SEEDS)
+def test_verify_output_matches_references(capsys, seed):
+    # The benchmark's `verify` check on its own argv: exit code, verdicts,
+    # draw count and error figures. verify prints no draw count, so it is
+    # read off draw_reported_equilibria's result, through the same tracer.
+    import tsm.cli
+
+    with load_perfbench("layers").Tracer(time.perf_counter) as tracer:
+        code = tsm.cli.main(workloads.WORKLOADS["verify"].argv(seed, ""))
+    assert tracer.calls["draw_reported_equilibria"] == 1
+    drawn = tracer.metrics(1.0)["cli.draw_reported_equilibria.drawn"]
+    assert workloads.check_verify(code, capsys.readouterr().out, drawn,
+                                  workloads.load_reference("verify", seed)) == []
