@@ -297,9 +297,13 @@ def supply_reduced(price: float, share: float, params: MarketParams) -> float:
     return float(np.exp(_log_supply_reduced(np.log(price), np.log(share), params, c)))
 
 
+def _provider_payoff(price, share, demand, f_c):
+    return (price * (1.0 - share) - f_c) * demand
+
+
 def _provider_payoff_arr(price, share, params, c: Coefficients):
-    log_dc = _log_demand_reduced(np.log(price), np.log(share), params, c)
-    return (price * (1.0 - share) - params.f_c) * np.exp(log_dc)
+    demand = np.exp(_log_demand_reduced(np.log(price), np.log(share), params, c))
+    return _provider_payoff(price, share, demand, params.f_c)
 
 
 def provider_payoff(price: float, share: float, params: MarketParams) -> float:
@@ -309,25 +313,28 @@ def provider_payoff(price: float, share: float, params: MarketParams) -> float:
     return float(_provider_payoff_arr(price, share, params, derive_coefficients(params)))
 
 
-def _cloud_payoff_arr(price, share, params, c: Coefficients):
-    log_price, log_share = np.log(price), np.log(share)
-    revenue = np.exp(log_price + log_share
-                     + _log_demand_reduced(log_price, log_share, params, c))
+def _cloud_payoff(log_price, log_share, log_demand, log_supply, f_s):
     # exp(log(0) + x) = 0, so f_s = 0 falls out of the same expression.
     with np.errstate(divide="ignore"):
-        log_fs = np.log(params.f_s)
-    cost = np.exp(log_fs + _log_supply_reduced(log_price, log_share, params, c))
-    return revenue - cost
+        return np.exp(log_price + log_share + log_demand) - np.exp(np.log(f_s) + log_supply)
+
+
+def _cloud_payoff_arr(price, share, params, c: Coefficients):
+    log_price, log_share = np.log(price), np.log(share)
+    return _cloud_payoff(log_price, log_share, _log_demand_reduced(log_price, log_share, params, c),
+                         _log_supply_reduced(log_price, log_share, params, c), params.f_s)
 
 
 def _cloud_share_slice(price, params, c: Coefficients):
-    """The platform payoff at a fixed price as R*s^e1 - K*s^e2 in share s:
-    (log R, e1, log K, e2), elementwise; log K is -inf where f_s = 0."""
+    """The platform payoff at a fixed price as R*s^e1 - K*s^e2 in share s: its terms
+    (log R, e1, log K, e2), log K = -inf where f_s = 0, and the payoff as a function of s."""
     log_price = np.log(price)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_k = np.log(params.f_s) + _log_supply_reduced(log_price, 0.0, params, c)
-    return (log_price + _log_demand_reduced(log_price, 0.0, params, c), c.a4 / c.a2 + 1.0,
-            log_k, params.phi / c.a2)
+    log_r = log_price + _log_demand_reduced(log_price, 0.0, params, c)
+    e1, e2 = c.a4 / c.a2 + 1.0, params.phi / c.a2
+    return (log_r, e1, log_k, e2), lambda s: (np.exp(log_r + e1 * np.log(s))
+                                              - np.exp(log_k + e2 * np.log(s)))
 
 
 def cloud_payoff(price: float, share: float, params: MarketParams) -> float:

@@ -400,17 +400,11 @@ def _oracle_price(chi, t: ParamTable, c: Coefficients):
     return breakeven * (1.0 + np.exp(_bisect_peak(log_payoff, math.log(1e-9), math.log(1e8))))
 
 
-def _share_slice(price, t: ParamTable, c: Coefficients):
-    """The platform payoff at `price` as a function of share s, R*s^e1 - K*s^e2."""
-    log_r, e1, log_k, e2 = _cloud_share_slice(price, t, c)
-    return lambda s: np.exp(log_r + e1 * np.log(s)) - np.exp(log_k + e2 * np.log(s))
-
-
 def _oracle_share(price, t: ParamTable, c: Coefficients, lo: float, hi: float):
     """The platform's payoff-maximizing share in [lo, hi] at `price`. The payoff
     in share is single-peaked, monotone, or dips to one interior minimum, so a
     24-point scan brackets the maximum before the slope is bisected."""
-    payoff, scan = _share_slice(price, t, c), np.linspace(lo, hi, SHARE_SCAN)
+    payoff, scan = _cloud_share_slice(price, t, c)[1], np.linspace(lo, hi, SHARE_SCAN)
     best, top = 0, payoff(scan[0])
     for j in range(1, SHARE_SCAN):
         pay = payoff(scan[j])

@@ -3,19 +3,15 @@
 A population is a group of providers drawn from the simulation setup's
 distributions: truncated-normal list prices and supply externalities,
 uniform demand elasticities and multipliers, fixed platform-side cost
-constants. Sampling uses one Philox substream per provider (spawned from a
-single seed sequence), so a population is fully determined by (seed, spec)
-and unchanged by how much of it is consumed. The substream keys are derived
-all at once and drawn through one reused generator: the stream of each
-(seed, spec) is unchanged from one generator per provider, and 10,000
-providers take about 65 ms instead of 520 ms (2-vCPU x86-64 host).
+constants. Each provider draws from its own Philox substream of one seed
+sequence, so a population is fully determined by (seed, spec); the keys of
+all substreams are derived at once (`_child_keys`).
 
-Sweeps rerun the business-model scenarios while stepping one parameter axis
-(the externality product, the subsidizing factor, the demand elasticity, or
-the demand multiplier) across the population, and aggregate each grid cell
-into per-scenario means over its feasible records. The population is tiled
-over all cells into one parameter table, so each scenario runs once per
-sweep.
+Sweeps step one parameter axis (the externality product, the subsidizing
+factor, the demand elasticity or the demand multiplier) across the
+population. The population is tiled over every (axis value, phi level)
+cell into one parameter table, so each scenario runs once per sweep, and
+every cell's means over its feasible rows come from one grouped reduction.
 """
 
 from __future__ import annotations
@@ -34,8 +30,8 @@ from .scenarios import (
     MODE_DECLARED_PRICE,
     MODES,
     SCENARIOS,
-    Outcome,
     Provider,
+    padded_mean,
     scenario_columns,
 )
 
@@ -333,6 +329,10 @@ class SweepSeries:
     mean_share: float | None
 
 
+# The outcome columns a sweep cell averages, in SweepSeries's field order.
+MEAN_COLUMNS = ("cloud_payoff", "provider_payoff", "demand", "supply", "share")
+
+
 def _sweep_table(base: ParamTable, axis: str,
                  cells: Sequence[tuple[float, float]]) -> ParamTable:
     """`base` tiled once per cell, with the axis and phi columns of each cell.
@@ -353,31 +353,14 @@ def _sweep_table(base: ParamTable, axis: str,
     return dataclasses.replace(tiled, **changes)
 
 
-def _series(spec: SweepSpec, cell: tuple[float, float], scenario: str,
-            out: Outcome, rows: slice) -> SweepSeries:
-    feasible = out.feasible[rows]
-    return SweepSeries(
-        axis=spec.axis,
-        axis_value=cell[0],
-        scenario=scenario,
-        phi_level=cell[1],
-        n_providers=feasible.size,
-        feasible_count=int(feasible.sum()),
-        mean_cloud_payoff=out.feasible_mean("cloud_payoff", rows),
-        mean_provider_payoff=out.feasible_mean("provider_payoff", rows),
-        mean_demand=out.feasible_mean("demand", rows),
-        mean_supply=out.feasible_mean("supply", rows),
-        mean_share=out.feasible_mean("share", rows),
-    )
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepSeries]:
     """Execute a sweep and return its cells in deterministic order.
 
     The population is sampled once and tiled over every (axis value, phi
-    level) cell; each scenario's kernel runs once over all rows, and each
-    cell is the mean over its feasible rows. Results are sorted by
-    (axis_value, scenario, phi_level).
+    level) cell, so each scenario's kernel runs once over all rows. Each
+    outcome column is viewed as (cells, n) and reduced in one pass: feasible
+    counts, then sums with infeasible rows set to 0, over those counts
+    (`padded_mean`). Records are sorted by (axis_value, scenario, phi_level).
     """
     base, declared = sample_table(spec.population)
     n = len(base)
@@ -389,7 +372,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepSeries]:
     series = []
     for scenario in spec.scenarios:
         out = scenario_columns(scenario, table, price, spec.mode)
-        series += [_series(spec, cell, scenario, out, slice(j * n, (j + 1) * n))
-                   for j, cell in enumerate(cells)]
+        feasible = out.feasible.reshape(len(cells), n)
+        k = np.count_nonzero(feasible, axis=1)
+        means = [[None] * len(cells) if (v := getattr(out, column)) is None
+                 else padded_mean(np.where(feasible, v.reshape(feasible.shape), 0.0), k).tolist()
+                 for column in MEAN_COLUMNS]
+        series += [SweepSeries(spec.axis, value, scenario, level, n, count,
+                               *(m if count else None for m in row))
+                   for (value, level), count, *row in zip(cells, k.tolist(), *means)]
     series.sort(key=lambda s: (s.axis_value, s.scenario, s.phi_level))
     return series

@@ -29,12 +29,12 @@ from .core import (
     Coefficients,
     MarketParams,
     ParamTable,
-    _cloud_payoff_arr,
+    _cloud_payoff,
     _cloud_share_slice,
     _log_demand_primitive,
     _log_demand_reduced,
     _log_supply_reduced,
-    _provider_payoff_arr,
+    _provider_payoff,
     check_feasibility,
     derive_coefficients,
 )
@@ -130,14 +130,10 @@ class Outcome:
     provider_payoff: np.ndarray
     cloud_payoff: np.ndarray
 
-    def feasible_mean(self, column: str, rows=slice(None)) -> float | None:
-        """The mean of a column over the feasible rows among `rows`; None
-        where there are none, or the scenario has no such column."""
-        values = getattr(self, column)
-        feasible = self.feasible[rows]
-        if values is None or not feasible.any():
-            return None
-        return float(values[rows][feasible].mean())
+    def feasible_mean(self, column: str) -> float | None:
+        """The column's mean over the feasible rows; None without such rows or column."""
+        values, k = getattr(self, column), int(self.feasible.sum())
+        return None if values is None or not k else float(padded_mean(values[self.feasible], k))
 
     def rows(self, scenario: str):
         """Each row's (price, share, demand, supply, provider_payoff,
@@ -151,25 +147,36 @@ class Outcome:
             yield row if row[-1] else infeasible
 
 
+def padded_mean(values, k):
+    """Along the last axis, sum(values) / k: the mean of k values padded with
+    zeros, NaN where k = 0. Where a sum of finite values overflows, the mean is
+    scale * mean(values / scale) with scale = max|values|, which is finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = np.sum(values, axis=-1) / k
+        if not np.all(np.isfinite(mean) | (k == 0)):
+            scale = np.max(np.abs(values), axis=-1, keepdims=True)
+            mean = np.where(np.isfinite(mean), mean,
+                            np.sum(values / scale, axis=-1) / k * scale[..., 0])
+    return mean
+
+
 # ---------------------------------------------------------------------------
 # Scenario kernels over a ParamTable.
 # ---------------------------------------------------------------------------
 
 def _declared_share(price, t: ParamTable, c: Coefficients) -> np.ndarray:
-    """Per row, the share maximizing the platform payoff at a fixed price,
-    R*s^e1 - K*s^e2 (`_cloud_share_slice`). Under f3 (e2 > e1) its only
-    stationary point is the maximum s* = (e1*R / (e2*K))^(1/(e2-e1));
-    otherwise the payoff is monotone or dips to an interior minimum. The best
-    of s*, clipped to the share domain, and the two endpoints is returned."""
-    log_r, e1, log_k, e2 = _cloud_share_slice(price, t, c)
+    """Per row, the share maximizing the platform payoff R*s^e1 - K*s^e2 at a
+    fixed price (`_cloud_share_slice`). Under f3 (e2 > e1) its only stationary
+    point is the maximum s* = (e1*R / (e2*K))^(1/(e2-e1)); otherwise it is
+    monotone or dips to an interior minimum. Of s*, clipped to the share
+    domain, and the two endpoints, the best on that slice is returned."""
+    (log_r, e1, log_k, e2), payoff = _cloud_share_slice(price, t, c)
     # Rows without f3 (and f_s = 0, where K = 0) give inf or nan here; the
     # former are discarded below and the latter clip to the upper endpoint.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s_star = np.exp((np.log(e1) + log_r - np.log(e2) - log_k) / (e2 - e1))
+    s_star = np.exp((np.log(e1) + log_r - np.log(e2) - log_k) / (e2 - e1))
     lo, hi = np.full_like(s_star, SHARE_EPS), np.full_like(s_star, 1.0 - SHARE_EPS)
     candidates = np.stack([np.where(e2 > e1, np.clip(s_star, lo, hi), lo), lo, hi])
-    best = np.argmax(_cloud_payoff_arr(price, candidates, t, c), axis=0)
-    return candidates[best, np.arange(s_star.size)]
+    return np.take_along_axis(candidates, np.argmax(payoff(candidates), axis=0)[None], 0)[0]
 
 
 def _finite(*columns) -> np.ndarray:
@@ -178,12 +185,15 @@ def _finite(*columns) -> np.ndarray:
 
 
 def _outcome_at(feasible, price, share, t: ParamTable, c: Coefficients) -> Outcome:
-    """Demand, supply and both payoffs from the reduced forms at (price, share);
-    a row with a non-finite value is infeasible."""
+    """Demand, supply and both payoffs at (price, share), all from one log demand
+    and one log supply; a row with a non-finite value is infeasible."""
     log_price, log_share = np.log(price), np.log(share)
-    values = (price, share, np.exp(_log_demand_reduced(log_price, log_share, t, c)),
-              np.exp(_log_supply_reduced(log_price, log_share, t, c)),
-              _provider_payoff_arr(price, share, t, c), _cloud_payoff_arr(price, share, t, c))
+    log_demand = _log_demand_reduced(log_price, log_share, t, c)
+    log_supply = _log_supply_reduced(log_price, log_share, t, c)
+    demand = np.exp(log_demand)
+    values = (price, share, demand, np.exp(log_supply),
+              _provider_payoff(price, share, demand, t.f_c),
+              _cloud_payoff(log_price, log_share, log_demand, log_supply, t.f_s))
     return Outcome(t, feasible & _finite(*values), *values)
 
 
@@ -208,9 +218,7 @@ def _fifty_fifty_columns(t: ParamTable) -> Outcome:
     # rows failing them get no price (a1 == a2 fails f1 and divides by zero).
     report = check_feasibility(t)
     feasible = report.f1_price_positive & report.f2_price_max
-    with np.errstate(divide="ignore", invalid="ignore"):
-        price = np.where(feasible, _best_price_unchecked(FIFTY_FIFTY_SHARE, c, t.f_c),
-                         np.nan)
+    price = np.where(feasible, _best_price_unchecked(FIFTY_FIFTY_SHARE, c, t.f_c), np.nan)
     return _outcome_at(feasible, price, np.full(len(t), FIFTY_FIFTY_SHARE), t, c)
 
 
@@ -241,15 +249,17 @@ def _pay_as_you_go_columns(t: ParamTable, price) -> Outcome:
 
 
 def scenario_columns(scenario: str, t: ParamTable, price, mode: str) -> Outcome:
-    """Run one scenario's kernel over every row of `t` at the given prices."""
-    if scenario == TWO_SIDED:
-        if mode == MODE_EQUILIBRIUM:
-            return _equilibrium_columns(t)
-        return _declared_price_columns(t, price)
-    if scenario == FIFTY_FIFTY:
-        return _fifty_fifty_columns(t)
-    if scenario == PAY_AS_YOU_GO:
-        return _pay_as_you_go_columns(t, price)
+    """Run one scenario's kernel over every row of `t` at the given prices. Rows
+    that overflow or are undefined come out infeasible, so numpy does not warn."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if scenario == TWO_SIDED:
+            if mode == MODE_EQUILIBRIUM:
+                return _equilibrium_columns(t)
+            return _declared_price_columns(t, price)
+        if scenario == FIFTY_FIFTY:
+            return _fifty_fifty_columns(t)
+        if scenario == PAY_AS_YOU_GO:
+            return _pay_as_you_go_columns(t, price)
     raise ValueError(f"unknown scenario {scenario!r}")
 
 

@@ -2,7 +2,9 @@
 
 import builtins
 import dataclasses
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ import pytest
 
 from tsm import cli, core, population, scenarios
 from tests.test_equilibrium import FEASIBLE_PARAMS
+from tests.test_population import sweep_cells
 
 FEASIBLE_FLAGS = [
     "--alpha", repr(FEASIBLE_PARAMS.alpha), "--beta", repr(FEASIBLE_PARAMS.beta),
@@ -378,6 +381,65 @@ class TestSweepCommand:
         env = subprocess_env(TSM_THREADS="2")
         assert env["PYTHONPATH"] == os.pathsep.join([root, "src", "other"])
         assert env["TSM_THREADS"] == "2"
+
+
+def rescaled_reference(values):
+    """math.fsum(v / scale) / k * scale with scale = max|v|, where the plain sum
+    of the values overflows (the rows `padded_mean` rescales); else None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.sum(values)):
+            return None
+    scale = np.abs(values).max()
+    return math.fsum((values / scale).tolist()) / values.size * scale
+
+
+def test_overflowing_means_are_rescaled(tmp_path, subprocess_env):
+    # Every feasible row is finite, but the sums of pay_as_you_go's provider
+    # payoffs and demands overflow, and numpy warns on rows that overflow.
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text("k1_min: 1.0e+150\nk1_max: 2.0e+150\nn_providers: 2000\nseed: 1\n",
+                   encoding="utf-8")
+    printed = {}
+    for command, extra in (("scenario", ["--mode", "declared-price"]),
+                           ("sweep", ["--axis", "gamma"])):
+        out = tmp_path / f"{command}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsm.cli", command, "--config", str(cfg), *extra,
+             "--out", str(out)],
+            env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
+            timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        text = proc.stdout + out.read_text(encoding="utf-8")
+        assert not re.search(r"\b(inf|nan)\b", text, re.IGNORECASE)
+        printed[command] = proc.stdout, out
+
+    spec = population.PopulationSpec(k1_min=1.0e150, k1_max=2.0e150, n_providers=2000, seed=1)
+    table, price = population.sample_table(spec)
+    means = dict(re.findall(r"^(\w+): .* mean_provider_payoff=(\S+)$", printed["scenario"][0],
+                            re.MULTILINE))
+    checked = 0
+    for name in scenarios.SCENARIOS:
+        out = scenarios.scenario_columns(name, table, price, "declared-price")
+        expected = rescaled_reference(out.provider_payoff[out.feasible])
+        if expected is not None:
+            assert float(means[name]) == pytest.approx(expected, rel=1e-15, abs=0.0)
+            checked += 1
+    assert checked == 1   # pay_as_you_go
+
+    _, rows = read_csv(printed["sweep"][1])
+    cells = {(float(r["axis_value"]), r["scenario"], float(r["phi_level"])): r for r in rows}
+    checked = 0
+    for key, out, rows in sweep_cells(population.SweepSpec(axis="gamma", population=spec)):
+        for column in population.MEAN_COLUMNS:
+            values = getattr(out, column)
+            if values is None or not out.feasible[rows].any():
+                continue
+            expected = rescaled_reference(values[rows][out.feasible[rows]])
+            if expected is not None:
+                got = float(cells[key][f"mean_{column}"])
+                assert got == pytest.approx(expected, rel=1e-15, abs=0.0), (key, column)
+                checked += 1
+    assert checked >= 40
 
 
 class TestVerifyCommand:

@@ -33,7 +33,6 @@ from tsm.equilibrium import (
     ShareEquation,
     _best_price_unchecked,
     _price_slice,
-    _share_slice,
     _Slope,
     build_share_equation,
     first_order_residuals,
@@ -454,7 +453,7 @@ def test_slope_matches_complex_step(seed):
     t, c, chi, price, u = slice_inputs(seed)
     assert np.sum(t.f_s == 0.0) > 100 and np.sum(t.phi == 0.0) > 100
     assert np.sum(t.alpha * t.beta >= 0.99) > 500
-    payoffs = ((_price_slice(chi, t, c)[1], u), (_share_slice(price, t, c), chi),
+    payoffs = ((_price_slice(chi, t, c)[1], u), (_cloud_share_slice(price, t, c)[1], chi),
                (lambda s: _cloud_payoff_arr(price, s, t, c), chi))
     tiny = np.finfo(float).tiny
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -479,8 +478,8 @@ def test_slices_match_full_payoffs(seed):
     t, c, chi, price, _ = slice_inputs(seed)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         full = _cloud_payoff_arr(price, chi, t, c)
-        sliced = _share_slice(price, t, c)(chi)
-        _, _, log_k, e2 = _cloud_share_slice(price, t, c)
+        (_, _, log_k, e2), payoff = _cloud_share_slice(price, t, c)
+        sliced = payoff(chi)
     checked = np.isfinite(full) & (full != 0.0)
     assert checked.sum() > 1500
     np.testing.assert_allclose(sliced[checked], full[checked], rtol=1e-12, atol=0.0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tsm.equilibrium import stackelberg_solve
 from tsm.population import (
     AXES,
+    MEAN_COLUMNS,
     AXIS_ALPHA_BETA,
     AXIS_GAMMA,
     AXIS_K1,
@@ -35,6 +36,7 @@ from tsm.scenarios import (
     TWO_SIDED,
     run_fifty_fifty,
     run_two_sided,
+    scenario_columns,
     summarize_records,
 )
 
@@ -311,6 +313,59 @@ class TestSweepEngine:
         assert cell.feasible_count == stats.n_feasible
         if stats.n_feasible:
             assert cell.mean_share == 0.5
+
+
+def sweep_cells(spec):
+    """Per cell of the sweep: its (axis value, scenario, phi level), the kernel's
+    Outcome over the tiled table, and the cell's rows of that table."""
+    base, declared = sample_table(spec.population)
+    n = len(base)
+    cells = ([(value, value) for value in spec.grid] if spec.axis == AXIS_PHI
+             else [(value, level) for value in spec.grid for level in spec.phi_levels])
+    table, price = _sweep_table(base, spec.axis, cells), np.tile(declared, len(cells))
+    for scenario in spec.scenarios:
+        out = scenario_columns(scenario, table, price, spec.mode)
+        for j, (value, level) in enumerate(cells):
+            yield (value, scenario, level), out, slice(j * n, (j + 1) * n)
+
+
+def exact_cell_means(spec):
+    """Per cell: its feasible count and each column's mean over its feasible rows
+    as math.fsum of them over the count (None without such rows or column)."""
+    exact = {}
+    for key, out, rows in sweep_cells(spec):
+        feasible = out.feasible[rows]
+        k = int(feasible.sum())
+        exact[key] = k, {column: (math.fsum(getattr(out, column)[rows][feasible].tolist()) / k
+                                  if k and getattr(out, column) is not None else None)
+                         for column in MEAN_COLUMNS}
+    return exact
+
+
+@pytest.mark.parametrize("spec", [
+    # sweep --preset fig4 at seed 1729, n=300
+    SweepSpec(axis=AXIS_ALPHA_BETA, population=PopulationSpec(n_providers=300, seed=1729)),
+    # fifty_fifty has cells with 0, 1 and 2 feasible rows here
+    SweepSpec(axis=AXIS_GAMMA, population=PopulationSpec(n_providers=2, seed=1729)),
+], ids=["fig4-n300", "gamma-n2"])
+def test_cell_means_match_exact_sums(spec):
+    exact = exact_cell_means(spec)
+    series = run_sweep(spec)
+    assert len(series) == len(exact)
+    counts = set()
+    for cell in series:
+        k, means = exact[cell.axis_value, cell.scenario, cell.phi_level]
+        assert cell.n_providers == spec.population.n_providers
+        assert cell.feasible_count == k
+        counts.add(k)
+        for column, mean in means.items():
+            got = getattr(cell, "mean_" + column)
+            if mean is None:   # no feasible row, or pay_as_you_go's share
+                assert got is None, (cell, column)
+            else:
+                assert type(got) is float
+                assert got == pytest.approx(mean, rel=1e-15, abs=0.0), (cell, column)
+    assert 0 in counts or spec.population.n_providers > 2
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -14,6 +14,7 @@ from tsm.core import (
     MarketParams,
     ParamTable,
     _cloud_payoff_arr,
+    _cloud_share_slice,
     check_feasibility,
     cloud_payoff,
     consumer_demand_primitive,
@@ -22,8 +23,16 @@ from tsm.core import (
     provider_payoff,
     supply_reduced,
 )
-from tsm.equilibrium import stackelberg_solve
-from tsm.population import PopulationSpec, sample_providers
+from tsm.equilibrium import SHARE_EPS, stackelberg_solve
+from tsm.population import (
+    AXIS_ALPHA_BETA,
+    DEFAULT_PHI_LEVELS,
+    PopulationSpec,
+    _sweep_table,
+    default_grid,
+    sample_providers,
+    sample_table,
+)
 from tsm.scenarios import (
     MODE_DECLARED_PRICE,
     MODE_EQUILIBRIUM,
@@ -32,6 +41,7 @@ from tsm.scenarios import (
     TWO_SIDED,
     PopulationMismatchError,
     Provider,
+    _declared_share,
     compare_scenarios,
     payg_supply,
     run_fifty_fifty,
@@ -41,6 +51,7 @@ from tsm.scenarios import (
     summarize_records,
 )
 from tests.test_equilibrium import FEASIBLE_PARAMS
+from tests.test_tooling import workloads
 
 POP = sample_providers(PopulationSpec(n_providers=40, seed=1729))
 
@@ -195,6 +206,27 @@ def test_closed_form_share_matches_numeric_search(game):
     scale = np.abs(pay).max()
     if scale >= np.finfo(float).tiny and np.ptp(pay) > 1e-6 * scale:
         assert out.share[0] == pytest.approx(share, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", workloads.INPUT_SEEDS)
+def test_declared_share_ranks_as_the_full_payoff(seed):
+    # The fig4 sweep's table: _declared_share ranks its candidates on the share
+    # slice; ranking them by the full platform payoff must pick the same one.
+    base, declared = sample_table(PopulationSpec(n_providers=300, seed=seed))
+    cells = [(g, level) for g in default_grid(AXIS_ALPHA_BETA) for level in DEFAULT_PHI_LEVELS]
+    t, price = _sweep_table(base, AXIS_ALPHA_BETA, cells), np.tile(declared, len(cells))
+    c = derive_coefficients(t)
+    with np.errstate(all="ignore"):
+        share = _declared_share(price, t, c)
+        (log_r, e1, log_k, e2), _ = _cloud_share_slice(price, t, c)
+        s_star = np.exp((np.log(e1) + log_r - np.log(e2) - log_k) / (e2 - e1))
+        lo, hi = SHARE_EPS, 1.0 - SHARE_EPS
+        candidates = np.stack(np.broadcast_arrays(
+            np.where(e2 > e1, np.clip(s_star, lo, hi), lo), lo, hi))
+        best = np.argmax(_cloud_payoff_arr(price, candidates, t, c), axis=0)
+    assert np.array_equal(share, candidates[best, np.arange(len(t))])
+    # Both an interior s* and the upper endpoint win in some rows.
+    assert np.any((best == 0) & (lo < share) & (share < hi)) and np.any(best == 2)
 
 
 def test_non_finite_rows_are_infeasible():

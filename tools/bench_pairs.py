@@ -1,0 +1,154 @@
+"""Alternating parent/change runs of the benchmark, summarised in one JSON file.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload fig4-sweep \
+        --pairs 10 --seconds 20 --out BENCH.json
+
+PARENT and CHANGE are two checkouts of the repository. Pair i runs
+`perfbench/run.py --workload W --seed S+i --seconds T --trace 0` once in
+each checkout, one run after the other (even pairs run the parent first,
+odd pairs the change), and keeps the last line of each run's output, its
+JSON result. For every end-to-end metric of BENCHMARK.json the summary
+gives each side's median and quartiles, the pairs the change wins, the
+median gap and the parent's interquartile range.
+
+With `--fault-runs N` each checkout also runs `sweep --preset fig4`
+(n=300, seed 1729) in one child interpreter, N times after two warm-ups,
+and records each run's wall time and minor page faults (`ru_minflt`).
+The checkouts' `perfbench/` files should be identical; the script changes
+no file in either checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+
+FAULT_PROBE = """
+import contextlib, io, json, os, resource, sys, tempfile, time
+sys.path.insert(0, {src!r})
+from tsm.cli import main
+out = os.path.join(tempfile.mkdtemp(), "fig4.csv")
+argv = ["sweep", "--preset", "fig4", "--n-providers", "300", "--seed", "1729", "--out", out]
+ms, faults = [], []
+with contextlib.redirect_stdout(io.StringIO()):
+    for i in range({runs} + 2):
+        f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+        main(argv)
+        t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        if i >= 2:
+            ms.append(round(1e3 * (t1 - t0), 4))
+            faults.append(f1 - f0)
+os.remove(out)
+os.rmdir(os.path.dirname(out))
+print(json.dumps({{"ms": ms, "minflt": faults}}))
+"""
+
+
+def describe(checkout: Path) -> str:
+    """The checkout's commit, marked `+dirty` when its tree has changes."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    return git("rev-parse", "--short", "HEAD") + ("+dirty" if git("status", "--porcelain") else "")
+
+
+def host() -> dict:
+    cpu = ""
+    with open("/proc/cpuinfo", encoding="utf-8") as f:
+        cpu = next((line.split(":", 1)[1].strip() for line in f
+                    if line.startswith("model name")), cpu)
+    return {"cpu_model": cpu, "nproc": os.cpu_count(), "machine": platform.machine(),
+            "kernel": platform.release(), "python": platform.python_version(),
+            "numpy": numpy.__version__}
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in `checkout`: its JSON result line."""
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    if done.returncode or not done.stdout.strip():
+        raise RuntimeError(f"perfbench failed in {checkout}:\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values), "values": values}
+
+
+def summarise(runs: dict, metrics: dict) -> dict:
+    """Per metric: each side's spread, the change's wins and the median gap."""
+    out = {}
+    for name, better in metrics.items():
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = 1.0 if better == "higher" else -1.0
+        p, c = spread(parent), spread(change)
+        out[name] = {
+            "better": better, "parent": p, "change": c,
+            "change_better_pairs": f"{sum(sign * (b - a) > 0 for a, b in zip(parent, change))}"
+                                   f"/{len(parent)}",
+            "change_over_parent_median": round(c["median"] / p["median"], 4),
+            "median_gap": sign * (c["median"] - p["median"]),
+            "parent_iqr": p["q3"] - p["q1"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--first-seed", type=int, default=0)
+    ap.add_argument("--fault-runs", type=int, default=0)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    report = {
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
+                   " --trace 0",
+        "method": f"{args.pairs} pairs per workload at --seed {args.first_seed}.."
+                  f"{args.first_seed + args.pairs - 1}; even pairs run the parent first, odd"
+                  " pairs the change; runs one at a time",
+        "commits": {side: describe(path) for side, path in sides.items()},
+        "host": host(), "workloads": {},
+    }
+    if args.fault_runs:
+        report["in_process_fig4"] = {}
+        for side, path in sides.items():
+            probe = FAULT_PROBE.format(src=str(path / "src"), runs=args.fault_runs)
+            done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                  check=True, env=dict(os.environ, TSM_THREADS="1"))
+            result = json.loads(done.stdout.splitlines()[-1])
+            report["in_process_fig4"][side] = {k: spread(v) for k, v in result.items()}
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                result = bench_run(sides[side], workload, seed, args.seconds)
+                runs[side].append(dict(result, seed=seed))
+                print(f"{workload} seed {seed} {side}: correct={result['correct']} "
+                      + " ".join(f"{m}={result['metrics'][m]['value']:.6g}" for m in metrics),
+                      flush=True)
+        report["workloads"][workload] = {"pairs": summarise(runs, metrics), "runs": runs}
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
