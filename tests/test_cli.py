@@ -384,8 +384,8 @@ class TestSweepCommand:
 
 
 def rescaled_reference(values):
-    """math.fsum(v / scale) / k * scale with scale = max|v|, where the plain sum
-    of the values overflows (the rows `padded_mean` rescales); else None."""
+    """math.fsum(v / scale) / k * scale with scale = max|v| where the plain sum
+    of the values overflows, as in the means `padded_mean` rescales; else None."""
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(np.sum(values)):
             return None
@@ -395,7 +395,8 @@ def rescaled_reference(values):
 
 def test_overflowing_means_are_rescaled(tmp_path, subprocess_env):
     # Every feasible row is finite, but the sums of pay_as_you_go's provider
-    # payoffs and demands overflow, and numpy warns on rows that overflow.
+    # payoffs and demands overflow; and rows that overflow inside the kernels
+    # (infeasible ones) used to make numpy warn on stderr.
     cfg = tmp_path / "big.yaml"
     cfg.write_text("k1_min: 1.0e+150\nk1_max: 2.0e+150\nn_providers: 2000\nseed: 1\n",
                    encoding="utf-8")
