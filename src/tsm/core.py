@@ -110,7 +110,8 @@ class ParamTable:
     `derive_coefficients`, `check_feasibility` and the log-space helpers
     broadcast over it. Its constructors do not validate; `check_domain`
     checks a table against MarketParams's rules. `dataclasses.replace` swaps
-    in a column.
+    in a column. Columns may broadcast together, as a sweep table's do; its
+    `len` is alpha's size, the n providers, not cells x n.
     """
 
     alpha: np.ndarray

@@ -9,9 +9,9 @@ all substreams are derived at once (`_child_keys`).
 
 Sweeps step one parameter axis (the externality product, the subsidizing
 factor, the demand elasticity or the demand multiplier) across the
-population. The population is tiled over every (axis value, phi level)
-cell into one parameter table, so each scenario runs once per sweep, and
-every cell's means over its feasible rows come from one grouped reduction.
+population. The population is broadcast over every (axis value, phi level)
+cell, so each scenario runs once per sweep over only what its inputs vary
+in, and every cell's means come from one grouped reduction.
 """
 
 from __future__ import annotations
@@ -333,52 +333,47 @@ class SweepSeries:
 MEAN_COLUMNS = ("cloud_payoff", "provider_payoff", "demand", "supply", "share")
 
 
-def _sweep_table(base: ParamTable, axis: str,
-                 cells: Sequence[tuple[float, float]]) -> ParamTable:
-    """`base` tiled once per cell, with the axis and phi columns of each cell.
-
-    On the externality axis beta is re-derived as g / alpha, so the product
-    is g for every row of the cell.
-    """
-    n = len(base)
-    tiled = base.take(np.tile(np.arange(n), len(cells)))
-    values = np.repeat([value for value, _ in cells], n)
-    changes = {"phi": np.repeat([level for _, level in cells], n)}
+def _sweep_table(base: ParamTable, axis: str, grid: Sequence[float],
+                 levels: Sequence[float]) -> ParamTable:
+    """`base` broadcast over every cell: base columns keep shape (n,), axis
+    values take (V, 1, 1) and phi levels (L, 1); on the phi axis the values
+    are the phi column. On the externality axis beta is re-derived as
+    g / alpha, shape (V, 1, n), so the product is g for every row of a cell."""
+    values = np.array(grid, float)[:, None, None]
+    changes = {"phi": values if axis == AXIS_PHI else np.array(levels, float)[:, None]}
     if axis == AXIS_ALPHA_BETA:
-        changes["beta"] = values / tiled.alpha
-    elif axis == AXIS_GAMMA:
-        changes["gamma"] = values
-    elif axis == AXIS_K1:
-        changes["k1"] = values
-    return dataclasses.replace(tiled, **changes)
+        changes["beta"] = values / base.alpha
+    elif axis in (AXIS_GAMMA, AXIS_K1):
+        changes[axis] = values
+    return dataclasses.replace(base, **changes)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepSeries]:
     """Execute a sweep and return its cells in deterministic order.
 
-    The population is sampled once and tiled over every (axis value, phi
-    level) cell, so each scenario's kernel runs once over all rows. Each
-    outcome column is viewed as (cells, n) and reduced in one pass: feasible
-    counts, then sums with infeasible rows set to 0, over those counts
-    (`padded_mean`). Records are sorted by (axis_value, scenario, phi_level).
+    The population is sampled once and broadcast over every (axis value, phi
+    level) cell, so each kernel runs once, over the shape its inputs vary in.
+    Outcome columns are reduced along their last axis in one pass (feasible
+    counts, then `padded_mean` of the zero-padded rows) and broadcast to the
+    cells. Records are sorted by (axis_value, scenario, phi_level).
     """
     base, declared = sample_table(spec.population)
-    n = len(base)
     # (axis value, phi level) per cell; the phi axis is its own level.
     cells = ([(value, value) for value in spec.grid] if spec.axis == AXIS_PHI
              else [(value, level) for value in spec.grid for level in spec.phi_levels])
-    table = _sweep_table(base, spec.axis, cells)
-    price = np.tile(declared, len(cells))
+    shape = (len(spec.grid), len(cells) // len(spec.grid))
+    table = _sweep_table(base, spec.axis, spec.grid, spec.phi_levels)
     series = []
     for scenario in spec.scenarios:
-        out = scenario_columns(scenario, table, price, spec.mode)
-        feasible = out.feasible.reshape(len(cells), n)
-        k = np.count_nonzero(feasible, axis=1)
+        out = scenario_columns(scenario, table, declared, spec.mode)
+        k = np.count_nonzero(out.feasible, axis=-1)
         means = [[None] * len(cells) if (v := getattr(out, column)) is None
-                 else padded_mean(np.where(feasible, v.reshape(feasible.shape), 0.0), k).tolist()
+                 else np.broadcast_to(padded_mean(np.where(out.feasible, v, 0.0), k),
+                                      shape).ravel().tolist()
                  for column in MEAN_COLUMNS]
-        series += [SweepSeries(spec.axis, value, scenario, level, n, count,
+        counts = np.broadcast_to(k, shape).ravel().tolist()
+        series += [SweepSeries(spec.axis, value, scenario, level, len(base), count,
                                *(m if count else None for m in row))
-                   for (value, level), count, *row in zip(cells, k.tolist(), *means)]
+                   for (value, level), count, *row in zip(cells, counts, *means)]
     series.sort(key=lambda s: (s.axis_value, s.scenario, s.phi_level))
     return series

@@ -92,6 +92,8 @@ class ScenarioRecord:
 
 @dataclass(frozen=True)
 class QuantityStats:
+    """Mean (`padded_mean`), median and sum; `total` may be inf where `mean` is finite."""
+
     mean: float
     median: float
     total: float
@@ -117,8 +119,9 @@ class Outcome:
     """One scenario's results over a ParamTable, one column entry per row.
 
     `params` is the table the scenario ran on (fifty_fifty's has phi = 1).
-    Infeasible rows may hold any value, feasible ones only finite values.
-    `share` is None for a scenario without a share (pay_as_you_go).
+    Columns come back at the broadcast shape of their inputs: on a sweep
+    table, (n,) where no cell changes them. Infeasible rows may hold any
+    value, feasible ones only finite values. `share` is None for pay_as_you_go.
     """
 
     params: ParamTable
@@ -168,14 +171,14 @@ def _declared_share(price, t: ParamTable, c: Coefficients) -> np.ndarray:
     """Per row, the share maximizing the platform payoff R*s^e1 - K*s^e2 at a
     fixed price (`_cloud_share_slice`). Under f3 (e2 > e1) its only stationary
     point is the maximum s* = (e1*R / (e2*K))^(1/(e2-e1)); otherwise it is
-    monotone or dips to an interior minimum. Of s*, clipped to the share
-    domain, and the two endpoints, the best on that slice is returned."""
+    monotone or dips to an interior minimum. Of s* clipped to the share domain
+    (the lower end without f3) and the upper end, the better is returned."""
     (log_r, e1, log_k, e2), payoff = _cloud_share_slice(price, t, c)
     # Rows without f3 (and f_s = 0, where K = 0) give inf or nan here; the
     # former are discarded below and the latter clip to the upper endpoint.
     s_star = np.exp((np.log(e1) + log_r - np.log(e2) - log_k) / (e2 - e1))
-    lo, hi = np.full_like(s_star, SHARE_EPS), np.full_like(s_star, 1.0 - SHARE_EPS)
-    candidates = np.stack([np.where(e2 > e1, np.clip(s_star, lo, hi), lo), lo, hi])
+    s_star = np.where(e2 > e1, np.clip(s_star, SHARE_EPS, 1.0 - SHARE_EPS), SHARE_EPS)
+    candidates = np.stack([s_star, np.full_like(s_star, 1.0 - SHARE_EPS)])
     return np.take_along_axis(candidates, np.argmax(payoff(candidates), axis=0)[None], 0)[0]
 
 
@@ -333,8 +336,9 @@ def _quantity_stats(values: list[float]) -> QuantityStats | None:
     if not values:
         return None
     arr = np.array(values, dtype=float)
-    return QuantityStats(mean=float(arr.mean()), median=float(np.median(arr)),
-                         total=float(arr.sum()))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        total = float(arr.sum())
+    return QuantityStats(float(padded_mean(arr, arr.size)), float(np.median(arr)), total)
 
 
 def summarize_records(records: Sequence[ScenarioRecord]) -> ScenarioStats:

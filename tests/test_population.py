@@ -33,7 +33,10 @@ from tsm.scenarios import (
     MODE_DECLARED_PRICE,
     MODE_EQUILIBRIUM,
     MODES,
+    PAY_AS_YOU_GO,
+    SCENARIOS,
     TWO_SIDED,
+    Outcome,
     run_fifty_fifty,
     run_two_sided,
     scenario_columns,
@@ -249,16 +252,18 @@ class TestSweepEngine:
 
     def test_externality_override_sets_product_exactly(self):
         base, _ = sample_table(SMALL_POP)
-        cells = [(0.2, 1.5), (0.4, 1.5), (0.4, 5.0)]
-        table = _sweep_table(base, AXIS_ALPHA_BETA, cells)
+        grid, levels = (0.2, 0.4), (1.5, 5.0)
+        table = _sweep_table(base, AXIS_ALPHA_BETA, grid, levels)
         n = len(base)
-        assert len(table) == len(cells) * n
-        for j, (g, level) in enumerate(cells):
-            rows = slice(j * n, (j + 1) * n)
-            for alpha, beta in zip(table.alpha[rows], table.beta[rows]):
-                assert alpha * beta == pytest.approx(g, rel=1e-12)
-            assert np.all(table.phi[rows] == level)
-            assert np.array_equal(table.alpha[rows], base.alpha)
+        assert len(table) == n
+        alpha, beta, phi = (np.broadcast_to(col, (len(grid), len(levels), n))
+                            for col in (table.alpha, table.beta, table.phi))
+        for i, g in enumerate(grid):
+            for j, level in enumerate(levels):
+                for a, b in zip(alpha[i, j], beta[i, j]):
+                    assert a * b == pytest.approx(g, rel=1e-12)
+                assert np.all(phi[i, j] == level)
+                assert np.array_equal(alpha[i, j], base.alpha)
 
     def test_aggregates_match_recomputation(self):
         spec = SweepSpec(axis=AXIS_GAMMA, grid=(0.1, 0.3), phi_levels=(1.5,),
@@ -315,18 +320,87 @@ class TestSweepEngine:
             assert cell.mean_share == 0.5
 
 
+# Outcome's per-row columns, all but the table it ran on.
+OUTCOME_COLUMNS = tuple(f.name for f in dataclasses.fields(Outcome) if f.name != "params")
+
+
+def sweep_shape(spec):
+    """(axis values, phi levels, providers): the shape a sweep's table broadcasts to."""
+    levels = 1 if spec.axis == AXIS_PHI else len(spec.phi_levels)
+    return len(spec.grid), levels, spec.population.n_providers
+
+
 def sweep_cells(spec):
     """Per cell of the sweep: its (axis value, scenario, phi level), the kernel's
-    Outcome over the tiled table, and the cell's rows of that table."""
+    Outcome over the broadcast table with every column materialized as one row
+    per cell, and the cell's row index into those columns."""
     base, declared = sample_table(spec.population)
-    n = len(base)
+    shape = sweep_shape(spec)
+    table = _sweep_table(base, spec.axis, spec.grid, spec.phi_levels)
     cells = ([(value, value) for value in spec.grid] if spec.axis == AXIS_PHI
              else [(value, level) for value in spec.grid for level in spec.phi_levels])
-    table, price = _sweep_table(base, spec.axis, cells), np.tile(declared, len(cells))
     for scenario in spec.scenarios:
-        out = scenario_columns(scenario, table, price, spec.mode)
+        out = scenario_columns(scenario, table, declared, spec.mode)
+        out = dataclasses.replace(out, **{
+            name: np.broadcast_to(v, shape).reshape(len(cells), -1)
+            for name in OUTCOME_COLUMNS if (v := getattr(out, name)) is not None})
         for j, (value, level) in enumerate(cells):
-            yield (value, scenario, level), out, slice(j * n, (j + 1) * n)
+            yield (value, scenario, level), out, j
+
+
+def tiled_table(base, axis, grid, levels):
+    """The sweep table as it was built before broadcasting: `base` tiled once
+    per (axis value, phi level) cell, with each cell's axis and phi columns."""
+    cells = ([(value, value) for value in grid] if axis == AXIS_PHI
+             else [(value, level) for value in grid for level in levels])
+    n = len(base)
+    tiled = base.take(np.tile(np.arange(n), len(cells)))
+    values = np.repeat([value for value, _ in cells], n)
+    changes = {"phi": np.repeat([level for _, level in cells], n)}
+    if axis == AXIS_ALPHA_BETA:
+        changes["beta"] = values / tiled.alpha
+    elif axis != AXIS_PHI:
+        changes[axis] = values
+    return dataclasses.replace(tiled, **changes)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("axis, n, seed", [
+    *((axis, 7, 11) for axis in AXES), (AXIS_ALPHA_BETA, 300, 1729)])   # the last is fig4
+def test_broadcast_table_matches_tiled_table(axis, n, seed, mode):
+    # Every kernel gives, cell for cell, the same bytes over the broadcast table
+    # as over the table tiled out row by row.
+    spec = SweepSpec(axis=axis, population=PopulationSpec(n_providers=n, seed=seed), mode=mode)
+    base, declared = sample_table(spec.population)
+    shape = sweep_shape(spec)
+    table = _sweep_table(base, axis, spec.grid, spec.phi_levels)
+    tiled = tiled_table(base, axis, spec.grid, spec.phi_levels)
+    assert len(tiled) == math.prod(shape)
+    for scenario in SCENARIOS:
+        out = scenario_columns(scenario, table, declared, mode)
+        ref = scenario_columns(scenario, tiled, np.tile(declared, len(tiled) // n), mode)
+        for name in OUTCOME_COLUMNS:
+            got, want = getattr(out, name), getattr(ref, name)
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(np.broadcast_to(got, shape), want.reshape(shape),
+                                      equal_nan=True), (scenario, name)
+
+
+def test_kernels_compute_only_what_varies():
+    # On the fig4 table pay_as_you_go reads neither beta nor phi, and fifty_fifty
+    # sets phi itself, so they run over the population and the 13 axis values.
+    spec = SweepSpec(axis=AXIS_ALPHA_BETA, population=PopulationSpec(n_providers=300, seed=1729))
+    base, declared = sample_table(spec.population)
+    table = _sweep_table(base, spec.axis, spec.grid, spec.phi_levels)
+    for scenario, size in {PAY_AS_YOU_GO: 300, FIFTY_FIFTY: 13 * 300}.items():
+        out = scenario_columns(scenario, table, declared, MODE_DECLARED_PRICE)
+        for name in OUTCOME_COLUMNS:
+            if name != "share":   # fifty_fifty's fixed share is one (n,) column
+                assert getattr(out, name).size == size, (scenario, name)
+    out = scenario_columns(TWO_SIDED, table, declared, MODE_DECLARED_PRICE)
+    assert out.feasible.size == 13 * len(DEFAULT_PHI_LEVELS) * 300
 
 
 def exact_cell_means(spec):

@@ -210,11 +210,11 @@ def test_closed_form_share_matches_numeric_search(game):
 
 @pytest.mark.parametrize("seed", workloads.INPUT_SEEDS)
 def test_declared_share_ranks_as_the_full_payoff(seed):
-    # The fig4 sweep's table: _declared_share ranks its candidates on the share
-    # slice; ranking them by the full platform payoff must pick the same one.
-    base, declared = sample_table(PopulationSpec(n_providers=300, seed=seed))
-    cells = [(g, level) for g in default_grid(AXIS_ALPHA_BETA) for level in DEFAULT_PHI_LEVELS]
-    t, price = _sweep_table(base, AXIS_ALPHA_BETA, cells), np.tile(declared, len(cells))
+    # The fig4 sweep's broadcast table: _declared_share ranks s* and the upper
+    # endpoint on the share slice; ranking s*, the lower and the upper endpoint
+    # by the full platform payoff must pick the same share.
+    base, price = sample_table(PopulationSpec(n_providers=300, seed=seed))
+    t = _sweep_table(base, AXIS_ALPHA_BETA, default_grid(AXIS_ALPHA_BETA), DEFAULT_PHI_LEVELS)
     c = derive_coefficients(t)
     with np.errstate(all="ignore"):
         share = _declared_share(price, t, c)
@@ -223,8 +223,12 @@ def test_declared_share_ranks_as_the_full_payoff(seed):
         lo, hi = SHARE_EPS, 1.0 - SHARE_EPS
         candidates = np.stack(np.broadcast_arrays(
             np.where(e2 > e1, np.clip(s_star, lo, hi), lo), lo, hi))
-        best = np.argmax(_cloud_payoff_arr(price, candidates, t, c), axis=0)
-    assert np.array_equal(share, candidates[best, np.arange(len(t))])
+        payoff = _cloud_payoff_arr(price, candidates, t, c)
+    best = np.argmax(payoff, axis=0)
+    assert candidates.shape == (3, 13, len(DEFAULT_PHI_LEVELS), 300)
+    assert np.array_equal(share, np.take_along_axis(candidates, best[None], 0)[0])
+    # The lower endpoint never beats the first candidate, so it need not be ranked.
+    assert not np.any(payoff[1] > payoff[0])
     # Both an interior s* and the upper endpoint win in some rows.
     assert np.any((best == 0) & (lo < share) & (share < hi)) and np.any(best == 2)
 
@@ -380,6 +384,20 @@ class TestCompare:
         stats = summarize_records(recs)
         total = sum(r.cloud_payoff for r in recs if r.feasible)
         assert stats.cloud_payoff.total == pytest.approx(total, rel=1e-9)
+
+    def test_overflowing_sums_keep_a_finite_mean(self):
+        # Every feasible row is finite, but the sums of pay_as_you_go's provider
+        # payoffs and demands overflow; the means are rescaled as the columns' are.
+        spec = PopulationSpec(k1_min=1.0e150, k1_max=2.0e150, n_providers=2000, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = compare_scenarios(run_pay_as_you_go(sample_providers(spec)))[PAY_AS_YOU_GO]
+        table, price = sample_table(spec)
+        out = scenario_columns(PAY_AS_YOU_GO, table, price, MODE_DECLARED_PRICE)
+        for column in ("provider_payoff", "demand", "cloud_payoff", "supply"):
+            assert getattr(stats, column).mean == out.feasible_mean(column), column
+        assert stats.provider_payoff.mean == pytest.approx(1.1156e305, rel=1e-4)
+        assert stats.provider_payoff.total == np.inf
 
     def test_population_mismatch_rejected(self):
         recs = run_pay_as_you_go(POP)

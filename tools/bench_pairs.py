@@ -12,8 +12,9 @@ gives each side's median and quartiles, the pairs the change wins, the
 median gap and the parent's interquartile range.
 
 With `--fault-runs N` each checkout also runs `sweep --preset fig4`
-(n=300, seed 1729) in one child interpreter, N times after two warm-ups,
-and records each run's wall time and minor page faults (`ru_minflt`).
+(seed 1729) in one child interpreter per population size, n=300 and
+n=3000, N times after two warm-ups, and records each run's wall time and
+minor page faults (`ru_minflt`).
 The checkouts' `perfbench/` files should be identical; the script changes
 no file in either checkout.
 """
@@ -31,12 +32,13 @@ from pathlib import Path
 
 import numpy
 
+FAULT_SIZES = (300, 3000)
 FAULT_PROBE = """
 import contextlib, io, json, os, resource, sys, tempfile, time
 sys.path.insert(0, {src!r})
 from tsm.cli import main
 out = os.path.join(tempfile.mkdtemp(), "fig4.csv")
-argv = ["sweep", "--preset", "fig4", "--n-providers", "300", "--seed", "1729", "--out", out]
+argv = ["sweep", "--preset", "fig4", "--n-providers", "{n}", "--seed", "1729", "--out", out]
 ms, faults = [], []
 with contextlib.redirect_stdout(io.StringIO()):
     for i in range({runs} + 2):
@@ -129,12 +131,13 @@ def main(argv=None) -> int:
     }
     if args.fault_runs:
         report["in_process_fig4"] = {}
-        for side, path in sides.items():
-            probe = FAULT_PROBE.format(src=str(path / "src"), runs=args.fault_runs)
+        for n, side in ((n, side) for n in FAULT_SIZES for side in sides):
+            probe = FAULT_PROBE.format(src=str(sides[side] / "src"), runs=args.fault_runs, n=n)
             done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                                   check=True, env=dict(os.environ, TSM_THREADS="1"))
             result = json.loads(done.stdout.splitlines()[-1])
-            report["in_process_fig4"][side] = {k: spread(v) for k, v in result.items()}
+            report["in_process_fig4"].setdefault(f"n={n}", {})[side] = {
+                k: spread(v) for k, v in result.items()}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
