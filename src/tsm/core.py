@@ -107,11 +107,10 @@ class ParamTable:
     """Struct-of-arrays form of MarketParams: one float column per field, one
     row per game.
 
-    `derive_coefficients`, `check_feasibility` and the log-space helpers
-    broadcast over it. Its constructors do not validate; `check_domain`
-    checks a table against MarketParams's rules. `dataclasses.replace` swaps
-    in a column. Columns may broadcast together, as a sweep table's do; its
-    `len` is alpha's size, the n providers, not cells x n.
+    `derive_coefficients`, `check_feasibility` and the kernels broadcast over
+    it, and so may its columns (on a sweep table `len(t)` is n, not cells x n).
+    Constructors do not validate; `check_domain` checks a table against
+    MarketParams's rules. `dataclasses.replace` swaps in a column.
     """
 
     alpha: np.ndarray

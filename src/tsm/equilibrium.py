@@ -227,16 +227,16 @@ def _solve_shares(exp_a, exp_b, log_c, t: ParamTable):
 
 
 def _equilibrium_shares(t: ParamTable) -> np.ndarray:
-    """Rows (number of share roots, selected share, residual) at the broadcast
-    shape of `t`. Only games passing f1-f3 are solved; the others have no root,
+    """Rows (number of share roots, selected share, residual), one column per
+    row of `t`. Only rows passing f1-f3 are solved; the others have no root,
     and share and residual are NaN wherever no equilibrium is reported."""
-    ok = np.broadcast_to(check_feasibility(t).all_ok, np.broadcast(*vars(t).values()).shape)
-    solved = ParamTable(**{k: np.broadcast_to(v, ok.shape)[ok] for k, v in vars(t).items()})
+    rows = np.nonzero(check_feasibility(t).all_ok)[0]
+    solved = t.take(rows)
     roots, share, residual = _solve_shares(
         *_share_equation_columns(solved, derive_coefficients(solved)), solved)
-    columns = np.full((3, *ok.shape), np.nan)
+    columns = np.full((3, len(t)), np.nan)
     columns[0] = 0.0
-    columns[:, ok] = (~np.isnan(roots)).sum(axis=0), share, residual
+    columns[:, rows] = (~np.isnan(roots)).sum(axis=0), share, residual
     return columns
 
 

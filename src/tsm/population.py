@@ -335,10 +335,9 @@ MEAN_COLUMNS = ("cloud_payoff", "provider_payoff", "demand", "supply", "share")
 
 def _sweep_table(base: ParamTable, axis: str, grid: Sequence[float],
                  levels: Sequence[float]) -> ParamTable:
-    """`base` broadcast over every cell: base columns keep shape (n,), axis
-    values take (V, 1, 1) and phi levels (L, 1); on the phi axis the values
-    are the phi column. On the externality axis beta is re-derived as
-    g / alpha, shape (V, 1, n), so the product is g for every row of a cell."""
+    """`base` broadcast over every cell: its columns keep shape (n,), the axis
+    values take (V, 1, 1) and phi levels (L, 1) (on the phi axis, the values).
+    On the externality axis beta = g / alpha, (V, 1, n): alpha*beta is g."""
     values = np.array(grid, float)[:, None, None]
     changes = {"phi": values if axis == AXIS_PHI else np.array(levels, float)[:, None]}
     if axis == AXIS_ALPHA_BETA:

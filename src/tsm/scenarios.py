@@ -118,9 +118,8 @@ class ScenarioStats:
 class Outcome:
     """One scenario's results over a ParamTable, one column entry per row.
 
-    `params` is the table the scenario ran on (fifty_fifty's has phi = 1).
-    Columns come back at the broadcast shape of their inputs: on a sweep
-    table, (n,) where no cell changes them. Infeasible rows may hold any
+    `params` is the table the scenario ran on (fifty_fifty's has phi = 1);
+    columns have their inputs' broadcast shape. Infeasible rows may hold any
     value, feasible ones only finite values. `share` is None for pay_as_you_go.
     """
 
@@ -203,7 +202,10 @@ def _outcome_at(feasible, price, share, t: ParamTable, c: Coefficients) -> Outco
 def _equilibrium_columns(t: ParamTable) -> Outcome:
     """Every game solved by backward induction, in one pass of the share solver."""
     c = derive_coefficients(t)
-    share = _equilibrium_shares(t)[1]
+    shape = np.broadcast(*vars(t).values()).shape   # a broadcast table is solved flat
+    flat = t if len(shape) == 1 else ParamTable(
+        **{k: np.broadcast_to(v, shape).ravel() for k, v in vars(t).items()})
+    share = _equilibrium_shares(flat)[1].reshape(shape)
     price = _best_price_unchecked(share, c, t.f_c)
     return _outcome_at(~np.isnan(share), price, share, t, c)
 
