@@ -135,7 +135,8 @@ class Outcome:
     def feasible_mean(self, column: str) -> float | None:
         """The column's mean over the feasible rows; None without such rows or column."""
         values, k = getattr(self, column), int(self.feasible.sum())
-        return None if values is None or not k else float(padded_mean(values[self.feasible], k))
+        return None if values is None or not k else float(
+            padded_mean(np.broadcast_to(values, self.feasible.shape)[self.feasible], k))
 
     def rows(self, scenario: str):
         """Each row's (price, share, demand, supply, provider_payoff,
@@ -212,8 +213,7 @@ def _equilibrium_columns(t: ParamTable) -> Outcome:
 
 def _declared_price_columns(t: ParamTable, price) -> Outcome:
     c = derive_coefficients(t)
-    share = _declared_share(price, t, c)
-    return _outcome_at(np.ones(len(t), dtype=bool), price, share, t, c)
+    return _outcome_at(True, price, _declared_share(price, t, c), t, c)
 
 
 def _fifty_fifty_columns(t: ParamTable) -> Outcome:

@@ -386,6 +386,10 @@ def test_broadcast_table_matches_tiled_table(axis, n, seed, mode):
             else:
                 assert np.array_equal(np.broadcast_to(got, shape), want.reshape(shape),
                                       equal_nan=True), (scenario, name)
+                if name != "feasible":   # the mean over every cell, up to summation order
+                    mean = ref.feasible_mean(name)
+                    assert out.feasible_mean(name) == (
+                        None if mean is None else pytest.approx(mean, rel=1e-13)), (scenario, name)
 
 
 def test_kernels_compute_only_what_varies():

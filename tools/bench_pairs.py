@@ -131,13 +131,14 @@ def main(argv=None) -> int:
     }
     if args.fault_runs:
         report["in_process_fig4"] = {}
-        for n, side in ((n, side) for n in FAULT_SIZES for side in sides):
-            probe = FAULT_PROBE.format(src=str(sides[side] / "src"), runs=args.fault_runs, n=n)
-            done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                                  check=True, env=dict(os.environ, TSM_THREADS="1"))
-            result = json.loads(done.stdout.splitlines()[-1])
-            report["in_process_fig4"].setdefault(f"n={n}", {})[side] = {
-                k: spread(v) for k, v in result.items()}
+        for n in FAULT_SIZES:
+            report["in_process_fig4"][f"n={n}"] = by_side = {}
+            for side, path in sides.items():
+                probe = FAULT_PROBE.format(src=str(path / "src"), runs=args.fault_runs, n=n)
+                done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                      text=True, check=True, env=dict(os.environ, TSM_THREADS="1"))
+                result = json.loads(done.stdout.splitlines()[-1])
+                by_side[side] = {k: spread(v) for k, v in result.items()}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
