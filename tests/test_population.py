@@ -349,8 +349,9 @@ def sweep_cells(spec):
 
 
 def tiled_table(base, axis, grid, levels):
-    """The sweep table as it was built before broadcasting: `base` tiled once
-    per (axis value, phi level) cell, with each cell's axis and phi columns."""
+    """The sweep table materialized row by row, the reference for the broadcast
+    one: `base` tiled once per (axis value, phi level) cell, with each cell's
+    axis and phi columns."""
     cells = ([(value, value) for value in grid] if axis == AXIS_PHI
              else [(value, level) for value in grid for level in levels])
     n = len(base)
