@@ -539,24 +539,25 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tsm",
-        description="Two-sided cloud data-market simulator.",
-    )
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `tsm` parser; given a command name, only that command's subparser gets flags."""
+    parser = argparse.ArgumentParser(prog="tsm", description="Two-sided cloud data-market simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+    for name, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", help="YAML config file (flags override it)")
         for setting in SETTINGS.values():
-            if command in setting.commands:
+            if name in setting.commands:
                 p.add_argument(setting.flag, type={"int": int, "float": float}.get(setting.kind),
                                choices=setting.arg if setting.kind == "choice" else None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return COMMANDS[args.command][0](_settings(args, load_config(args.config)))
     except (ConfigError, population.SamplingError) as exc:

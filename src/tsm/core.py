@@ -163,16 +163,12 @@ class Coefficients:
     a2 = 1 - alpha*beta          (in (0, 1) for any valid MarketParams)
     a3 = psi - gamma*beta
     a4 = alpha*phi
-    share_exp_a = (a4 - phi)/a2 + 1   (exponent of chi in the share equation)
-    share_exp_b = (a1 + a3)/a2 - 1    (exponent of 1-chi in the share equation)
     """
 
     a1: float
     a2: float
     a3: float
     a4: float
-    share_exp_a: float
-    share_exp_b: float
 
 
 def derive_coefficients(params: MarketParams | ParamTable) -> Coefficients:
@@ -180,12 +176,9 @@ def derive_coefficients(params: MarketParams | ParamTable) -> Coefficients:
 
     Pure; same params give identical values.
     """
-    a1 = params.gamma - params.alpha * params.psi
-    a2 = 1.0 - params.alpha * params.beta
-    a3 = params.psi - params.gamma * params.beta
-    a4 = params.alpha * params.phi
-    return Coefficients(a1=a1, a2=a2, a3=a3, a4=a4, share_exp_a=(a4 - params.phi) / a2 + 1.0,
-                        share_exp_b=(a1 + a3) / a2 - 1.0)
+    return Coefficients(a1=params.gamma - params.alpha * params.psi,
+                        a2=1.0 - params.alpha * params.beta,
+                        a3=params.psi - params.gamma * params.beta, a4=params.alpha * params.phi)
 
 
 @dataclass(frozen=True)
@@ -239,18 +232,15 @@ def _log_supply_primitive(log_share, log_price, log_demand, params: MarketParams
     )
 
 
+# log_share None drops the share term (share 1), so its exponent cannot widen the result.
 def _log_demand_reduced(log_price, log_share, params: MarketParams, c: Coefficients):
-    return (
-        np.log(params.k1) + params.alpha * np.log(params.k2)
-        - c.a1 * log_price + c.a4 * log_share
-    ) / c.a2
+    log_d = np.log(params.k1) + params.alpha * np.log(params.k2) - c.a1 * log_price
+    return (log_d if log_share is None else log_d + c.a4 * log_share) / c.a2
 
 
 def _log_supply_reduced(log_price, log_share, params: MarketParams, c: Coefficients):
-    return (
-        np.log(params.k2) + params.beta * np.log(params.k1)
-        + c.a3 * log_price + params.phi * log_share
-    ) / c.a2
+    log_s = np.log(params.k2) + params.beta * np.log(params.k1) + c.a3 * log_price
+    return (log_s if log_share is None else log_s + params.phi * log_share) / c.a2
 
 
 def _require(cond: bool, msg: str):
@@ -330,11 +320,11 @@ def _cloud_share_slice(price, params, c: Coefficients):
     (log R, e1, log K, e2), log K = -inf where f_s = 0, and the payoff as a function of s."""
     log_price = np.log(price)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_k = np.log(params.f_s) + _log_supply_reduced(log_price, 0.0, params, c)
-    log_r = log_price + _log_demand_reduced(log_price, 0.0, params, c)
+        log_k = np.log(params.f_s) + _log_supply_reduced(log_price, None, params, c)
+    log_r = log_price + _log_demand_reduced(log_price, None, params, c)
     e1, e2 = c.a4 / c.a2 + 1.0, params.phi / c.a2
-    return (log_r, e1, log_k, e2), lambda s: (np.exp(log_r + e1 * np.log(s))
-                                              - np.exp(log_k + e2 * np.log(s)))
+    return (log_r, e1, log_k, e2), lambda s: (np.exp(log_r + e1 * (log_s := np.log(s)))
+                                              - np.exp(log_k + e2 * log_s))
 
 
 def cloud_payoff(price: float, share: float, params: MarketParams) -> float:

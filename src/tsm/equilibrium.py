@@ -149,18 +149,19 @@ def provider_best_price(share: float, params: MarketParams) -> float:
 
 
 def _share_equation_columns(params: MarketParams | ParamTable, c: Coefficients):
-    """(exp_a, exp_b, log_rhs_c) of the share equation, elementwise; log_rhs_c
-    is meaningful only under f1 and is -inf where phi, f_s or f_c is zero."""
+    """(exp_a, exp_b, log_rhs_c) of the share equation, elementwise: (a4 - phi)/a2 + 1,
+    (a1 + a3)/a2 - 1 and log C, meaningful only under f1 and -inf where phi, f_s or f_c is 0."""
+    exp_b = (c.a1 + c.a3) / c.a2 - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_rhs_c = (
             np.log(params.f_s)
             + np.log(params.phi / (c.a4 + c.a2))
             + ((1.0 - params.alpha) * np.log(params.k2)
                + (params.beta - 1.0) * np.log(params.k1)) / c.a2
-            + c.share_exp_b * np.log(c.a1 * params.f_c / (c.a1 - c.a2))
+            + exp_b * np.log(c.a1 * params.f_c / (c.a1 - c.a2))
         )
     degenerate = (params.phi == 0.0) | (params.f_s == 0.0) | (params.f_c == 0.0)
-    return c.share_exp_a, c.share_exp_b, np.where(degenerate, -np.inf, log_rhs_c)
+    return (c.a4 - params.phi) / c.a2 + 1.0, exp_b, np.where(degenerate, -np.inf, log_rhs_c)
 
 
 def _share_gap(chi, exp_a, exp_b, log_c):

@@ -21,7 +21,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -307,8 +307,7 @@ class SweepSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class SweepSeries:
+class SweepSeries(NamedTuple):
     """Aggregates of one sweep cell (axis value x phi level x scenario).
 
     Means are over the cell's feasible records; a cell with no feasible
@@ -374,5 +373,5 @@ def run_sweep(spec: SweepSpec) -> list[SweepSeries]:
         series += [SweepSeries(spec.axis, value, scenario, level, len(base), count,
                                *(m if count else None for m in row))
                    for (value, level), count, *row in zip(cells, counts, *means)]
-    series.sort(key=lambda s: (s.axis_value, s.scenario, s.phi_level))
+    series.sort(key=lambda s: s[1:4])   # (axis_value, scenario, phi_level)
     return series

@@ -172,14 +172,21 @@ def _declared_share(price, t: ParamTable, c: Coefficients) -> np.ndarray:
     fixed price (`_cloud_share_slice`). Under f3 (e2 > e1) its only stationary
     point is the maximum s* = (e1*R / (e2*K))^(1/(e2-e1)); otherwise it is
     monotone or dips to an interior minimum. Of s* clipped to the share domain
-    (the lower end without f3) and the upper end, the better is returned."""
+    (the lower end without f3) and the upper end, the better is returned: as
+    argmax ranks them, s* on a tie or where its payoff is NaN."""
     (log_r, e1, log_k, e2), payoff = _cloud_share_slice(price, t, c)
-    # Rows without f3 (and f_s = 0, where K = 0) give inf or nan here; the
-    # former are discarded below and the latter clip to the upper endpoint.
-    s_star = np.exp((np.log(e1) + log_r - np.log(e2) - log_k) / (e2 - e1))
-    s_star = np.where(e2 > e1, np.clip(s_star, SHARE_EPS, 1.0 - SHARE_EPS), SHARE_EPS)
-    candidates = np.stack([s_star, np.full_like(s_star, 1.0 - SHARE_EPS)])
-    return np.take_along_axis(candidates, np.argmax(payoff(candidates), axis=0)[None], 0)[0]
+    # s* in place, in an array of the rows' full shape (e1 may lack axes). Rows
+    # without f3 (and f_s = 0, where K = 0) give inf or nan here; the former
+    # are discarded below and the latter clip to the upper endpoint.
+    s = np.log(e1, out=np.empty(np.broadcast(log_r, e1, log_k, e2).shape))
+    s += log_r
+    s -= np.log(e2)
+    s -= log_k
+    s /= e2 - e1
+    np.clip(np.exp(s, out=s), SHARE_EPS, 1.0 - SHARE_EPS, out=s)
+    np.copyto(s, SHARE_EPS, where=~(e2 > e1))
+    at_s, at_top = payoff(s), payoff(np.float64(1.0 - SHARE_EPS))
+    return np.where((at_s >= at_top) | np.isnan(at_s), s, 1.0 - SHARE_EPS)
 
 
 def _finite(*columns) -> np.ndarray:

@@ -690,3 +690,42 @@ class TestConfigLoading:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: invalid parameters: {key} must be")
         assert not (tmp_path / "eq.csv").exists()
+
+
+class TestParser:
+    # `main` builds the flags of the command that argv names, and no others.
+    @pytest.mark.parametrize("argv", [
+        ["equilibrium", *FEASIBLE_FLAGS, "--out", "eq.csv", "--config", "c.yaml"],
+        ["scenario", "--mode", "declared-price", "--scenario", "two_sided,pay_as_you_go",
+         "--n-providers", "20", "--seed", "3", "--phi", "2.0", "--psi", "0.2"],
+        ["sweep", "--preset", "fig4", "--n-providers", "300", "--seed", "7", "--out", "f.csv"],
+        ["sweep", "--axis", "k1", "--mode", "equilibrium", "--config", "c.yaml"],
+        ["verify", "--draws", "4", "--grid-n", "400", "--pairs", "40", "--seed", "3"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_one_command_parses_as_the_full_parser(self, argv):
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_one_command_rejects_other_commands_flags(self, command, capsys):
+        other = "--draws" if command != cli.VF else "--out"
+        for parser in (cli.build_parser(command), cli.build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, other, "4"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {other} 4" in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out == cli.build_parser().format_help()
+        assert "{equilibrium,scenario,sweep,verify}" in out
+        for command, (_, help_text) in cli.COMMANDS.items():
+            assert re.search(rf"^ +{command} +{help_text}$", out, re.M), command
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bogus", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err

@@ -64,8 +64,7 @@ NO_ROOT_PARAMS = MarketParams(
 class TestProviderBestPrice:
     def test_direct_substitution(self):
         # a1=2, a2=1, f_c=1, share=0.5 -> 4; exact on the raw formula
-        c = Coefficients(a1=2.0, a2=1.0, a3=0.0, a4=0.0,
-                         share_exp_a=0.0, share_exp_b=0.0)
+        c = Coefficients(a1=2.0, a2=1.0, a3=0.0, a4=0.0)
         assert _best_price_unchecked(0.5, c, 1.0) == 4.0
         # and through validated params approaching that coefficient corner
         p = MarketParams(alpha=1e-3, beta=1e-3, gamma=2.0, psi=0.0, phi=2.0,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsm.core import _cloud_share_slice, derive_coefficients
 from tsm.equilibrium import stackelberg_solve
 from tsm.population import (
     AXES,
@@ -406,6 +407,19 @@ def test_kernels_compute_only_what_varies():
                 assert getattr(out, name).size == size, (scenario, name)
     out = scenario_columns(TWO_SIDED, table, declared, MODE_DECLARED_PRICE)
     assert out.feasible.size == 13 * len(DEFAULT_PHI_LEVELS) * 300
+    # two_sided's share slice: log R and log K vary with the axis value and the
+    # provider, not with phi, so they are not widened to the phi levels.
+    (log_r, _, log_k, _), _ = _cloud_share_slice(declared, table, derive_coefficients(table))
+    assert log_r.size == log_k.size == 13 * 300
+
+
+def test_sweep_series_is_an_immutable_record():
+    [cell, *_] = run_sweep(SweepSpec(axis=AXIS_GAMMA, population=PopulationSpec(n_providers=2)))
+    with pytest.raises(AttributeError):
+        cell.mean_share = 0.0
+    assert cell._fields == (
+        "axis", "axis_value", "scenario", "phi_level", "n_providers", "feasible_count",
+        "mean_cloud_payoff", "mean_provider_payoff", "mean_demand", "mean_supply", "mean_share")
 
 
 def exact_cell_means(spec):

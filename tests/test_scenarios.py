@@ -50,6 +50,7 @@ from tsm.scenarios import (
     scenario_columns,
     summarize_records,
 )
+from tsm import scenarios
 from tests.test_equilibrium import FEASIBLE_PARAMS
 from tests.test_tooling import workloads
 
@@ -231,6 +232,21 @@ def test_declared_share_ranks_as_the_full_payoff(seed):
     assert not np.any(payoff[1] > payoff[0])
     # Both an interior s* and the upper endpoint win in some rows.
     assert np.any((best == 0) & (lo < share) & (share < hi)) and np.any(best == 2)
+
+
+def test_declared_share_picks_as_argmax_does(monkeypatch):
+    # Crafted slices with s* = 0.5 in every row (R = K = 1, e1 = 1, e2 = 2) and
+    # set payoffs at s* and at the upper end. As argmax over (s*, upper end),
+    # s* wins a tie and wherever its payoff is NaN; the upper end wins where it
+    # pays more, or where only its payoff is NaN.
+    top = 1.0 - SHARE_EPS
+    at_star = np.array([1.0, np.nan, 1.0, np.nan, 1.0, 2.0])
+    at_top = np.array([1.0, 1.0, np.nan, np.nan, 2.0, 1.0])
+    terms = (np.zeros(6), np.ones(6), np.zeros(6), np.full(6, 2.0))
+    monkeypatch.setattr(scenarios, "_cloud_share_slice", lambda price, t, c: (
+        terms, lambda s: np.where(np.asarray(s) == top, at_top, at_star)))
+    share = _declared_share(None, None, None)
+    assert np.array_equal(share, [0.5, 0.5, top, 0.5, top, 0.5])
 
 
 def test_non_finite_rows_are_infeasible():
