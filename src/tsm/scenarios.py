@@ -200,10 +200,12 @@ def _outcome_at(feasible, price, share, t: ParamTable, c: Coefficients) -> Outco
     log_price, log_share = np.log(price), np.log(share)
     log_demand = _log_demand_reduced(log_price, log_share, t, c)
     log_supply = _log_supply_reduced(log_price, log_share, t, c)
-    demand = np.exp(log_demand)
-    values = (price, share, demand, np.exp(log_supply),
-              _provider_payoff(price, share, demand, t.f_c),
-              _cloud_payoff(log_price, log_share, log_demand, log_supply, t.f_s))
+    cloud_payoff = _cloud_payoff(log_price, log_share, log_demand, log_supply, t.f_s)
+    # The logs are spent: demand and supply take their arrays.
+    demand, supply = np.exp(log_demand, out=log_demand), np.exp(log_supply, out=log_supply)
+    del log_share
+    values = (price, share, demand, supply, _provider_payoff(price, share, demand, t.f_c),
+              cloud_payoff)
     return Outcome(t, feasible & _finite(*values), *values)
 
 
