@@ -7,15 +7,18 @@ ways: finite-difference stationarity, curvature signs, and a brute-force
 oracle that knows nothing about the closed forms.
 """
 
+import math
+
 from tsm import (
     MarketParams,
-    build_share_equation,
     check_feasibility,
+    derive_coefficients,
     first_order_residuals,
     oracle_equilibrium,
     second_order_check,
     stackelberg_solve,
 )
+from tsm.equilibrium import _share_equation_columns
 
 # A draw from the simulation-setup ranges whose game has an equilibrium.
 # (Existence is demanding: it needs a strong externality loop plus a
@@ -28,9 +31,9 @@ params = MarketParams(
 
 print("flags:", check_feasibility(params))
 
-eq = build_share_equation(params)
-print(f"\nshare equation chi^A (1-chi)^B = C with A={eq.exp_a:.4f} "
-      f"B={eq.exp_b:.4f} C={eq.rhs_c:.6g}")
+exp_a, exp_b, log_c = _share_equation_columns(params, derive_coefficients(params))
+print(f"\nshare equation chi^A (1-chi)^B = C with A={exp_a:.4f} "
+      f"B={exp_b:.4f} C={math.exp(log_c):.6g}")
 
 result = stackelberg_solve(params)
 print(f"\nequilibrium (roots found: {result.share_roots_found}):")

@@ -12,7 +12,6 @@ from .core import (
     Coefficients,
     DomainError,
     FeasibilityReport,
-    InfeasibilityError,
     MarketParams,
     check_feasibility,
     cloud_payoff,
@@ -27,12 +26,8 @@ from .equilibrium import (
     EquilibriumResult,
     OracleEquilibrium,
     SecondOrderReport,
-    ShareEquation,
-    ShareSolution,
-    build_share_equation,
     first_order_residuals,
     oracle_equilibrium,
-    provider_best_price,
     second_order_check,
     solve_share,
     stackelberg_solve,

@@ -172,7 +172,8 @@ def load_config(path: str | None) -> dict:
         return {}
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a mapping of keys to values")
-    unknown = sorted(set(data) - ALLOWED_CONFIG_KEYS)
+    # YAML keys may be numbers or null, which neither sort with text nor join.
+    unknown = sorted(str(k) for k in data if k not in ALLOWED_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     return data
@@ -350,7 +351,7 @@ def cmd_sweep(s: dict) -> int:
         spec = SweepSpec(
             axis=axis,
             grid=s.get("grid", ()),
-            phi_levels=s.get("phi_levels") or population.DEFAULT_PHI_LEVELS,
+            phi_levels=s.get("phi_levels", population.DEFAULT_PHI_LEVELS),
             scenarios=scenario_names,
             population=pop_spec,
             mode=s.get("mode", scenarios.MODE_DECLARED_PRICE),
@@ -436,7 +437,7 @@ def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000)
             alpha=alpha[ok], beta=beta[ok], gamma=gamma[ok], psi=spec.psi, phi=phi[ok],
             k1=k1[ok], f_c=spec.f_c_factor * price[ok])
         del price, alpha, beta, gamma, phi, k1, ok   # bounds the solve's peak memory
-        reported = np.nonzero(~np.isnan(equilibrium._equilibrium_shares(table)[1]))[0]
+        reported = np.nonzero(~np.isnan(equilibrium.solve_share(table)[1]))[0]
         kept.append(table.take(reported[:count - got]))
     table = core.ParamTable.concat(kept)
     return scenarios.scenario_columns(TWO_SIDED, table, None, MODE_EQUILIBRIUM), drawn

@@ -30,10 +30,6 @@ class DomainError(ValueError):
     """An input lies outside an operation's mathematical domain."""
 
 
-class InfeasibilityError(ValueError):
-    """A best-response formula was evaluated where its existence conditions fail."""
-
-
 @dataclass(frozen=True)
 class MarketParams:
     """Full parameterization of one provider/platform pair.

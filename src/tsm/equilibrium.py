@@ -10,7 +10,8 @@ whose exponents and constant come from the derived coefficients. The solver
 brackets each root analytically on either side of the log form's minimum and
 bisects all rows of a ParamTable at once; when the equation admits two roots
 (both are genuine mutual best responses) the platform-payoff-maximizing one
-is reported. The scalar entry points are validated batches of one.
+is reported. `solve_share` is that solver; `stackelberg_solve` runs it on a
+batch of one.
 
 `oracle_equilibrium` is an independent check: it knows nothing about the
 closed forms. It finds each best response by bisecting the forward-mode
@@ -32,7 +33,6 @@ from .core import (
     Coefficients,
     DomainError,
     FeasibilityReport,
-    InfeasibilityError,
     MarketParams,
     ParamTable,
     _cloud_payoff_arr,
@@ -50,34 +50,6 @@ from .core import (
 SHARE_EPS = 1e-9     # roots are sought on [SHARE_EPS, 1 - SHARE_EPS]
 HALVINGS = 44        # shrinks a unit bracket below 1e-13, inside the 1e-10 contract
 NEWTON_STEPS = 3
-
-
-@dataclass(frozen=True)
-class ShareEquation:
-    """The platform's reduced stationarity condition chi^A (1-chi)^B = C.
-
-    `rhs_c` is the constant evaluated directly; `log_rhs_c` is the same
-    constant kept in log space, which is what the solver actually uses
-    (C under/overflows for extreme exponents long before the model breaks).
-    """
-
-    exp_a: float
-    exp_b: float
-    rhs_c: float
-    log_rhs_c: float
-
-
-@dataclass(frozen=True)
-class ShareSolution:
-    """All share-equation roots found, plus the payoff-maximizing selection."""
-
-    share_star: float | None
-    roots: tuple[float, ...]
-    residual: float | None
-
-    @property
-    def n_roots(self) -> int:
-        return len(self.roots)
 
 
 @dataclass(frozen=True)
@@ -128,24 +100,6 @@ class SecondOrderReport:
 
 def _best_price_unchecked(share, c: Coefficients, f_c):
     return c.a1 * f_c / ((c.a1 - c.a2) * (1.0 - share))
-
-
-def provider_best_price(share: float, params: MarketParams) -> float:
-    """The provider's optimal price a1*f_c / ((a1-a2)*(1-share)).
-
-    Valid only where the price is positive (f1) and the stationary point is
-    a maximum (f2); strictly increasing in share.
-    """
-    if share >= 1.0:
-        raise DomainError(f"share must be < 1, got {share}")
-    if share <= 0.0:
-        raise DomainError(f"share must be > 0, got {share}")
-    report = check_feasibility(params)
-    if not report.f1_price_positive:
-        raise InfeasibilityError("price positivity condition a1/(a1-a2) > 0 fails")
-    if not report.f2_price_max:
-        raise InfeasibilityError("price second-order condition a1/a2 > 1 fails")
-    return _best_price_unchecked(share, derive_coefficients(params), params.f_c)
 
 
 def _share_equation_columns(params: MarketParams | ParamTable, c: Coefficients):
@@ -209,66 +163,32 @@ def _share_roots(exp_a, exp_b, log_c) -> np.ndarray:
     return roots.reshape(2, -1)
 
 
-def _solve_shares(exp_a, exp_b, log_c, t: ParamTable):
-    """Per row of `t`: the roots, the share (of two roots, the one with the
-    higher platform payoff at the provider's best price; the lower on a tie;
-    NaN without a root) and its residual |chi^A (1-chi)^B - C|."""
+def solve_share(t: ParamTable) -> np.ndarray:
+    """Rows (number of share roots, selected share, residual), one column per
+    row of `t`. Only rows passing f1-f3 are solved; the others have no root.
+    Of two roots the share is the one with the higher platform payoff at the
+    provider's best price (the lower on a tie). The residual is
+    |chi^A (1-chi)^B - C|; share and residual are NaN wherever no
+    equilibrium is reported."""
+    rows = np.nonzero(check_feasibility(t).all_ok)[0]
+    solved = t.take(rows)
+    exp_a, exp_b, log_c = _share_equation_columns(solved, derive_coefficients(solved))
     roots = _share_roots(exp_a, exp_b, log_c)
     share = np.where(np.isnan(roots[0]), roots[1], roots[0])
     two = np.nonzero(~np.isnan(roots).any(axis=0))[0]
     if two.size:
-        both, sub = roots[:, two], t.take(two)
+        both, sub = roots[:, two], solved.take(two)
         c = derive_coefficients(sub)
         pay = _cloud_payoff_arr(_best_price_unchecked(both, c, sub.f_c), both, sub, c)
         share[two] = both[np.argmax(pay, axis=0), np.arange(two.size)]
     # C * |expm1(gap)| in log space, because C alone can overflow.
     with np.errstate(divide="ignore", over="ignore"):
         gap = _share_gap(share, exp_a, exp_b, log_c)
-        return roots, share, np.exp(log_c + np.log(np.abs(np.expm1(gap))))
-
-
-def _equilibrium_shares(t: ParamTable) -> np.ndarray:
-    """Rows (number of share roots, selected share, residual), one column per
-    row of `t`. Only rows passing f1-f3 are solved; the others have no root,
-    and share and residual are NaN wherever no equilibrium is reported."""
-    rows = np.nonzero(check_feasibility(t).all_ok)[0]
-    solved = t.take(rows)
-    roots, share, residual = _solve_shares(
-        *_share_equation_columns(solved, derive_coefficients(solved)), solved)
+        residual = np.exp(log_c + np.log(np.abs(np.expm1(gap))))
     columns = np.full((3, len(t)), np.nan)
     columns[0] = 0.0
     columns[:, rows] = (~np.isnan(roots)).sum(axis=0), share, residual
     return columns
-
-
-def build_share_equation(params: MarketParams) -> ShareEquation:
-    """Assemble the platform's share equation from the model constants."""
-    if not check_feasibility(params).f1_price_positive:
-        raise InfeasibilityError("price positivity condition a1/(a1-a2) > 0 fails")
-    exp_a, exp_b, log_rhs_c = _share_equation_columns(params, derive_coefficients(params))
-    with np.errstate(over="ignore"):   # C may overflow; the solver uses log_rhs_c
-        return ShareEquation(exp_a=exp_a, exp_b=exp_b, rhs_c=float(np.exp(log_rhs_c)),
-                             log_rhs_c=float(log_rhs_c))
-
-
-def solve_share(eq: ShareEquation, params: MarketParams) -> ShareSolution:
-    """Find all roots of the share equation on [eps, 1-eps].
-
-    Analytic brackets on either side of the log form's minimum, bisection
-    and a Newton polish. With two roots, the one maximizing the platform's
-    payoff at (best_price(chi), chi) is selected. No root is a valid outcome
-    (share_star None), not an error.
-    """
-    if eq.exp_a >= 0.0:
-        raise InfeasibilityError(
-            f"share equation requires exp_a < 0 (phi > a4 + a2), got {eq.exp_a}"
-        )
-    roots, share, residual = _solve_shares(eq.exp_a, eq.exp_b, eq.log_rhs_c,
-                                           ParamTable.from_params([params]))
-    if np.isnan(share[0]):
-        return ShareSolution(share_star=None, roots=(), residual=None)
-    return ShareSolution(share_star=share.item(), residual=residual.item(),
-                         roots=tuple(roots[~np.isnan(roots)].tolist()))
 
 
 def stackelberg_solve(params: MarketParams) -> EquilibriumResult:
@@ -277,7 +197,7 @@ def stackelberg_solve(params: MarketParams) -> EquilibriumResult:
     Any failed existence condition, or a rootless share equation, yields a
     result flagged infeasible with no equilibrium values.
     """
-    n_roots, share, residual = _equilibrium_shares(ParamTable.from_params([params]))[:, 0].tolist()
+    n_roots, share, residual = solve_share(ParamTable.from_params([params]))[:, 0].tolist()
     report = check_feasibility(params)
     if math.isnan(share):
         return EquilibriumResult(feasible=False, feasibility=report, share_roots_found=0)

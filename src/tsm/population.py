@@ -296,6 +296,8 @@ class SweepSpec:
         lo, hi = AXIS_RANGES[self.axis]
         if grid[0] < lo or grid[-1] > hi:
             raise ValueError(f"{self.axis} grid must lie within [{lo}, {hi}]")
+        if not self.phi_levels:
+            raise ValueError("phi levels must be non-empty")
         if not all(math.isfinite(v) and v >= 0.0 for v in self.phi_levels):
             raise ValueError("phi levels must be finite and >= 0")
         for s in self.scenarios:

@@ -38,7 +38,7 @@ from .core import (
     check_feasibility,
     derive_coefficients,
 )
-from .equilibrium import SHARE_EPS, _best_price_unchecked, _equilibrium_shares
+from .equilibrium import SHARE_EPS, _best_price_unchecked, solve_share
 
 TWO_SIDED = "two_sided"
 FIFTY_FIFTY = "fifty_fifty"
@@ -172,8 +172,8 @@ def _declared_share(price, t: ParamTable, c: Coefficients) -> np.ndarray:
     fixed price (`_cloud_share_slice`). Under f3 (e2 > e1) its only stationary
     point is the maximum s* = (e1*R / (e2*K))^(1/(e2-e1)); otherwise it is
     monotone or dips to an interior minimum. Of s* clipped to the share domain
-    (the lower end without f3) and the upper end, the better is returned: as
-    argmax ranks them, s* on a tie or where its payoff is NaN."""
+    (the lower end without f3) and the upper end, the better is returned:
+    s* on a tie or where its payoff is NaN."""
     (log_r, e1, log_k, e2), payoff = _cloud_share_slice(price, t, c)
     # s* in place, in an array of the rows' full shape (e1 may lack axes). Rows
     # without f3 (and f_s = 0, where K = 0) give inf or nan here; the former
@@ -215,7 +215,7 @@ def _equilibrium_columns(t: ParamTable) -> Outcome:
     shape = np.broadcast(*vars(t).values()).shape   # a broadcast table is solved flat
     flat = t if len(shape) == 1 else ParamTable(
         **{k: np.broadcast_to(v, shape).ravel() for k, v in vars(t).items()})
-    share = _equilibrium_shares(flat)[1].reshape(shape)
+    share = solve_share(flat)[1].reshape(shape)
     price = _best_price_unchecked(share, c, t.f_c)
     return _outcome_at(~np.isnan(share), price, share, t, c)
 

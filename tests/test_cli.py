@@ -580,6 +580,12 @@ class TestConfigLoading:
          "missing required parameter(s): phi"),
         ("sweep --axis k1 --n-providers 2", "grid: [0.5, 0.2]",
          "invalid sweep: axis grid must be strictly increasing"),
+        # an empty list is not the default levels
+        ("sweep --axis k1 --n-providers 2", "phi_levels: []",
+         "invalid sweep: phi levels must be non-empty"),
+        # YAML keys that are not text
+        ("scenario --n-providers 2", "1: 2", "unknown config key(s): 1"),
+        ("scenario --n-providers 2", "null: 4", "unknown config key(s): None"),
         ("equilibrium --alpha 0.5 --beta 1.0 --gamma 0.3 --phi 2.0 --k1 0.5 --f_c 1.0",
          "", UNWRITABLE),
         ("scenario --n-providers 2", "", UNWRITABLE),

@@ -13,7 +13,6 @@ from tsm import equilibrium
 from tsm.core import (
     Coefficients,
     DomainError,
-    InfeasibilityError,
     MarketParams,
     ParamTable,
     _cloud_payoff_arr,
@@ -30,14 +29,13 @@ from tsm.core import (
 from tsm.cli import draw_reported_equilibria
 from tsm.equilibrium import (
     SHARE_EPS,
-    ShareEquation,
     _best_price_unchecked,
     _price_slice,
+    _share_equation_columns,
+    _share_roots,
     _Slope,
-    build_share_equation,
     first_order_residuals,
     oracle_equilibrium,
-    provider_best_price,
     second_order_check,
     solve_share,
     stackelberg_solve,
@@ -61,6 +59,25 @@ NO_ROOT_PARAMS = MarketParams(
 )
 
 
+def best_price(share, p: MarketParams):
+    return _best_price_unchecked(share, derive_coefficients(p), p.f_c)
+
+
+def share_equation(p: MarketParams):
+    """(exp_a, exp_b, log_rhs_c) of one game's share equation."""
+    return _share_equation_columns(p, derive_coefficients(p))
+
+
+def solved(p: MarketParams):
+    """(number of roots, share, residual) from the column solver, for one game."""
+    return solve_share(ParamTable.from_params([p]))[:, 0]
+
+
+def found_roots(exp_a, exp_b, log_c) -> list[float]:
+    roots = _share_roots(exp_a, exp_b, log_c)[:, 0]
+    return roots[~np.isnan(roots)].tolist()
+
+
 class TestProviderBestPrice:
     def test_direct_substitution(self):
         # a1=2, a2=1, f_c=1, share=0.5 -> 4; exact on the raw formula
@@ -69,20 +86,20 @@ class TestProviderBestPrice:
         # and through validated params approaching that coefficient corner
         p = MarketParams(alpha=1e-3, beta=1e-3, gamma=2.0, psi=0.0, phi=2.0,
                          k1=0.5, f_c=1.0)
-        assert provider_best_price(0.5, p) == pytest.approx(4.0, rel=1e-5)
+        assert best_price(0.5, p) == pytest.approx(4.0, rel=1e-5)
 
     def test_share_zero_boundary_is_curve_minimum(self):
         p = FEASIBLE_PARAMS
         c = derive_coefficients(p)
         floor = c.a1 * p.f_c / (c.a1 - c.a2)
-        assert provider_best_price(1e-12, p) == pytest.approx(floor, rel=1e-9)
+        assert best_price(1e-12, p) == pytest.approx(floor, rel=1e-9)
         for share in (0.1, 0.5, 0.9):
-            assert provider_best_price(share, p) > floor
+            assert best_price(share, p) > floor
 
     def test_strictly_increasing_in_share(self):
         p = FEASIBLE_PARAMS
         shares = np.linspace(0.01, 0.99, 60)
-        prices = [provider_best_price(s, p) for s in shares]
+        prices = [best_price(s, p) for s in shares]
         assert all(b > a for a, b in zip(prices, prices[1:]))
 
     def test_grid_argmax_oracle(self):
@@ -93,15 +110,9 @@ class TestProviderBestPrice:
                             p.f_c / (1 - share) * 1e3, 100_000)
         payoffs = [provider_payoff(float(x), share, p) for x in grid]
         best = grid[int(np.argmax(payoffs))]
-        formula = provider_best_price(share, p)
+        formula = best_price(share, p)
         step = grid[1] / grid[0]
         assert best / step <= formula <= best * step
-
-    def test_infeasibility_errors(self):
-        with pytest.raises(InfeasibilityError):
-            provider_best_price(0.5, INFEASIBLE_PARAMS)
-        with pytest.raises(DomainError):
-            provider_best_price(1.0, FEASIBLE_PARAMS)
 
 
 class TestShareEquation:
@@ -110,16 +121,16 @@ class TestShareEquation:
         p = MarketParams(alpha=0.7, beta=0.7, gamma=0.8, psi=0.0, phi=3.0,
                          k1=1.0, k2=1.0, f_c=0.4, f_s=2.0)
         c = derive_coefficients(p)
-        eq = build_share_equation(p)
+        _, exp_b, log_c = share_equation(p)
         expected = (p.f_s * (p.phi / (c.a4 + c.a2))
-                    * (c.a1 * p.f_c / (c.a1 - c.a2)) ** eq.exp_b)
-        assert eq.rhs_c == pytest.approx(expected, rel=1e-12)
+                    * (c.a1 * p.f_c / (c.a1 - c.a2)) ** exp_b)
+        assert math.exp(log_c) == pytest.approx(expected, rel=1e-12)
 
     def test_phi_zero_limit(self):
-        eq = build_share_equation(MarketParams(
+        _, _, log_c = share_equation(MarketParams(
             alpha=0.7, beta=0.7, gamma=0.8, psi=0.0, phi=0.0, k1=1.0,
             f_c=0.4))
-        assert eq.rhs_c == 0.0
+        assert math.exp(log_c) == 0.0
 
     def test_log_space_oracle(self):
         # direct product arithmetic agrees with the log-space constant
@@ -137,88 +148,70 @@ class TestShareEquation:
                 continue
             checked += 1
             c = derive_coefficients(p)
-            eq = build_share_equation(p)
+            _, exp_b, log_c = share_equation(p)
             direct = (p.f_s * (p.phi / (c.a4 + c.a2))
                       * ((p.k2 * p.k1 ** p.beta) / (p.k1 * p.k2 ** p.alpha))
                       ** (1.0 / c.a2)
-                      * (c.a1 * p.f_c / (c.a1 - c.a2)) ** eq.exp_b)
+                      * (c.a1 * p.f_c / (c.a1 - c.a2)) ** exp_b)
             if not (1e-250 < direct < 1e250):
                 continue
-            assert eq.rhs_c == pytest.approx(direct, rel=1e-12)
+            assert math.exp(log_c) == pytest.approx(direct, rel=1e-12)
 
     def test_rhs_positive_under_f1(self):
-        eq = build_share_equation(FEASIBLE_PARAMS)
-        assert eq.rhs_c > 0.0
-
-    def test_f1_required(self):
-        with pytest.raises(InfeasibilityError):
-            build_share_equation(MarketParams(
-                alpha=0.3, beta=0.5, gamma=0.3, psi=0.1, phi=1.0, k1=0.5,
-                f_c=1.0))
+        _, _, log_c = share_equation(FEASIBLE_PARAMS)
+        assert math.exp(log_c) > 0.0
 
 
 class TestSolveShare:
     def test_closed_form_special_case(self):
         # chi^-1 = 2  =>  chi* = 0.5
-        eq = ShareEquation(exp_a=-1.0, exp_b=0.0, rhs_c=2.0,
-                           log_rhs_c=math.log(2.0))
-        sol = solve_share(eq, INFEASIBLE_PARAMS)
-        assert sol.n_roots == 1
-        assert sol.share_star == pytest.approx(0.5, abs=1e-10)
+        roots = found_roots(-1.0, 0.0, math.log(2.0))
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_monotone_case_single_root(self):
         # B > 0 with A < 0 makes chi^A (1-chi)^B strictly decreasing
         p = MarketParams(alpha=0.5, beta=1.9, gamma=0.1, psi=0.35, phi=2.0,
                          k1=0.5, f_c=1.0)
-        eq = build_share_equation(p)
-        assert eq.exp_a < 0.0 and eq.exp_b > 0.0
-        sol = solve_share(eq, p)
-        assert sol.n_roots == 1
+        exp_a, exp_b, log_c = share_equation(p)
+        assert exp_a < 0.0 and exp_b > 0.0
+        assert len(found_roots(exp_a, exp_b, log_c)) == 1
 
-    def test_requires_negative_exp_a(self):
-        eq = ShareEquation(exp_a=0.5, exp_b=1.0, rhs_c=1.0, log_rhs_c=0.0)
-        with pytest.raises(InfeasibilityError):
-            solve_share(eq, INFEASIBLE_PARAMS)
+    def test_nonnegative_exp_a_has_no_root(self):
+        # A >= 0 fails f3; chi^0.5 (1-chi) stays below 1 on (0, 1)
+        assert found_roots(0.5, 1.0, 0.0) == []
 
     def test_no_root_is_data(self):
-        eq = build_share_equation(NO_ROOT_PARAMS)
-        sol = solve_share(eq, NO_ROOT_PARAMS)
-        assert sol.n_roots == 0
-        assert sol.share_star is None
+        n_roots, share, residual = solved(NO_ROOT_PARAMS)
+        assert n_roots == 0
+        assert math.isnan(share) and math.isnan(residual)
 
     def test_residual_oracle(self):
-        eq = build_share_equation(FEASIBLE_PARAMS)
-        sol = solve_share(eq, FEASIBLE_PARAMS)
-        assert sol.n_roots >= 1
-        g = (sol.share_star ** eq.exp_a
-             * (1.0 - sol.share_star) ** eq.exp_b)
-        assert abs(g - eq.rhs_c) <= 1e-8
-        assert sol.residual <= 1e-8
+        exp_a, exp_b, log_c = share_equation(FEASIBLE_PARAMS)
+        n_roots, share, residual = solved(FEASIBLE_PARAMS)
+        assert n_roots >= 1
+        g = share ** exp_a * (1.0 - share) ** exp_b
+        assert abs(g - math.exp(log_c)) <= 1e-8
+        assert residual <= 1e-8
 
     def test_numeraire_rescaling_recomputed(self):
         # scaling f_s and f_c together moves the equation's constant and
-        # hence the root; the solve responds rather than caching
-        import dataclasses
+        # hence the root (here the rescaled game has none); the solve
+        # responds rather than caching
         scaled = dataclasses.replace(FEASIBLE_PARAMS,
                                      f_s=3.0 * FEASIBLE_PARAMS.f_s,
                                      f_c=3.0 * FEASIBLE_PARAMS.f_c)
-        base = solve_share(build_share_equation(FEASIBLE_PARAMS), FEASIBLE_PARAMS)
-        moved = solve_share(build_share_equation(scaled), scaled)
-        again = solve_share(build_share_equation(scaled), scaled)
-        assert moved == again
-        assert moved.share_star != base.share_star
+        base, moved, again = solved(FEASIBLE_PARAMS), solved(scaled), solved(scaled)
+        assert np.array_equal(moved, again, equal_nan=True)
+        assert moved[1] != base[1]
 
     def test_payoff_maximizing_root_selected(self):
-        eq = build_share_equation(FEASIBLE_PARAMS)
-        sol = solve_share(eq, FEASIBLE_PARAMS)
-        assert sol.n_roots == 2
-        c = derive_coefficients(FEASIBLE_PARAMS)
-        payoffs = [
-            cloud_payoff(_best_price_unchecked(r, c, FEASIBLE_PARAMS.f_c), r,
-                         FEASIBLE_PARAMS)
-            for r in sol.roots
-        ]
-        assert sol.share_star == sol.roots[int(np.argmax(payoffs))]
+        n_roots, share, _ = solved(FEASIBLE_PARAMS)
+        roots = found_roots(*share_equation(FEASIBLE_PARAMS))
+        assert n_roots == len(roots) == 2
+        payoffs = [cloud_payoff(best_price(r, FEASIBLE_PARAMS), r, FEASIBLE_PARAMS)
+                   for r in roots]
+        assert share == roots[int(np.argmax(payoffs))]
 
 
 # The solver the analytic brackets replaced, kept as an independent oracle:
@@ -231,12 +224,12 @@ SCAN_GRID = np.unique(np.concatenate([
 ]))
 
 
-def scanned_roots(eq):
-    if not math.isfinite(eq.log_rhs_c):
+def scanned_roots(exp_a, exp_b, log_c):
+    if not math.isfinite(log_c):
         return []
 
     def f(chi):
-        return eq.exp_a * np.log(chi) + eq.exp_b * np.log1p(-chi) - eq.log_rhs_c
+        return exp_a * np.log(chi) + exp_b * np.log1p(-chi) - log_c
 
     vals = f(SCAN_GRID)
     sign = np.sign(vals)
@@ -253,7 +246,7 @@ def scanned_roots(eq):
                 hi = mid
         root = 0.5 * (lo + hi)
         for _ in range(3):
-            deriv = eq.exp_a / root - eq.exp_b / (1.0 - root)
+            deriv = exp_a / root - exp_b / (1.0 - root)
             if deriv == 0.0:
                 break
             cand = root - float(f(root)) / deriv
@@ -289,20 +282,22 @@ def share_games(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(share_games())
 def test_bracketed_roots_match_scan(params):
-    eq = build_share_equation(params)
-    if not check_feasibility(params).f3_share_max:   # always so at phi = 0
-        with pytest.raises(InfeasibilityError):
-            solve_share(eq, params)
+    # The solver reports only games passing f1-f3; the brackets find the
+    # roots wherever f3 holds.
+    flags = check_feasibility(params)
+    n_roots, share, _ = solved(params)
+    if not flags.all_ok:
+        assert n_roots == 0 and math.isnan(share)
+    if not flags.f3_share_max:   # always so at phi = 0
         return
-    sol = solve_share(eq, params)
-    scanned = scanned_roots(eq)
-    assert sol.n_roots == len(scanned)
-    assert sol.roots == pytest.approx(scanned, abs=1e-10)
-    if scanned:
-        c = derive_coefficients(params)
-        payoffs = [cloud_payoff(_best_price_unchecked(r, c, params.f_c), r, params)
-                   for r in scanned]
-        assert sol.share_star == pytest.approx(scanned[int(np.argmax(payoffs))], abs=1e-10)
+    equation = share_equation(params)
+    roots, scanned = found_roots(*equation), scanned_roots(*equation)
+    assert roots == pytest.approx(scanned, abs=1e-10)
+    if flags.all_ok:
+        assert n_roots == len(scanned)
+    if scanned and flags.all_ok:
+        payoffs = [cloud_payoff(best_price(r, params), r, params) for r in scanned]
+        assert share == pytest.approx(scanned[int(np.argmax(payoffs))], abs=1e-10)
 
 
 class TestStackelbergSolve:
@@ -323,7 +318,7 @@ class TestStackelbergSolve:
         assert res.feasible
         assert res.share_star == pytest.approx(0.30666015686409254, abs=1e-9)
         assert res.price_star == pytest.approx(
-            provider_best_price(res.share_star, FEASIBLE_PARAMS), rel=1e-10)
+            best_price(res.share_star, FEASIBLE_PARAMS), rel=1e-10)
         assert res.demand == demand_reduced(res.price_star, res.share_star,
                                             FEASIBLE_PARAMS)
         assert res.supply == supply_reduced(res.price_star, res.share_star,
@@ -377,10 +372,11 @@ class TestOracle:
         # whole share scan, which must add no candidate.
         games = [*draw_reported_equilibria(1730, 50)[0].params.rows(),
                  *(p for p, _ in extreme_games(0, 60))]
-        oracle = oracle_equilibrium(ParamTable.from_params(games))
-        for p, found in zip(games, oracle.n_candidates):
-            roots = solve_share(build_share_equation(p), p).roots
-            assert found == sum(in_oracle_window(r) for r in roots), p
+        table = ParamTable.from_params(games)
+        oracle = oracle_equilibrium(table)
+        roots = _share_roots(*_share_equation_columns(table, derive_coefficients(table)))
+        for p, found, pair in zip(games, oracle.n_candidates, roots.T):
+            assert found == sum(in_oracle_window(r) for r in pair), p
 
     @pytest.mark.parametrize("block_rows", [2 * 401, 16])
     def test_block_size_does_not_change_results(self, monkeypatch, block_rows):

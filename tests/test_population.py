@@ -219,6 +219,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(axis=AXIS_K1, population=SMALL_POP, **changes)
 
+    def test_empty_phi_levels_rejected(self):
+        # an empty set of levels would sweep no cells at all
+        with pytest.raises(ValueError, match="phi levels must be non-empty"):
+            SweepSpec(axis=AXIS_K1, phi_levels=(), population=SMALL_POP)
+
     def test_phi_level_above_axis_range_accepted(self):
         assert SweepSpec(axis=AXIS_K1, phi_levels=(6.0,),
                          population=SMALL_POP).phi_levels == (6.0,)

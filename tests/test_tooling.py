@@ -82,7 +82,9 @@ def test_commands_run_under_perfbench_tracer(tmp_path, capsys, argv):
     # The harness wraps tsm functions and reads their results: the draw
     # count off draw_reported_equilibria, feasibility off stackelberg_solve,
     # and the CSV's size off write_csv's first argument. Cells are formatted
-    # while write_csv runs, so its span times the formatting too.
+    # while write_csv runs, so its span times the formatting too. Every
+    # command here but the declared-price sweep runs the share solver, and
+    # a rename of `solve_share` would zero its span.
     import tsm.cli
 
     out = tmp_path / "out.csv"
@@ -90,6 +92,8 @@ def test_commands_run_under_perfbench_tracer(tmp_path, capsys, argv):
     with load_perfbench("layers").Tracer(time.perf_counter) as tracer:
         assert tsm.cli.main([*argv, *flags]) == 0
     metrics = tracer.metrics(1.0)
+    if argv[0] != "sweep":
+        assert metrics["equilibrium.solve_share.calls"] >= 1
     if argv[0] == "verify":
         assert metrics["cli.draw_reported_equilibria.drawn"] > 0
     else:
