@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -138,9 +138,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _block(rows) -> list[list[str]]:
-    """Rows of Python values as one block of formatted columns."""
-    return [list(map(_format_value, column)) for column in zip(*rows)]
+def _floats(column) -> list[str]:
+    """Round-trip float cells; a mean over no feasible record (None) is blank."""
+    return ["" if v is None else repr(v) for v in column]
+
+
+# Each sweep column holds one kind of value, so it is formatted as a whole: text
+# as is, the count by str, and every other column by `_floats`.
+SWEEP_CELLS = {"axis": list, "scenario": list, "feasible_count": lambda c: list(map(str, c))}
 
 
 def write_csv(path: str, header: tuple[str, ...], blocks) -> None:
@@ -209,7 +214,7 @@ def _checked(key: str, value):
         if not value:
             raise ValueError("scenario list must be non-empty")
         return tuple(dict.fromkeys(value))
-    return tuple(value) if kind == "numbers" else value
+    return tuple(map(float, value)) if kind == "numbers" else value
 
 
 def _settings(args, config: dict) -> dict:
@@ -251,11 +256,11 @@ def cmd_equilibrium(s: dict) -> int:
     params = MarketParams(**values)
 
     result = equilibrium.stackelberg_solve(params)
-    cells = {**vars(params), **vars(result.feasibility), **vars(result)}
+    cells = {**vars(params), **result.feasibility._asdict(), **result._asdict()}
     row = [cells[k] for k in EQUILIBRIUM_COLUMNS]
 
     out = s.get("out", "equilibrium.csv")
-    write_csv(out, EQUILIBRIUM_COLUMNS, [_block([row])])
+    write_csv(out, EQUILIBRIUM_COLUMNS, [[[_format_value(v)] for v in row]])
 
     print(f"# command=equilibrium out={out}")
     for name, value in zip(EQUILIBRIUM_COLUMNS, row):
@@ -360,12 +365,13 @@ def cmd_sweep(s: dict) -> int:
         raise ConfigError(f"{SWEEP}{exc}")
 
     series = population.run_sweep(spec)
-    rows = [[getattr(cell, column) for column in SWEEP_COLUMNS] for cell in series]
+    columns = dict(zip(population.SweepSeries._fields, zip(*series)))
     out = s.get("out", f"{preset_name or 'sweep'}.csv")
-    write_csv(out, SWEEP_COLUMNS, [_block(rows)])
+    write_csv(out, SWEEP_COLUMNS, [[SWEEP_CELLS.get(name, _floats)(columns[name])
+                                    for name in SWEEP_COLUMNS]])
 
     meta = (f"# command=sweep axis={spec.axis} seed={pop_spec.seed} mode={spec.mode} "
-            f"scenarios={','.join(spec.scenarios)} cells={len(rows)} "
+            f"scenarios={','.join(spec.scenarios)} cells={len(series)} "
             f"aggregate=mean-over-feasible out={out}")
     if preset_name:
         meta += f" preset={preset_name} plot_column={plot_column}"
@@ -378,8 +384,7 @@ def cmd_sweep(s: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PropertyResult:
+class PropertyResult(NamedTuple):
     name: str
     passed: bool
     detail: str

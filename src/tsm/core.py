@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,8 +151,7 @@ class ParamTable:
                 for row in zip(*(getattr(self, f.name).tolist() for f in fields(self)))]
 
 
-@dataclass(frozen=True)
-class Coefficients:
+class Coefficients(NamedTuple):
     """Composite exponents derived from one MarketParams.
 
     a1 = gamma - alpha*psi
@@ -177,8 +176,7 @@ def derive_coefficients(params: MarketParams | ParamTable) -> Coefficients:
                         a3=params.psi - params.gamma * params.beta, a4=params.alpha * params.phi)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Existence conditions for the closed-form best responses (per row of a ParamTable).
 
     f1_price_positive : a1/(a1 - a2) > 0, the optimal price is positive.

@@ -25,7 +25,7 @@ against it in the test suite and in `tsm verify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ HALVINGS = 44        # shrinks a unit bracket below 1e-13, inside the 1e-10 cont
 NEWTON_STEPS = 3
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     """Outcome of one leader-follower game.
 
     Infeasibility (failed existence conditions, or no share-equation root)
@@ -73,8 +72,7 @@ class EquilibriumResult:
     residual: float | None = None
 
 
-@dataclass(frozen=True)
-class OracleEquilibrium:
+class OracleEquilibrium(NamedTuple):
     """Brute-force equilibrium estimate, independent of the closed forms
     (per row of a ParamTable). n_candidates counts the interior fixed points."""
 
@@ -84,8 +82,7 @@ class OracleEquilibrium:
     n_candidates: int | np.ndarray
 
 
-@dataclass(frozen=True)
-class SecondOrderReport:
+class SecondOrderReport(NamedTuple):
     """Numeric vs analytic second-order (maximum) conditions at a point."""
 
     provider_soc_negative: bool

@@ -61,8 +61,12 @@ def check_integer(name: str, value, low: int) -> None:
 
 
 def finite_number(value) -> bool:
-    """Whether `value` is a finite real number (not a bool)."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    """Whether `value` is a finite real number (not a bool) that a float holds."""
+    try:
+        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value))
+    except OverflowError:   # an integer past the largest float
+        return False
 
 
 def check_number(name: str, value) -> None:

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +59,7 @@ class PopulationMismatchError(ValueError):
     """Scenario record sets being compared came from different populations."""
 
 
-@dataclass(frozen=True)
-class Provider:
+class Provider(NamedTuple):
     """One data-service provider: stable id, parameters, and list price.
 
     The declared price is the price the provider would announce on its own
@@ -74,8 +72,7 @@ class Provider:
     declared_price: float
 
 
-@dataclass(frozen=True)
-class ScenarioRecord:
+class ScenarioRecord(NamedTuple):
     """Per-provider outcome under one business model."""
 
     provider_id: int
@@ -90,8 +87,7 @@ class ScenarioRecord:
     feasible: bool
 
 
-@dataclass(frozen=True)
-class QuantityStats:
+class QuantityStats(NamedTuple):
     """Mean (`padded_mean`), median and sum; `total` may be inf where `mean` is finite."""
 
     mean: float
@@ -99,8 +95,7 @@ class QuantityStats:
     total: float
 
 
-@dataclass(frozen=True)
-class ScenarioStats:
+class ScenarioStats(NamedTuple):
     """Aggregates over the feasible records of one scenario."""
 
     scenario: str
@@ -114,8 +109,7 @@ class ScenarioStats:
     share: QuantityStats | None
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """One scenario's results over a ParamTable, one column entry per row.
 
     `params` is the table the scenario ran on (fifty_fifty's has phi = 1);

@@ -1,7 +1,6 @@
 """Tests for the command-line interface: exit codes, CSV schemas, determinism."""
 
 import builtins
-import dataclasses
 import math
 import os
 import re
@@ -25,6 +24,8 @@ FEASIBLE_FLAGS = [
 # --out in a directory that does not exist
 UNWRITABLE = ("cannot write nodir/x.csv: [Errno 2] No such file or directory: "
               "'nodir/x.csv'")
+# an integer that no float holds: converting it raises OverflowError
+HUGE = "9" * 400
 
 
 def read_csv(path):
@@ -158,8 +159,8 @@ class TestScenarioCommand:
 
         def patched(name, t, price, mode):
             out = original(name, t, price, mode)
-            return dataclasses.replace(out, feasible=np.array([True, True, False]),
-                                       price=np.array([np.nan, np.inf, 1.0]))
+            return out._replace(feasible=np.array([True, True, False]),
+                                price=np.array([np.nan, np.inf, 1.0]))
 
         monkeypatch.setattr(scenarios, "scenario_columns", patched)
         out = tmp_path / "sc.csv"
@@ -335,6 +336,22 @@ class TestSweepCommand:
                          "--n-providers", "2", "--out", str(out)]) == code
         assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize("axis, integers, floats", [
+        ("phi", "grid: [1, 2]", "grid: [1.0, 2.0]"),
+        ("k1", "phi_levels: [1, 2.0]", "phi_levels: [1.0, 2.0]"),
+    ])
+    def test_integer_config_numbers_write_float_cells(self, tmp_path, axis, integers, floats):
+        # A config number is a float whether or not YAML saw a dot in it.
+        written = []
+        for i, setting in enumerate((integers, floats)):
+            cfg, out = tmp_path / f"cfg{i}.yaml", tmp_path / f"sw{i}.csv"
+            cfg.write_text(setting + "\n", encoding="utf-8")
+            assert cli.main(["sweep", "--config", str(cfg), "--axis", axis, "--seed", "5",
+                             "--n-providers", "2", "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert b",1.0," in written[0]
+
     def test_repeated_scenario_runs_once(self, tmp_path, capsys):
         # A repeated name is kept at its first mention, as `scenario` does.
         printed = []
@@ -458,7 +475,7 @@ class TestVerifyCommand:
 
         def wrong_sign(params):
             c = original(params)
-            return dataclasses.replace(c, a3=-c.a3)
+            return c._replace(a3=-c.a3)
 
         monkeypatch.setattr("tsm.core.derive_coefficients", wrong_sign)
         code = cli.main(["verify", "--draws", "2", "--grid-n", "400",
@@ -600,6 +617,15 @@ class TestConfigLoading:
         # YAML's true would run as a phi level of 1.0
         ("sweep --axis k1 --n-providers 2", "phi_levels: [true]",
          "invalid sweep: phi_levels must be a list of finite numbers, got [True]"),
+        # integers past the largest float are not finite numbers
+        pytest.param(
+            "scenario --n-providers 2", f"price_mean: {HUGE}",
+            f"invalid population settings: price_mean must be a finite number, got {HUGE}",
+            id="huge-price_mean"),
+        pytest.param(
+            "sweep --axis k1 --n-providers 2", f"grid: [{HUGE}]",
+            f"invalid sweep: grid must be a list of finite numbers, got [{HUGE}]",
+            id="huge-grid"),
         # a preset fixes its axis
         ("sweep --preset fig8 --axis k1 --n-providers 2", "",
          "axis must be 'alpha_beta_product' for preset fig8, got 'k1'"),

@@ -578,10 +578,9 @@ class TestSecondOrder:
             assert one_foc == (foc[0][i], foc[1][i])
             assert all(type(v) is float for v in one_foc)
             one_soc = second_order_check(p, price, share)
-            for f in dataclasses.fields(one_soc):
-                value = getattr(one_soc, f.name)
+            for name, value in one_soc._asdict().items():
                 assert type(value) in (bool, float)
-                assert value == getattr(soc, f.name)[i]
+                assert value == getattr(soc, name)[i]
 
     def test_point_outside_domain_rejected(self):
         for price, share in ((0.0, 0.3), (1.7, 0.0), (1.7, 1.0)):

@@ -191,7 +191,7 @@ SMALL_POP = PopulationSpec(n_providers=6, seed=21)
 
 def overridden(providers, **changes):
     """The providers with parameter fields replaced, as a sweep cell sees them."""
-    return [dataclasses.replace(p, params=dataclasses.replace(p.params, **changes))
+    return [p._replace(params=dataclasses.replace(p.params, **changes))
             for p in providers]
 
 
@@ -327,7 +327,7 @@ class TestSweepEngine:
 
 
 # Outcome's per-row columns, all but the table it ran on.
-OUTCOME_COLUMNS = tuple(f.name for f in dataclasses.fields(Outcome) if f.name != "params")
+OUTCOME_COLUMNS = tuple(name for name in Outcome._fields if name != "params")
 
 
 def sweep_shape(spec):
@@ -347,7 +347,7 @@ def sweep_cells(spec):
              else [(value, level) for value in spec.grid for level in spec.phi_levels])
     for scenario in spec.scenarios:
         out = scenario_columns(scenario, table, declared, spec.mode)
-        out = dataclasses.replace(out, **{
+        out = out._replace(**{
             name: np.broadcast_to(v, shape).reshape(len(cells), -1)
             for name in OUTCOME_COLUMNS if (v := getattr(out, name)) is not None})
         for j, (value, level) in enumerate(cells):

@@ -379,7 +379,7 @@ class TestRecordConsistency:
 class TestCompare:
     def test_self_comparison_is_zero_difference(self):
         recs = run_pay_as_you_go(POP)
-        relabeled = [dataclasses.replace(r, scenario=TWO_SIDED) for r in recs]
+        relabeled = [r._replace(scenario=TWO_SIDED) for r in recs]
         summary = compare_scenarios(recs + relabeled)
         a, b = summary[PAY_AS_YOU_GO], summary[TWO_SIDED]
         assert a.cloud_payoff == b.cloud_payoff

@@ -4,12 +4,14 @@ inside tsm would otherwise drop a span from `perfbench/run.py --trace 1`
 without an error), and the CLI, which merges flags over config keys by
 name. The benchmark's three workloads also run here against their stored
 references, so a change to their outputs fails tier-1 and not only the
-benchmark."""
+benchmark. What `import tsm.cli`, which every command pays for, builds is
+guarded here too: the result types are tuples, not dataclasses."""
 
 import argparse
 import importlib
 import importlib.util
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -49,6 +51,72 @@ def test_cli_import_does_not_load_yaml(subprocess_env):
         env=subprocess_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# The result types, tuples for a cheap import, with their fields in order.
+RESULT_FIELDS = {
+    ("core", "Coefficients"): ("a1", "a2", "a3", "a4"),
+    ("core", "FeasibilityReport"): ("f1_price_positive", "f2_price_max", "f3_share_max",
+                                    "all_ok"),
+    ("equilibrium", "EquilibriumResult"): (
+        "feasible", "feasibility", "share_roots_found", "price_star", "share_star", "demand",
+        "supply", "provider_payoff", "cloud_payoff", "residual"),
+    ("equilibrium", "OracleEquilibrium"): ("price", "share", "cloud_payoff", "n_candidates"),
+    ("equilibrium", "SecondOrderReport"): (
+        "provider_soc_negative", "cloud_soc_negative", "provider_soc_analytic",
+        "cloud_soc_analytic", "provider_agreement", "cloud_agreement", "d2_provider",
+        "d2_cloud"),
+    ("scenarios", "Outcome"): ("params", "feasible", "price", "share", "demand", "supply",
+                               "provider_payoff", "cloud_payoff"),
+    ("scenarios", "Provider"): ("provider_id", "params", "declared_price"),
+    ("scenarios", "ScenarioRecord"): (
+        "provider_id", "scenario", "params", "price", "share", "demand", "supply",
+        "provider_payoff", "cloud_payoff", "feasible"),
+    ("scenarios", "QuantityStats"): ("mean", "median", "total"),
+    ("scenarios", "ScenarioStats"): (
+        "scenario", "n", "n_feasible", "feasible_fraction", "provider_payoff", "cloud_payoff",
+        "demand", "supply", "share"),
+    ("cli", "PropertyResult"): ("name", "passed", "detail"),
+}
+
+
+def test_cli_import_builds_only_the_validated_dataclasses(subprocess_env):
+    # Each dataclass costs about 1 ms of `import tsm.cli`; only the parameter
+    # and spec types, which validate in __post_init__, remain dataclasses.
+    probe = ("import dataclasses, sys, tsm.cli; print(sorted({"
+             "f'{v.__module__}.{v.__qualname__}' for m, mod in list(sys.modules.items())"
+             " if m == 'tsm' or m.startswith('tsm.') for v in vars(mod).values()"
+             " if isinstance(v, type) and dataclasses.is_dataclass(v)}))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str(["tsm.core.MarketParams", "tsm.core.ParamTable",
+                               "tsm.population.PopulationSpec",
+                               "tsm.population.SweepSpec"]) + "\n"
+
+
+@pytest.mark.parametrize("module, name", sorted(RESULT_FIELDS))
+def test_result_type_is_an_immutable_record(module, name):
+    cls = getattr(importlib.import_module(f"tsm.{module}"), name)
+    fields = RESULT_FIELDS[module, name]
+    assert issubclass(cls, tuple)
+    assert cls._fields == fields
+    record = cls(*range(len(fields)))
+    with pytest.raises(AttributeError):
+        setattr(record, fields[-1], None)
+    assert record._replace(**{fields[0]: -1})[0] == -1
+
+
+def test_bench_pairs_reads_tsm_import_times():
+    # One fresh import of this checkout's tsm.cli, read off `-X importtime`.
+    root = pathlib.Path(PERFBENCH).parent
+    spec = importlib.util.spec_from_file_location("bench_pairs", root / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    times = bench_pairs.import_times(root)
+    assert set(times) == {"tsm", "tsm.core", "tsm.equilibrium", "tsm.scenarios",
+                          "tsm.population", "tsm.cli", "total"}
+    assert times["total"] >= times["tsm.cli"] > 0
 
 
 def test_every_flag_names_a_config_key():

@@ -15,8 +15,14 @@ With `--fault-runs N` each checkout also runs `sweep --preset fig4`
 (seed 1729) in one child interpreter per population size, n=300 and
 n=3000, N times after two warm-ups, and records each run's wall time and
 minor page faults (`ru_minflt`).
+
+With `--import-runs N` the script runs
+`python -X importtime -c "import numpy; import tsm.cli"` N times in each
+checkout, alternating which side runs first, after one import per side that
+writes the bytecode cache, and records each `tsm` module's self time and
+tsm.cli's cumulative time (`total`), in microseconds.
 The checkouts' `perfbench/` files should be identical; the script changes
-no file in either checkout.
+no file in either checkout but for tsm's bytecode cache.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -52,6 +59,28 @@ os.remove(out)
 os.rmdir(os.path.dirname(out))
 print(json.dumps({{"ms": ms, "minflt": faults}}))
 """
+
+
+IMPORT_PROBE = "import numpy; import tsm.cli"
+# One line of `-X importtime`: "import time: <self us> | <cumulative us> | <indented name>".
+IMPORT_LINE = re.compile(r"import time:\s*(\d+) \|\s*(\d+) \| *(tsm(?:\.\w+)?)$")
+
+
+def import_times(checkout: Path) -> dict:
+    """One fresh interpreter's `-X importtime` of tsm.cli after numpy, with the
+    checkout's bytecode cache written and used: each tsm module's self time
+    and tsm.cli's cumulative time (`total`), in microseconds."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", IMPORT_PROBE],
+                          env=env, capture_output=True, text=True, check=True)
+    times = {}
+    for match in map(IMPORT_LINE.match, done.stderr.splitlines()):
+        if match:
+            times[match[3]] = int(match[1])
+            if match[3] == "tsm.cli":
+                times["total"] = int(match[2])
+    return times
 
 
 def describe(checkout: Path) -> str:
@@ -110,11 +139,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="append", default=[])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--first-seed", type=int, default=0)
     ap.add_argument("--fault-runs", type=int, default=0)
+    ap.add_argument("--import-runs", type=int, default=0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -139,6 +169,16 @@ def main(argv=None) -> int:
                                       text=True, check=True, env=dict(os.environ, TSM_THREADS="1"))
                 result = json.loads(done.stdout.splitlines()[-1])
                 by_side[side] = {k: spread(v) for k, v in result.items()}
+    if args.import_runs:
+        runs = {side: [] for side in sides}
+        for side, path in sides.items():
+            import_times(path)   # writes the bytecode cache, as perfbench's setup_s does
+        for i in range(args.import_runs):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                runs[side].append(import_times(sides[side]))
+        report["import_times_us"] = {
+            side: {name: spread([r[name] for r in side_runs]) for name in side_runs[0]}
+            for side, side_runs in runs.items()}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
