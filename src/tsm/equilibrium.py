@@ -120,26 +120,32 @@ def _share_gap(chi, exp_a, exp_b, log_c):
     return exp_a * np.log(chi) + exp_b * np.log1p(-chi) - log_c
 
 
-def _share_roots(exp_a, exp_b, log_c) -> np.ndarray:
-    """The share equation's roots on [SHARE_EPS, 1 - SHARE_EPS] as a (2, n)
-    array: per row the root where the log form falls, then where it rises,
-    NaN where there is none. With A < 0 it falls up to m = A/(A+B), its only
-    minimum, when B < 0, and everywhere (m = 1 - SHARE_EPS) otherwise, so
-    [SHARE_EPS, m] and [m, 1 - SHARE_EPS] hold at most one root each; only
-    brackets whose ends differ in sign are halved and polished.
-    """
-    exp_a, exp_b, log_c = (np.atleast_1d(v) for v in (exp_a, exp_b, log_c))
+def _share_brackets(exp_a, exp_b, log_c):
+    """The two brackets' ends (SHARE_EPS, m, 1 - SHARE_EPS) and the log form's
+    gaps there, both (3, n), and whether each bracket changes sign, (2, n).
+    With A < 0 the form falls up to m = A/(A+B), its only minimum, when B < 0,
+    and everywhere (m = 1 - SHARE_EPS) otherwise: one root per bracket at most."""
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(exp_b < 0.0, np.clip(exp_a / (exp_a + exp_b), SHARE_EPS,
                                           1.0 - SHARE_EPS), 1.0 - SHARE_EPS)
-    lo = np.concatenate([np.full_like(m, SHARE_EPS), m])
-    hi = np.concatenate([m, np.full_like(m, 1.0 - SHARE_EPS)])
-    a, b, lc = (np.tile(v, 2) for v in (exp_a, exp_b, log_c))
-    gap_lo = _share_gap(lo, a, b, lc)
+    ends = np.stack([np.full_like(m, SHARE_EPS), m, np.full_like(m, 1.0 - SHARE_EPS)])
+    gap = _share_gap(ends, exp_a, exp_b, log_c)
     # A non-finite constant makes both gaps +inf or NaN: no sign change.
-    live = np.nonzero((a < 0.0) & (gap_lo * _share_gap(hi, a, b, lc) < 0.0))[0]
-    lo, hi, a, b, lc = (v[live] for v in (lo, hi, a, b, lc))
-    lo_negative = gap_lo[live] < 0.0
+    return ends, gap, (exp_a < 0.0) & (gap[:-1] * gap[1:] < 0.0)
+
+
+def _share_roots(exp_a, exp_b, log_c) -> np.ndarray:
+    """The share equation's roots on [SHARE_EPS, 1 - SHARE_EPS] as a (2, n)
+    array: per row the root where the log form falls, then where it rises,
+    NaN where there is none. Only brackets (`_share_brackets`) whose ends
+    differ in sign are halved and polished.
+    """
+    exp_a, exp_b, log_c = (np.atleast_1d(v) for v in (exp_a, exp_b, log_c))
+    ends, gap, change = _share_brackets(exp_a, exp_b, log_c)
+    live = np.nonzero(change.ravel())[0]
+    lo, hi, gap_lo = ends[:-1].ravel()[live], ends[1:].ravel()[live], gap[:-1].ravel()[live]
+    a, b, lc = (np.tile(v, 2)[live] for v in (exp_a, exp_b, log_c))
+    lo_negative = gap_lo < 0.0
     for _ in range(HALVINGS):
         mid = 0.5 * (lo + hi)
         to_lo = (_share_gap(mid, a, b, lc) < 0.0) == lo_negative
@@ -154,10 +160,20 @@ def _share_roots(exp_a, exp_b, log_c) -> np.ndarray:
     # At the rounding floor Newton can hop over the float nearest the root;
     # keep whichever of the root and its two neighbours has the smallest gap.
     near = np.stack([root, np.nextafter(root, 0.0), np.nextafter(root, 1.0)])
-    roots = np.full(2 * m.size, np.nan)
+    roots = np.full(2 * exp_a.size, np.nan)
     roots[live] = near[np.argmin(np.abs(_share_gap(near, a, b, lc)), axis=0),
                        np.arange(root.size)]
     return roots.reshape(2, -1)
+
+
+def has_share_root(t: ParamTable) -> np.ndarray:
+    """Per row of `t`, whether `solve_share` reports an equilibrium: f1-f3
+    hold and a bracket changes sign. Three gaps a row, no bisection."""
+    ok = check_feasibility(t).all_ok
+    solved = t.take(rows := np.nonzero(ok)[0])
+    equation = _share_equation_columns(solved, derive_coefficients(solved))
+    ok[rows] = _share_brackets(*equation)[2].any(axis=0)
+    return ok
 
 
 def solve_share(t: ParamTable) -> np.ndarray:
@@ -166,7 +182,7 @@ def solve_share(t: ParamTable) -> np.ndarray:
     Of two roots the share is the one with the higher platform payoff at the
     provider's best price (the lower on a tie). The residual is
     |chi^A (1-chi)^B - C|; share and residual are NaN wherever no
-    equilibrium is reported."""
+    equilibrium is reported, which `has_share_root` tells without solving."""
     rows = np.nonzero(check_feasibility(t).all_ok)[0]
     solved = t.take(rows)
     exp_a, exp_b, log_c = _share_equation_columns(solved, derive_coefficients(solved))

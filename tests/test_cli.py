@@ -1,11 +1,14 @@
 """Tests for the command-line interface: exit codes, CSV schemas, determinism."""
 
 import builtins
+import dataclasses
+import hashlib
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,6 +516,49 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""   # no header and no [PASS] line
+
+
+def sampler_digests(out: scenarios.Outcome) -> tuple[str, str]:
+    """sha256 of the kept games' ParamTable columns and of the other Outcome
+    columns, each over the columns' bytes in field order."""
+    params, outcome = hashlib.sha256(), hashlib.sha256()
+    for f in dataclasses.fields(core.ParamTable):
+        params.update(np.ascontiguousarray(getattr(out.params, f.name)).tobytes())
+    for name in out._fields[1:]:
+        outcome.update(np.ascontiguousarray(getattr(out, name)).tobytes())
+    return params.hexdigest(), outcome.hexdigest()
+
+
+class TestReportedEquilibriaSampler:
+    # verify at seeds 1729 and 7 samples with seeds 1730 and 8. Recorded from
+    # the sampler that solved every in-band draw of a batch: testing f1-f3
+    # and root existence first must keep the stream, the games and the count.
+    STREAM = {
+        1730: (2_400_000,
+               "cd87092ea14f66eba61447c15d3fc06e9fb97ecec6382146f518472f407c0ea0",
+               "a81d204025a09402858ad8822dffd38861b60a3c7a48770d3477f30b6852c466"),
+        8: (2_600_000,
+            "9e93e9fd870b65426b7ace6b4bc949b69861b1a3f3c0690233a1e155f1cafaf5",
+            "d902af79a490dc9af2c6b65c02e321fc7b55227e6ba1536a233151a33827822f"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(STREAM))
+    def test_stream_and_kept_games_are_pinned(self, seed):
+        out, drawn = cli.draw_reported_equilibria(seed, 200)
+        assert len(out.params) == 200
+        assert (drawn, *sampler_digests(out)) == self.STREAM[seed]
+
+    def test_traced_memory_peak_is_bounded(self):
+        # Only a batch's in-band, f1-f3 rows are copied, so the peak is the
+        # five raw draw columns plus small blocks: about 11.5 MB, where
+        # solving whole batches peaked at 28.8 MB.
+        tracemalloc.start()
+        try:
+            cli.draw_reported_equilibria(1730, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
 
 class TestGoldenFiles:

@@ -27,14 +27,17 @@ from tsm.core import (
     supply_reduced,
 )
 from tsm.cli import draw_reported_equilibria
+from tsm.population import AXIS_PHI, AXIS_RANGES, PopulationSpec
 from tsm.equilibrium import (
     SHARE_EPS,
     _best_price_unchecked,
     _price_slice,
+    _share_brackets,
     _share_equation_columns,
     _share_roots,
     _Slope,
     first_order_residuals,
+    has_share_root,
     oracle_equilibrium,
     second_order_check,
     solve_share,
@@ -388,6 +391,85 @@ class TestOracle:
         blocked = oracle_equilibrium(params)
         for field in ("price", "share", "n_candidates"):
             assert np.array_equal(getattr(blocked, field), getattr(default, field)), field
+
+
+def sampler_batch(seed: int) -> ParamTable:
+    """The first 200,000 draws of `draw_reported_equilibria(seed, ...)` that
+    lie in the simulation-setup bands, as one table, built the way the
+    sampler built it before it tested f1-f3 on the raw draws."""
+    spec, (phi_lo, phi_hi) = PopulationSpec(), AXIS_RANGES[AXIS_PHI]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    m = 200_000
+    price = rng.normal(spec.price_mean, spec.price_sd, m)
+    alpha = rng.normal(spec.alpha_mean, spec.alpha_sd, m)
+    beta = rng.uniform(0.0, 1.0, m) / np.clip(alpha, 1e-9, None)
+    gamma = rng.uniform(spec.gamma_min, spec.gamma_max, m)
+    phi = rng.uniform(phi_lo, phi_hi, m)
+    k1 = rng.uniform(spec.k1_min, spec.k1_max, m)
+    ok = ((price >= spec.price_min) & (price <= spec.price_max)
+          & (alpha >= spec.alpha_min) & (alpha <= spec.alpha_max)
+          & (alpha * beta > 0.0) & (alpha * beta <= spec.alpha_beta_cap) & (phi > 0.0))
+    return ParamTable.from_columns(
+        alpha=alpha[ok], beta=beta[ok], gamma=gamma[ok], psi=spec.psi, phi=phi[ok],
+        k1=k1[ok], f_c=spec.f_c_factor * price[ok])
+
+
+def edge_games() -> ParamTable:
+    """slope_games' rows (phi = 0, f_s = 0 and alpha*beta up to 0.999 among
+    them), the same rows with f_c = 0 and with alpha*beta a hair under the
+    cap, and games that pass f1-f3 with exp_b = (a1 + a3)/a2 - 1 >= 0."""
+    t = slope_games(7, 4000)
+    rng = np.random.default_rng(7)
+    monotone = ParamTable.from_columns(
+        alpha=0.9, beta=0.5, gamma=rng.uniform(1.1, 1.3, 400), psi=0.1,
+        phi=rng.uniform(5.6, 8.0, 400), k1=rng.uniform(0.05, 1.0, 400),
+        f_c=rng.uniform(0.05, 2.0, 400), f_s=10.0 ** rng.uniform(-6.0, 6.0, 400))
+    t = ParamTable.concat([t, dataclasses.replace(t, f_c=np.zeros(len(t))),
+                           dataclasses.replace(t, beta=0.999 * (1.0 - 1e-12) / t.alpha),
+                           monotone])
+    check_domain(t)
+    return t
+
+
+class TestHasShareRoot:
+    """`has_share_root` is exactly the rows where `solve_share` reports a share."""
+
+    def test_matches_the_solver_on_a_sampler_batch(self):
+        t = sampler_batch(1730)
+        found = has_share_root(t)
+        assert np.array_equal(found, ~np.isnan(solve_share(t)[1]))
+        # The sampler keeps exactly these rows of its first batch.
+        kept, drawn = draw_reported_equilibria(1730, int(found.sum()))
+        assert drawn == 200_000
+        for f in dataclasses.fields(ParamTable):
+            assert np.array_equal(getattr(kept.params, f.name),
+                                  getattr(t, f.name)[found]), f.name
+
+    def test_matches_the_solver_at_the_edges(self):
+        t = edge_games()
+        found = has_share_root(t)
+        assert np.array_equal(found, ~np.isnan(solve_share(t)[1]))
+        flags = check_feasibility(t)
+        f1, f2, f3 = flags.f1_price_positive, flags.f2_price_max, flags.f3_share_max
+        with np.errstate(all="ignore"):   # the equation is meaningless off f1
+            exp_a, exp_b, log_c = _share_equation_columns(t, derive_coefficients(t))
+            change = _share_brackets(exp_a, exp_b, log_c)[2].any(axis=0)
+        near_cap = t.alpha * t.beta > 0.999 * (1.0 - 1e-9)
+        # f2 implies f1 (a1 > a2 > 0), so f1 never fails alone; f3 fails
+        # exactly where A >= 0, where no bracket can change sign.
+        edges = {
+            "phi = 0": t.phi == 0.0, "f_s = 0": t.f_s == 0.0, "f_c = 0": t.f_c == 0.0,
+            "alpha*beta under the cap, rooted": near_cap & found,
+            "alpha*beta under the cap, rootless": near_cap & flags.all_ok & ~found,
+            "exp_b >= 0, rooted": (exp_b >= 0.0) & found,
+            "exp_b >= 0, rootless": (exp_b >= 0.0) & flags.all_ok & ~found,
+            "f1 and f2 fail, f3 holds": ~f1 & ~f2 & f3,
+            "f2 alone fails, a bracket changes sign": f1 & ~f2 & f3 & change,
+            "f3 alone fails": f1 & f2 & ~f3,
+        }
+        for name, rows in edges.items():
+            assert rows.any(), name
+        assert not (found & ~flags.all_ok).any()
 
 
 def slope_games(seed: int, n: int) -> ParamTable:

@@ -107,16 +107,31 @@ def test_result_type_is_an_immutable_record(module, name):
     assert record._replace(**{fields[0]: -1})[0] == -1
 
 
-def test_bench_pairs_reads_tsm_import_times():
-    # One fresh import of this checkout's tsm.cli, read off `-X importtime`.
-    root = pathlib.Path(PERFBENCH).parent
-    spec = importlib.util.spec_from_file_location("bench_pairs", root / "tools" / "bench_pairs.py")
+ROOT = pathlib.Path(PERFBENCH).parent
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    times = bench_pairs.import_times(root)
+    return bench_pairs
+
+
+def test_bench_pairs_reads_tsm_import_times():
+    # One fresh import of this checkout's tsm.cli, read off `-X importtime`.
+    times = load_bench_pairs().import_times(ROOT)
     assert set(times) == {"tsm", "tsm.core", "tsm.equilibrium", "tsm.scenarios",
                           "tsm.population", "tsm.cli", "total"}
     assert times["total"] >= times["tsm.cli"] > 0
+
+
+def test_bench_pairs_runs_verify_in_a_fresh_interpreter():
+    # `--fault-runs` reads one verify run per child: its wall time, its minor
+    # faults and the child's peak RSS, which includes numpy's import.
+    run = load_bench_pairs().verify_run(ROOT)
+    assert set(run) == {"ms", "minflt", "maxrss_kb"}
+    assert run["ms"] > 0 and run["minflt"] > 0
+    assert run["maxrss_kb"] > 20_000
 
 
 def test_every_flag_names_a_config_key():

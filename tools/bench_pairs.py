@@ -14,7 +14,10 @@ median gap and the parent's interquartile range.
 With `--fault-runs N` each checkout also runs `sweep --preset fig4`
 (seed 1729) in one child interpreter per population size, n=300 and
 n=3000, N times after two warm-ups, and records each run's wall time and
-minor page faults (`ru_minflt`).
+minor page faults (`ru_minflt`). It also runs `verify --draws 200 --seed
+1729` once in each of N fresh child interpreters per checkout, alternating
+which side runs first, and records each run's wall time, minor page faults
+and the child's peak resident set (`ru_maxrss`, in kB, import included).
 
 With `--import-runs N` the script runs
 `python -X importtime -c "import numpy; import tsm.cli"` N times in each
@@ -59,6 +62,28 @@ os.remove(out)
 os.rmdir(os.path.dirname(out))
 print(json.dumps({{"ms": ms, "minflt": faults}}))
 """
+
+VERIFY_PROBE = """
+import contextlib, io, json, resource, sys, time
+sys.path.insert(0, {src!r})
+from tsm.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+    main(["verify", "--draws", "200", "--seed", "1729"])
+    t1, usage = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({{"ms": round(1e3 * (t1 - t0), 4), "minflt": usage.ru_minflt - f0,
+                  "maxrss_kb": usage.ru_maxrss}}))
+"""
+
+
+def verify_run(checkout: Path) -> dict:
+    """One `verify --draws 200 --seed 1729` in a fresh interpreter on the
+    checkout's `src`: wall ms, minor faults of the run and the child's
+    ru_maxrss in kB. verify exits 3 at this seed, a standing result."""
+    done = subprocess.run([sys.executable, "-c", VERIFY_PROBE.format(src=str(checkout / "src"))],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, TSM_THREADS="1"))
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 IMPORT_PROBE = "import numpy; import tsm.cli"
@@ -169,6 +194,13 @@ def main(argv=None) -> int:
                                       text=True, check=True, env=dict(os.environ, TSM_THREADS="1"))
                 result = json.loads(done.stdout.splitlines()[-1])
                 by_side[side] = {k: spread(v) for k, v in result.items()}
+        runs = {side: [] for side in sides}
+        for i in range(args.fault_runs):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                runs[side].append(verify_run(sides[side]))
+        report["verify_per_interpreter"] = {
+            side: {k: spread([r[k] for r in side_runs]) for k in side_runs[0]}
+            for side, side_runs in runs.items()}
     if args.import_runs:
         runs = {side: [] for side in sides}
         for side, path in sides.items():
