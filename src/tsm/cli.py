@@ -445,7 +445,7 @@ def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000)
                 & (ab <= spec.alpha_beta_cap) & (phi[b] > 0.0))[0]
             t = core.ParamTable.from_columns(alpha=alpha[band], beta=beta[band], gamma=gamma[band],
                                              psi=spec.psi, phi=phi[band], k1=np.nan, f_c=np.nan)
-            rows.append(band[core.check_feasibility(t).all_ok])   # reads neither NaN
+            rows.append(band[core.check_feasibility(t).all_ok])   # reads no k1 or f_c
         rows = np.concatenate(rows)
         price, alpha, beta, gamma, phi = (v[rows] for v in (price, alpha, beta, gamma, phi))
         table = core.ParamTable.from_columns(
