@@ -93,7 +93,8 @@ class Setting(NamedTuple):
     """One config key: what its values must be, which commands take it as a
     flag and how that flag is spelled, and what its error line starts with."""
 
-    kind: str       # int (>= arg), float (finite), path, choice (of arg), names or numbers
+    kind: str       # int (from arg[0] to arg[1], None for no cap), float (finite), path,
+                    # choice (of arg), names or numbers
     commands: tuple[str, ...] = ()
     flag: str | None = None
     prefix: str = ""
@@ -108,18 +109,20 @@ _PARAM_FLAGS = {"phi": (EQ, SC), "psi": (EQ, SC, SW)}
 
 # Every config key, in the order of the flags' help; --scenario fills `scenarios`.
 SETTINGS = {
-    "seed": Setting("int", (SC, SW, VF), "--seed", arg=0),
+    "seed": Setting("int", (SC, SW, VF), "--seed", arg=(0, None)),
     "out": Setting("path", (EQ, SC, SW), "--out"),
     "scenarios": Setting("names", (SC, SW), "--scenario"),
     "mode": Setting("choice", (SC, SW), "--mode", arg=MODES),
-    "n_providers": Setting("int", (SC, SW), "--n-providers", POPULATION, 1),
+    "n_providers": Setting("int", (SC, SW), "--n-providers", POPULATION, (1, None)),
     "preset": Setting("choice", (SW,), "--preset", arg=sorted(PRESETS)),
     "axis": Setting("choice", (SW,), "--axis", SWEEP, AXES),
     "grid": Setting("numbers", prefix=SWEEP),
     "phi_levels": Setting("numbers", prefix=SWEEP),
-    "draws": Setting("int", (VF,), "--draws", arg=1),
-    "grid_n": Setting("int", (VF,), "--grid-n", arg=equilibrium.ORACLE_MIN_GRID_N),
-    "pairs": Setting("int", (VF,), "--pairs", arg=1),
+    "draws": Setting("int", (VF,), "--draws", arg=(1, None)),
+    # Past one oracle block, the fallback's block of one game grows with grid_n.
+    "grid_n": Setting("int", (VF,), "--grid-n", arg=(equilibrium.ORACLE_MIN_GRID_N,
+                                                     equilibrium.ORACLE_BLOCK_ROWS)),
+    "pairs": Setting("int", (VF,), "--pairs", arg=(1, None)),
     **{k: Setting("float", _PARAM_FLAGS.get(k, (EQ,)), f"--{k}", PARAMS) for k in PARAM_KEYS},
     # PopulationSpec's bands; alpha_beta_cap and max_attempts keep their defaults.
     **{f.name: Setting("float", prefix=POPULATION) for f in fields(PopulationSpec)
@@ -200,7 +203,7 @@ def _checked(key: str, value):
     if kind == "names" and isinstance(value, str):   # --scenario a,b
         value = [n.strip() for n in value.split(",") if n.strip()]
     if kind == "int":
-        population.check_integer(key, value, arg)
+        population.check_integer(key, value, *arg)
     elif kind == "float":
         population.check_number(key, value)   # hints at YAML 1.1 exponent text
     elif kind == "choice" and value not in arg:
@@ -526,8 +529,9 @@ def verify_properties(seed: int, draws: int, grid_n: int,
     scale = np.maximum(t.p_s * supply, (price - t.f_c) * scenarios._rental(price, supply, t)[0])
     worst_payg = float(np.max(np.abs(slope) * supply / scale, initial=0.0))
     results.append(PropertyResult(
-        "payg_rental_foc", worst_payg <= 1e-6,
-        f"max relative rental FOC {worst_payg:.3e} (tol 1e-6)"))
+        "payg_rental_foc", len(t) > 0 and worst_payg <= 1e-6,
+        f"max relative rental FOC {worst_payg:.3e} (tol 1e-6)" if len(t) else
+        f"no row checked: 0 of {covered.size} drawn prices exceed f_c"))
     return results
 
 

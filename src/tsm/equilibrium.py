@@ -18,8 +18,9 @@ closed forms. It finds each best response by bisecting the forward-mode
 slope (exact, in real arithmetic) of a payoff slice, the payoff with the other
 player's move fixed and its fixed terms computed once (R*s^e1 - K*s^e2 in
 share, the log payoff above break-even in price), and the equilibria as fixed
-points of the two best-response maps. Closed-form results are validated
-against it in the test suite and in `tsm verify`.
+points of the two best-response maps; the share moves the price slice by a
+constant only, so the best price's markup over break-even is searched once a
+game. Closed forms are checked against it in the tests and in `tsm verify`.
 """
 
 from __future__ import annotations
@@ -328,10 +329,11 @@ def _price_slice(chi, t: ParamTable, c: Coefficients):
     return breakeven, lambda u: u + demand.v + demand.d * np.log1p(np.exp(u))
 
 
-def _oracle_price(chi, t: ParamTable, c: Coefficients):
-    """The provider's payoff-maximizing price at share chi, by `_price_slice`."""
-    breakeven, log_payoff = _price_slice(chi, t, c)
-    return breakeven * (1.0 + np.exp(_bisect_peak(log_payoff, math.log(1e-9), math.log(1e8))))
+def _price_markup(t: ParamTable, c: Coefficients):
+    """The provider's best price over break-even, 1 + e^u at `_price_slice`'s peak. The
+    slope 1 + k*e^u/(1 + e^u) holds no chi (chi moves f only through D0), so the peak
+    found at one share is the peak at every share of the game."""
+    return 1.0 + np.exp(_bisect_peak(_price_slice(0.5, t, c)[1], math.log(1e-9), math.log(1e8)))
 
 
 def _oracle_share(price, t: ParamTable, c: Coefficients, lo: float, hi: float):
@@ -347,10 +349,10 @@ def _oracle_share(price, t: ParamTable, c: Coefficients, lo: float, hi: float):
                         scan[np.minimum(best + 1, SHARE_SCAN - 1)])
 
 
-def _defect(chi, t: ParamTable, c: Coefficients, window) -> np.ndarray:
-    """The platform's best response to the provider's best response to chi,
-    less chi: zero at a fixed point of the two maps."""
-    return _oracle_share(_oracle_price(chi, t, c), t, c, *window) - chi
+def _defect(chi, t: ParamTable, c: Coefficients, markup, window) -> np.ndarray:
+    """The platform's best response to the provider's best response to chi
+    (`_price_markup` over break-even), less chi: zero at a fixed point of the two maps."""
+    return _oracle_share(t.f_c / (1.0 - chi) * markup, t, c, *window) - chi
 
 
 def _blocks(n: int, width: int) -> list[slice]:
@@ -380,22 +382,21 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
     """
     found = [(np.empty(0, int), np.empty(0, int), np.empty(0, bool))]
     for rows in _blocks(len(t), probes.size):
-        col = _as_column(t.take(rows))
-        negative = _defect(probes, col, derive_coefficients(col), window) < 0.0
+        c = derive_coefficients(col := _as_column(t.take(rows)))
+        negative = _defect(probes, col, c, _price_markup(col, c), window) < 0.0
         case, j = np.nonzero(negative[:, :-1] != negative[:, 1:])
         found.append((case + rows.start, j, negative[case, j]))
     case, j, lo_negative = (np.concatenate(v) for v in zip(*found))
     chi, price, pay = np.empty((3, case.size))
     for b in _blocks(case.size, 1):
-        sub = t.take(case[b])
-        c = derive_coefficients(sub)
-        lo, hi = probes[j[b]], probes[j[b] + 1]
+        c = derive_coefficients(sub := t.take(case[b]))
+        markup, lo, hi = _price_markup(sub, c), probes[j[b]], probes[j[b] + 1]
         for _ in range(ROOT_HALVINGS):
             mid = 0.5 * (lo + hi)
-            to_lo = (_defect(mid, sub, c, window) < 0.0) == lo_negative[b]
+            to_lo = (_defect(mid, sub, c, markup, window) < 0.0) == lo_negative[b]
             lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
         chi[b] = 0.5 * (lo + hi)
-        price[b] = _oracle_price(chi[b], sub, c)
+        price[b] = sub.f_c / (1.0 - chi[b]) * markup
         pay[b] = _cloud_payoff_arr(price[b], chi[b], sub, c)
     spacing = probes[1] - probes[0]
     inside = ((window[0] + spacing < chi) & (chi < window[1] - spacing)
@@ -417,13 +418,13 @@ def oracle_equilibrium(params: MarketParams | ParamTable,
     or for one MarketParams (a batch of one).
 
     The best-response defect (the platform's best share against the
-    provider's best price at chi, less chi) is evaluated at about 385 probes
-    of the grid; its sign changes are bisected to fixed points, and the
-    platform-payoff-maximizing interior fixed point is returned. When no
-    interior fixed point exists, the grid share maximizing the platform
-    payoff along the follower-response curve is returned (this is the
-    boundary cell for degenerate inputs, e.g. f_s = 0). Games are searched in
-    blocks, so memory does not grow with their number.
+    provider's best price at chi, which is break-even times a markup bisected
+    once per game, less chi) is evaluated at about 385 probes of the grid;
+    its sign changes are bisected to fixed points, and the platform-payoff-
+    maximizing interior fixed point is returned. Without one, the grid share
+    maximizing the platform payoff along the follower-response curve is
+    returned (the boundary cell for degenerate inputs, e.g. f_s = 0). Games
+    are searched in blocks, so memory does not grow with their number.
     """
     if grid_n < ORACLE_MIN_GRID_N:
         raise DomainError(f"grid_n must be >= {ORACLE_MIN_GRID_N}, got {grid_n}")
@@ -441,9 +442,8 @@ def oracle_equilibrium(params: MarketParams | ParamTable,
         out = _fixed_points(t, share_grid[idx], window)
         none = np.nonzero(out[3] == 0)[0]
         for rows in _blocks(none.size, grid_n):
-            col = _as_column(t.take(none[rows]))
-            c = derive_coefficients(col)
-            price = _oracle_price(share_grid, col, c)
+            c = derive_coefficients(col := _as_column(t.take(none[rows])))
+            price = col.f_c / (1.0 - share_grid) * _price_markup(col, c)
             along = _cloud_payoff_arr(price, share_grid, col, c)
             i, r = np.argmax(along, axis=1), np.arange(len(col))
             out[:3, none[rows]] = price[r, i], share_grid[i], along[r, i]

@@ -54,10 +54,13 @@ class SamplingError(RuntimeError):
     """A truncated draw could not be satisfied within the attempt cap."""
 
 
-def check_integer(name: str, value, low: int) -> None:
-    """Raise ValueError unless `value` is an integer (not a bool) >= low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless `value` is an integer (not a bool) >= low, and
+    <= high if that is given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low
+            or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def finite_number(value) -> bool:

@@ -499,6 +499,16 @@ class TestVerifyCommand:
         assert code == 3
         assert "region empty" in out
 
+    @pytest.mark.parametrize("seed, code, line", [
+        (1729, 3, "[FAIL] payg_rental_foc: no row checked: 0 of 1 drawn prices exceed f_c"),
+        (7, 0, "[PASS] payg_rental_foc: max relative rental FOC 2.088e-10 (tol 1e-6)"),
+    ])
+    def test_payg_rental_foc_counts_its_rows(self, capsys, seed, code, line):
+        # One pair draws one rental price: at seed 1729 it does not exceed
+        # f_c, so the property has no row to check and must not pass.
+        assert cli.main(["verify", "--draws", "1", "--pairs", "1", "--seed", str(seed)]) == code
+        assert capsys.readouterr().out.splitlines()[-1] == line
+
     def test_bad_draws_exit_1(self):
         assert cli.main(["verify", "--draws", "0"]) == 1
 
@@ -689,11 +699,13 @@ class TestConfigLoading:
         ("equilibrium --alpha 0.5 --beta 1.0 --gamma 0.3 --phi 2.0 --k1 0.5", "f_c: 1e-1",
          "invalid parameters: f_c must be a finite number, got '1e-1' "
          "(YAML 1.1 reads 1e-1 as text; write 1.0e-1)"),
+        # one past the largest grid, refused before anything is drawn or allocated
+        ("verify --grid-n 32769", "", "grid_n must be an integer in [100, 32768], got 32769"),
     ])
     def test_input_error_line(self, tmp_path, subprocess_env, command, setting, line):
         # Each input error ends the run with one exact stderr line and exit 1.
         (tmp_path / "cfg.yaml").write_text(setting + "\n", encoding="utf-8")
-        out = [] if setting.startswith("out:") else [
+        out = [] if setting.startswith("out:") or command.startswith("verify") else [
             "--out", "nodir/x.csv" if line == UNWRITABLE else "x.csv"]
         proc = subprocess.run(
             [sys.executable, "-m", "tsm.cli", *command.split(), "--config", "cfg.yaml",

@@ -1,6 +1,7 @@
 """Tests for best responses, the share-equation solver, and the oracle."""
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -26,11 +27,13 @@ from tsm.core import (
     provider_payoff,
     supply_reduced,
 )
-from tsm.cli import draw_reported_equilibria
+from tsm.cli import draw_reported_equilibria, sample_table_params
 from tsm.population import AXIS_PHI, AXIS_RANGES, PopulationSpec
 from tsm.equilibrium import (
     SHARE_EPS,
     _best_price_unchecked,
+    _bisect_peak,
+    _price_markup,
     _price_slice,
     _share_brackets,
     _share_equation_columns,
@@ -393,6 +396,37 @@ class TestOracle:
             assert np.array_equal(getattr(blocked, field), getattr(default, field)), field
 
 
+def oracle_digest(oracle) -> str:
+    """sha256 over the bytes of the oracle's four columns, in field order."""
+    digest = hashlib.sha256()
+    for name in oracle._fields:
+        digest.update(np.ascontiguousarray(getattr(oracle, name)).tobytes())
+    return digest.hexdigest()
+
+
+class TestOracleEquilibrium:
+    # Recorded from the oracle that bisected the price slice at every share it
+    # probed: searching the markup once per game must keep every bit.
+    REPORTED = {
+        1730: "13863424cef87d84d01479ec509b4daa36eb2e241bc9074b22005526da9881dd",
+        8: "e69acfc440e992852985e134c463e71af99ab0ad2f8dd496f8d8f6adf7258158",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(REPORTED))
+    def test_outputs_are_pinned(self, seed):
+        oracle = oracle_equilibrium(draw_reported_equilibria(seed, 200)[0].params, grid_n=2000)
+        assert oracle_digest(oracle) == self.REPORTED[seed]
+
+    def test_fallback_outputs_are_pinned(self):
+        # No game of this table has an interior fixed point, so each one's
+        # price and share come from the grid along the follower response.
+        oracle = oracle_equilibrium(sample_table_params(np.random.default_rng(5), 300),
+                                    grid_n=100)
+        assert np.all(oracle.n_candidates == 0)
+        assert oracle_digest(oracle) == (
+            "bc658d5996d76bbefbfb6f4a07a68fc8ef5e7fb0bcb4a3536359b9d74a2b916d")
+
+
 def sampler_batch(seed: int) -> ParamTable:
     """The first 200,000 draws of `draw_reported_equilibria(seed, ...)` that
     lie in the simulation-setup bands, as one table, built the way the
@@ -577,6 +611,25 @@ def test_slices_match_full_payoffs(seed):
     assert checked.sum() > 1500
     np.testing.assert_allclose(sliced[checked], np.log(full[checked] / t.f_c[checked]),
                                rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_price_markup_is_the_search_at_every_share(seed):
+    # The share enters the price slice only through its constant D0, so the
+    # slope that the price search bisects is the same at every share, and the
+    # one markup per game gives, bit for bit, the price that a search at each
+    # share gives.
+    t, c, chi, _, u = slice_inputs(seed)
+    other = np.random.default_rng(seed + 100).uniform(0.01, 0.99, len(t))
+    assert np.all(other != chi)
+    slopes = [_price_slice(s, t, c)[1](_Slope(u, 1.0)).d for s in (chi, other)]
+    assert np.array_equal(slopes[0], slopes[1])
+    markup = _price_markup(t, c)
+    for s in (chi, other):
+        breakeven, log_payoff = _price_slice(s, t, c)
+        searched = breakeven * (1.0 + np.exp(_bisect_peak(log_payoff, math.log(1e-9),
+                                                           math.log(1e8))))
+        assert np.array_equal(breakeven * markup, searched)
 
 
 # The oracle's probes are 2000 // 384 = 5 steps apart on its default
