@@ -113,7 +113,10 @@ SETTINGS = {
     "out": Setting("path", (EQ, SC, SW), "--out"),
     "scenarios": Setting("names", (SC, SW), "--scenario"),
     "mode": Setting("choice", (SC, SW), "--mode", arg=MODES),
-    "n_providers": Setting("int", (SC, SW), "--n-providers", POPULATION, (1, None)),
+    # Size caps hold a run's peak memory near 4 GiB, at the measured peak bytes per
+    # row: 11.5 kB a provider (an equilibrium-mode sweep of the 65-cell
+    # alpha_beta_product grid) and 232 B a verify pair; see README.
+    "n_providers": Setting("int", (SC, SW), "--n-providers", POPULATION, (1, 370_000)),
     "preset": Setting("choice", (SW,), "--preset", arg=sorted(PRESETS)),
     "axis": Setting("choice", (SW,), "--axis", SWEEP, AXES),
     "grid": Setting("numbers", prefix=SWEEP),
@@ -122,7 +125,7 @@ SETTINGS = {
     # Past one oracle block, the fallback's block of one game grows with grid_n.
     "grid_n": Setting("int", (VF,), "--grid-n", arg=(equilibrium.ORACLE_MIN_GRID_N,
                                                      equilibrium.ORACLE_BLOCK_ROWS)),
-    "pairs": Setting("int", (VF,), "--pairs", arg=(1, None)),
+    "pairs": Setting("int", (VF,), "--pairs", arg=(1, 18_000_000)),
     **{k: Setting("float", _PARAM_FLAGS.get(k, (EQ,)), f"--{k}", PARAMS) for k in PARAM_KEYS},
     # PopulationSpec's bands; alpha_beta_cap and max_attempts keep their defaults.
     **{f.name: Setting("float", prefix=POPULATION) for f in fields(PopulationSpec)

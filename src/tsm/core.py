@@ -309,6 +309,11 @@ def _cloud_payoff_arr(price, share, params, c: Coefficients):
                          _log_supply_reduced(log_price, log_share, params, c), params.f_s)
 
 
+def _share_payoff(log_r, e1, log_k, e2):
+    """R*s^e1 - K*s^e2 as a function of the share s, from its terms."""
+    return lambda s: np.exp(log_r + e1 * (log_s := np.log(s))) - np.exp(log_k + e2 * log_s)
+
+
 def _cloud_share_slice(price, params, c: Coefficients):
     """The platform payoff at a fixed price as R*s^e1 - K*s^e2 in share s: its terms
     (log R, e1, log K, e2), log K = -inf where f_s = 0, and the payoff as a function of s."""
@@ -316,9 +321,8 @@ def _cloud_share_slice(price, params, c: Coefficients):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_k = np.log(params.f_s) + _log_supply_reduced(log_price, None, params, c)
     log_r = log_price + _log_demand_reduced(log_price, None, params, c)
-    e1, e2 = c.a4 / c.a2 + 1.0, params.phi / c.a2
-    return (log_r, e1, log_k, e2), lambda s: (np.exp(log_r + e1 * (log_s := np.log(s)))
-                                              - np.exp(log_k + e2 * log_s))
+    terms = (log_r, c.a4 / c.a2 + 1.0, log_k, params.phi / c.a2)
+    return terms, _share_payoff(*terms)
 
 
 def cloud_payoff(price: float, share: float, params: MarketParams) -> float:

@@ -40,6 +40,7 @@ from .core import (
     _cloud_share_slice,
     _log_demand_reduced,
     _provider_payoff_arr,
+    _share_payoff,
     check_feasibility,
     cloud_payoff,
     demand_reduced,
@@ -229,7 +230,7 @@ def stackelberg_solve(params: MarketParams) -> EquilibriumResult:
 # ---------------------------------------------------------------------------
 
 ORACLE_BLOCK_ROWS = 1 << 15   # (game, share) pairs searched at once; bounds memory
-PEAK_HALVINGS = 60            # best responses: down to the float nearest the peak
+PEAK_HALVINGS = 60            # to the float nearest a peak, or until chi's side is known
 ROOT_HALVINGS = 30            # fixed points: a probe spacing down to about 1e-12
 SHARE_SCAN = 24
 ORACLE_MIN_GRID_N = 100
@@ -336,23 +337,33 @@ def _price_markup(t: ParamTable, c: Coefficients):
     return 1.0 + np.exp(_bisect_peak(_price_slice(0.5, t, c)[1], math.log(1e-9), math.log(1e8)))
 
 
-def _oracle_share(price, t: ParamTable, c: Coefficients, lo: float, hi: float):
-    """The platform's payoff-maximizing share in [lo, hi] at `price`. The payoff
-    in share is single-peaked, monotone, or dips to one interior minimum, so a
-    24-point scan brackets the maximum before the slope is bisected."""
-    payoff, scan = _cloud_share_slice(price, t, c)[1], np.linspace(lo, hi, SHARE_SCAN)
+def _response_below(chi, price, t: ParamTable, c: Coefficients, window) -> np.ndarray:
+    """Whether the platform's best share in `window` at `price` lies below chi. The
+    payoff in share is single-peaked, monotone, or dips to one interior minimum, so a
+    24-point scan brackets the best share for `_bisect_peak`'s halvings. Their nested
+    brackets hold the share it returns, so a pair is decided once its bracket excludes
+    chi: only pairs with lo < chi <= hi are halved on, their slice's terms compacted."""
+    terms, payoff = _cloud_share_slice(price, t, c)
+    scan = np.linspace(*window, SHARE_SCAN)
     best, top = 0, payoff(scan[0])
     for j in range(1, SHARE_SCAN):
         pay = payoff(scan[j])
         best, top = np.where(pay > top, j, best), np.maximum(pay, top)
-    return _bisect_peak(payoff, scan[np.maximum(best - 1, 0)],
-                        scan[np.minimum(best + 1, SHARE_SCAN - 1)])
-
-
-def _defect(chi, t: ParamTable, c: Coefficients, markup, window) -> np.ndarray:
-    """The platform's best response to the provider's best response to chi
-    (`_price_markup` over break-even), less chi: zero at a fixed point of the two maps."""
-    return _oracle_share(t.f_c / (1.0 - chi) * markup, t, c, *window) - chi
+    shape = np.broadcast_shapes(top.shape, np.shape(chi))
+    lo, hi, x, *terms = (np.broadcast_to(v, shape).ravel() for v in (
+        scan[np.maximum(best - 1, 0)], scan[np.minimum(best + 1, SHARE_SCAN - 1)], chi, *terms))
+    below, live = hi < x, np.arange(x.size)
+    for _ in range(PEAK_HALVINGS):
+        keep = np.nonzero((lo < x) & (x <= hi))[0]
+        live, lo, hi, x, *terms = (v[keep] for v in (live, lo, hi, x, *terms))
+        if not live.size:
+            break
+        mid = 0.5 * (lo + hi)
+        rising = _share_payoff(*terms)(_Slope(mid, 1.0)).d > 0.0
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+        below[live] = hi < x
+    below[live] = 0.5 * (lo + hi) - x < 0.0
+    return below.reshape(shape)
 
 
 def _blocks(n: int, width: int) -> list[slice]:
@@ -371,19 +382,21 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
     """Rows (price, share, platform payoff, fixed points found) per game of
     `t`, for its highest-payoff interior fixed point; NaN without one.
 
-    Every sign change of the defect between neighbouring probes becomes one
-    bracket. The probes run in blocks of games, then all brackets are
-    bisected together, in blocks of brackets. Clamping the response to the
-    window only fabricates crossings at its edges, which the interior filter
-    drops. Where the platform payoff underflows over the whole share scan,
-    the response falls to the window's lower edge and the defect changes
-    sign where no fixed point is; such a candidate's payoff is below the
-    smallest normal float, far below any true root's, and is dropped too.
+    Every sign change of the defect (`_response_below` finds only its sign)
+    between neighbouring probes becomes one bracket. The probes run in
+    blocks of games, then all brackets are bisected together, in blocks of
+    brackets. Clamping the response to the window only fabricates crossings
+    at its edges, which the interior filter drops. Where the platform payoff
+    underflows over the whole share scan, the response falls to the window's
+    lower edge and the defect changes sign where no fixed point is; such a
+    candidate's payoff is below the smallest normal float, far below any
+    true root's, and is dropped too.
     """
     found = [(np.empty(0, int), np.empty(0, int), np.empty(0, bool))]
     for rows in _blocks(len(t), probes.size):
         c = derive_coefficients(col := _as_column(t.take(rows)))
-        negative = _defect(probes, col, c, _price_markup(col, c), window) < 0.0
+        price = col.f_c / (1.0 - probes) * _price_markup(col, c)
+        negative = _response_below(probes, price, col, c, window)
         case, j = np.nonzero(negative[:, :-1] != negative[:, 1:])
         found.append((case + rows.start, j, negative[case, j]))
     case, j, lo_negative = (np.concatenate(v) for v in zip(*found))
@@ -393,7 +406,8 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
         markup, lo, hi = _price_markup(sub, c), probes[j[b]], probes[j[b] + 1]
         for _ in range(ROOT_HALVINGS):
             mid = 0.5 * (lo + hi)
-            to_lo = (_defect(mid, sub, c, markup, window) < 0.0) == lo_negative[b]
+            price_mid = sub.f_c / (1.0 - mid) * markup
+            to_lo = _response_below(mid, price_mid, sub, c, window) == lo_negative[b]
             lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
         chi[b] = 0.5 * (lo + hi)
         price[b] = sub.f_c / (1.0 - chi[b]) * markup
@@ -417,14 +431,15 @@ def oracle_equilibrium(params: MarketParams | ParamTable,
     [0.01, 0.99], elementwise over a ParamTable (columns of OracleEquilibrium)
     or for one MarketParams (a batch of one).
 
-    The best-response defect (the platform's best share against the
-    provider's best price at chi, which is break-even times a markup bisected
-    once per game, less chi) is evaluated at about 385 probes of the grid;
-    its sign changes are bisected to fixed points, and the platform-payoff-
-    maximizing interior fixed point is returned. Without one, the grid share
-    maximizing the platform payoff along the follower-response curve is
-    returned (the boundary cell for degenerate inputs, e.g. f_s = 0). Games
-    are searched in blocks, so memory does not grow with their number.
+    The sign of the best-response defect (the platform's best share against
+    the provider's best price at chi, break-even times a markup bisected once
+    per game, less chi) is found at about 385 probes of the grid, each share
+    bisected only until its side of chi is known; its sign changes are
+    bisected to fixed points, and the platform-payoff-maximizing interior
+    fixed point is returned. Without one, the grid share maximizing the
+    platform payoff along the follower-response curve is returned (the
+    boundary cell for degenerate inputs, e.g. f_s = 0). Games are searched
+    in blocks, so memory does not grow with their number.
     """
     if grid_n < ORACLE_MIN_GRID_N:
         raise DomainError(f"grid_n must be >= {ORACLE_MIN_GRID_N}, got {grid_n}")

@@ -699,8 +699,16 @@ class TestConfigLoading:
         ("equilibrium --alpha 0.5 --beta 1.0 --gamma 0.3 --phi 2.0 --k1 0.5", "f_c: 1e-1",
          "invalid parameters: f_c must be a finite number, got '1e-1' "
          "(YAML 1.1 reads 1e-1 as text; write 1.0e-1)"),
-        # one past the largest grid, refused before anything is drawn or allocated
+        # one past each size cap, refused before anything is drawn or allocated
         ("verify --grid-n 32769", "", "grid_n must be an integer in [100, 32768], got 32769"),
+        ("verify --pairs 18000001", "",
+         "pairs must be an integer in [1, 18000000], got 18000001"),
+        ("scenario --n-providers 370001", "",
+         "invalid population settings: n_providers must be an integer in [1, 370000], "
+         "got 370001"),
+        ("sweep --axis k1", "n_providers: 370001",
+         "invalid population settings: n_providers must be an integer in [1, 370000], "
+         "got 370001"),
     ])
     def test_input_error_line(self, tmp_path, subprocess_env, command, setting, line):
         # Each input error ends the run with one exact stderr line and exit 1.

@@ -35,6 +35,7 @@ from tsm.equilibrium import (
     _bisect_peak,
     _price_markup,
     _price_slice,
+    _response_below,
     _share_brackets,
     _share_equation_columns,
     _share_roots,
@@ -630,6 +631,48 @@ def test_price_markup_is_the_search_at_every_share(seed):
         searched = breakeven * (1.0 + np.exp(_bisect_peak(log_payoff, math.log(1e-9),
                                                            math.log(1e8))))
         assert np.array_equal(breakeven * markup, searched)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_response_below_is_the_full_search(seed):
+    # The oracle reads only the sign of best share minus chi, and stops each
+    # share's bisection once its bracket excludes chi. That sign must be the
+    # full search's: the 24-point scan, then all of _bisect_peak's halvings.
+    # The chi tried are the probe grid, whose ends 0.01 and 0.99 are scan
+    # bracket ends, and the searched best share and the floats either side
+    # of it, where only the last halvings or the final midpoint decide.
+    t, c, _, price, _ = slice_inputs(seed)
+    col = t.take(np.arange(len(t))[:, None])
+    window = (0.01, 0.99)
+    payoff, scan = _cloud_share_slice(price, t, c)[1], np.linspace(*window, 24)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        best, top = 0, payoff(scan[0])
+        for j in range(1, 24):
+            pay = payoff(scan[j])
+            best, top = np.where(pay > top, j, best), np.maximum(pay, top)
+        lo, hi = scan[np.maximum(best - 1, 0)], scan[np.minimum(best + 1, 23)]
+        halvings = []
+
+        def recording(z):
+            slope = payoff(z)
+            halvings.append(slope.d > 0.0)
+            return slope
+
+        searched = _bisect_peak(recording, lo, hi)
+        final_lo, final_hi = lo, hi
+        for rising in halvings:
+            mid = 0.5 * (final_lo + final_hi)
+            final_lo, final_hi = np.where(rising, mid, final_lo), np.where(rising, final_hi, mid)
+        probes = np.linspace(0.01, 0.99, 2000)[np.r_[0:2000:5, 1999]]
+        near = np.stack([np.nextafter(searched, 0.0), searched, np.nextafter(searched, 1.0)], 1)
+        outcomes = np.zeros(3, int)
+        for chi in (probes, near):
+            got = _response_below(chi, price[:, None], col, derive_coefficients(col), window)
+            assert np.array_equal(got, searched[:, None] - chi < 0.0)
+            by_scan = (hi[:, None] < chi) | (lo[:, None] >= chi)
+            by_end = (final_lo[:, None] < chi) & (chi <= final_hi[:, None])
+            outcomes += by_scan.sum(), (~by_scan & ~by_end).sum(), by_end.sum()
+    assert np.all(outcomes > 0), outcomes
 
 
 # The oracle's probes are 2000 // 384 = 5 steps apart on its default

@@ -134,6 +134,18 @@ def test_bench_pairs_runs_verify_in_a_fresh_interpreter():
     assert run["maxrss_kb"] > 20_000
 
 
+def test_bench_pairs_reads_a_traced_run():
+    # `--trace-runs` keeps one traced perfbench run's per-layer metrics, and
+    # their spread over runs, per side.
+    bench_pairs = load_bench_pairs()
+    run = bench_pairs.bench_run(ROOT, "verify", 0, 0.5, trace=1)
+    assert run["correct"]
+    layers = bench_pairs.layer_spreads([run])
+    oracle = layers["equilibrium.oracle_equilibrium.s"]
+    assert oracle["n"] == 1 and oracle["median"] == oracle["values"][0] > 0.0
+    assert layers["equilibrium.oracle_equilibrium.calls"]["median"] == 1.0
+
+
 def test_every_flag_names_a_config_key():
     # The CLI merges flags over the config by name, so each flag's dest must
     # be a config key; `--scenario` fills `scenarios`. Each command takes

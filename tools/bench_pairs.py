@@ -19,11 +19,17 @@ minor page faults (`ru_minflt`). It also runs `verify --draws 200 --seed
 which side runs first, and records each run's wall time, minor page faults
 and the child's peak resident set (`ru_maxrss`, in kB, import included).
 
+With `--trace-runs N` each workload also runs `perfbench/run.py ... --trace 1`
+N times per checkout at seeds S..S+N-1, alternating which side runs first,
+and records per side the spread of each per-layer metric (such as
+`equilibrium.oracle_equilibrium.s`) over those runs.
+
 With `--import-runs N` the script runs
 `python -X importtime -c "import numpy; import tsm.cli"` N times in each
 checkout, alternating which side runs first, after one import per side that
 writes the bytecode cache, and records each `tsm` module's self time and
 tsm.cli's cumulative time (`total`), in microseconds.
+These are uncalibrated wall-clock figures, unlike perfbench's `setup_s`.
 The checkouts' `perfbench/` files should be identical; the script changes
 no file in either checkout but for tsm's bytecode cache.
 """
@@ -126,10 +132,10 @@ def host() -> dict:
             "numpy": numpy.__version__}
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One perfbench run in `checkout`: its JSON result line."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
     if done.returncode or not done.stdout.strip():
         raise RuntimeError(f"perfbench failed in {checkout}:\n{done.stderr[-2000:]}")
@@ -139,6 +145,12 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "n": len(values), "values": values}
+
+
+def layer_spreads(runs: list[dict]) -> dict:
+    """Per metric of traced runs' results: the spread of its values."""
+    return {name: spread([r["metrics"][name]["value"] for r in runs])
+            for name in runs[0]["metrics"]}
 
 
 def summarise(runs: dict, metrics: dict) -> dict:
@@ -169,6 +181,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--first-seed", type=int, default=0)
     ap.add_argument("--fault-runs", type=int, default=0)
+    ap.add_argument("--trace-runs", type=int, default=0)
     ap.add_argument("--import-runs", type=int, default=0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
@@ -222,6 +235,17 @@ def main(argv=None) -> int:
                       + " ".join(f"{m}={result['metrics'][m]['value']:.6g}" for m in metrics),
                       flush=True)
         report["workloads"][workload] = {"pairs": summarise(runs, metrics), "runs": runs}
+        if args.trace_runs:
+            traced = {"parent": [], "change": []}
+            for i in range(args.trace_runs):
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    result = bench_run(sides[side], workload, args.first_seed + i,
+                                       args.seconds, trace=1)
+                    traced[side].append(result)
+                    print(f"{workload} seed {args.first_seed + i} {side} traced: "
+                          f"correct={result['correct']}", flush=True)
+            report["workloads"][workload]["traced"] = {
+                side: layer_spreads(side_runs) for side, side_runs in traced.items()}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
