@@ -107,6 +107,11 @@ SWEEP = "invalid sweep: "
 PARAM_KEYS = tuple(f.name for f in fields(MarketParams))
 _PARAM_FLAGS = {"phi": (EQ, SC), "psi": (EQ, SC, SW)}
 
+MAX_PROVIDERS = 370_000
+# A sweep's memory grows with its cells times its providers, so a custom grid
+# is held to the 65 cells that the n_providers cap was measured on.
+MAX_SWEEP_ROWS = 65 * MAX_PROVIDERS
+
 # Every config key, in the order of the flags' help; --scenario fills `scenarios`.
 SETTINGS = {
     "seed": Setting("int", (SC, SW, VF), "--seed", arg=(0, None)),
@@ -116,7 +121,7 @@ SETTINGS = {
     # Size caps hold a run's peak memory near 4 GiB, at the measured peak bytes per
     # row: 11.5 kB a provider (an equilibrium-mode sweep of the 65-cell
     # alpha_beta_product grid) and 232 B a verify pair; see README.
-    "n_providers": Setting("int", (SC, SW), "--n-providers", POPULATION, (1, 370_000)),
+    "n_providers": Setting("int", (SC, SW), "--n-providers", POPULATION, (1, MAX_PROVIDERS)),
     "preset": Setting("choice", (SW,), "--preset", arg=sorted(PRESETS)),
     "axis": Setting("choice", (SW,), "--axis", SWEEP, AXES),
     "grid": Setting("numbers", prefix=SWEEP),
@@ -369,6 +374,10 @@ def cmd_sweep(s: dict) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"{SWEEP}{exc}")
+    cells = len(spec.grid) * (1 if axis == AXIS_PHI else len(spec.phi_levels))
+    if cells * pop_spec.n_providers > MAX_SWEEP_ROWS:
+        raise ConfigError(f"{SWEEP}{cells} cells x {pop_spec.n_providers} providers exceed "
+                          f"{MAX_SWEEP_ROWS} provider-cells (65 x {MAX_PROVIDERS})")
 
     series = population.run_sweep(spec)
     columns = dict(zip(population.SweepSeries._fields, zip(*series)))
@@ -425,15 +434,15 @@ def sample_table_params(rng: np.random.Generator, n: int) -> core.ParamTable:
 def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000):
     """Sample parameter draws until `count` of them yield a reported equilibrium.
 
-    Each 200,000-draw batch is tested in blocks against the simulation-setup
-    ranges (PopulationSpec's default bands) and f1-f3; only the passing rows
-    (about 18%) are copied, and then get k1, last in the stream. The copied
-    rows with a share root are kept in draw order. Returns (the
+    Each 200,000-draw batch is one pass over blocks of its raw draws. A block
+    draws its part of k1, last in the stream (Philox is counter-based, so the
+    pieces are one call's words), and keeps in draw order, up to the count,
+    its rows in PopulationSpec's default bands with a share root. Returns (the
     equilibrium-mode two_sided Outcome of the kept games, n_drawn)."""
     spec, (phi_lo, phi_hi) = PopulationSpec(), AXIS_RANGES[AXIS_PHI]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    kept, drawn = [core.ParamTable.from_params([])], 0   # concat needs one table
-    while (got := sum(map(len, kept))) < count and drawn < max_draws:
+    kept, got, drawn = [core.ParamTable.from_params([])], 0, 0   # concat needs one table
+    while got < count and drawn < max_draws:
         m = 200_000
         drawn += m
         price = rng.normal(spec.price_mean, spec.price_sd, m)
@@ -442,23 +451,21 @@ def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000)
         beta /= np.clip(alpha, 1e-9, None)
         gamma = rng.uniform(spec.gamma_min, spec.gamma_max, m)
         phi = rng.uniform(phi_lo, phi_hi, m)
-        rows = []
-        for b in equilibrium._blocks(m, 1):   # bounds the masks' temporaries
-            ab = alpha[b] * beta[b]
-            band = b.start + np.nonzero(
-                (price[b] >= spec.price_min) & (price[b] <= spec.price_max)
-                & (alpha[b] >= spec.alpha_min) & (alpha[b] <= spec.alpha_max) & (ab > 0.0)
-                & (ab <= spec.alpha_beta_cap) & (phi[b] > 0.0))[0]
-            t = core.ParamTable.from_columns(alpha=alpha[band], beta=beta[band], gamma=gamma[band],
-                                             psi=spec.psi, phi=phi[band], k1=np.nan, f_c=np.nan)
-            rows.append(band[core.check_feasibility(t).all_ok])   # reads no k1 or f_c
-        rows = np.concatenate(rows)
-        price, alpha, beta, gamma, phi = (v[rows] for v in (price, alpha, beta, gamma, phi))
-        table = core.ParamTable.from_columns(
-            alpha=alpha, beta=beta, gamma=gamma, psi=spec.psi, phi=phi,
-            k1=rng.uniform(spec.k1_min, spec.k1_max, m)[rows], f_c=spec.f_c_factor * price)
-        kept.append(table.take(np.nonzero(equilibrium.has_share_root(table))[0][:count - got]))
-        del price, alpha, beta, gamma, phi, rows, table   # before the next batch's draws
+        for b in equilibrium._blocks(m, 1):   # bounds the block's temporaries
+            t = core.ParamTable.from_columns(
+                alpha=alpha[b], beta=beta[b], gamma=gamma[b], psi=spec.psi, phi=phi[b],
+                k1=rng.uniform(spec.k1_min, spec.k1_max, min(b.stop, m) - b.start),
+                f_c=spec.f_c_factor * price[b])
+            ab = t.alpha * t.beta
+            with np.errstate(divide="ignore", invalid="ignore"):   # out of band: f_c <= 0, a2 = 0
+                ok = ((price[b] >= spec.price_min) & (price[b] <= spec.price_max)
+                      & (t.alpha >= spec.alpha_min) & (t.alpha <= spec.alpha_max) & (ab > 0.0)
+                      & (ab <= spec.alpha_beta_cap) & (t.phi > 0.0)
+                      & equilibrium.has_share_root(t))
+            kept.append(t.take(np.nonzero(ok)[0][:count - got]))
+            if (got := got + len(kept[-1])) == count:
+                break
+        del t   # its column views hold this batch's draws through the next one's
     table = core.ParamTable.concat(kept)
     return scenarios.scenario_columns(TWO_SIDED, table, None, MODE_EQUILIBRIUM), drawn
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -540,9 +541,12 @@ def sampler_digests(out: scenarios.Outcome) -> tuple[str, str]:
 
 
 class TestReportedEquilibriaSampler:
-    # verify at seeds 1729 and 7 samples with seeds 1730 and 8. Recorded from
-    # the sampler that solved every in-band draw of a batch: testing f1-f3
-    # and root existence first must keep the stream, the games and the count.
+    # verify at seeds 1729, 7, 11 and 23 samples with seeds 1730, 8, 12 and
+    # 24. Seeds 1730 and 8 were recorded from the sampler that solved every
+    # in-band draw of a batch, the rest from the one that copied a batch's
+    # f1-f3 rows and then drew all of its k1: testing f1-f3 and root
+    # existence first, and drawing k1 block by block, must keep the stream,
+    # the games and the count.
     STREAM = {
         1730: (2_400_000,
                "cd87092ea14f66eba61447c15d3fc06e9fb97ecec6382146f518472f407c0ea0",
@@ -550,6 +554,22 @@ class TestReportedEquilibriaSampler:
         8: (2_600_000,
             "9e93e9fd870b65426b7ace6b4bc949b69861b1a3f3c0690233a1e155f1cafaf5",
             "d902af79a490dc9af2c6b65c02e321fc7b55227e6ba1536a233151a33827822f"),
+        12: (2_600_000,
+             "30050b699eb9b8127fb4625faf05a34ad564159ebffe415f45e1982213d55b82",
+             "e78af944a793534a70ae716c5d74807b1279883293119dfac55dcfbed53c6b6e"),
+        24: (2_400_000,
+             "c389c7b0d689e1a33f00706a118bf78d1bf07a37067a75e8b04153ec2250ffeb",
+             "1dbe76629e7735f0f0be23bfc79035e5394e722ec320ecd7f9b4160c6f0df9cd"),
+    }
+    # Seed 1730 with a count its first batch reaches mid-pass, and with one
+    # that takes 31 batches.
+    COUNTS = {
+        17: (200_000,
+             "2b633b571ed8e56a16465ea79ec82d3e0e87623bc3f02abfdfa85f639dede094",
+             "cf2cfca21a56b3aac095d2414bb9e43db0a4583f78a4825805ccc405cb1a550c"),
+        500: (6_200_000,
+              "b1119130e156f805f94c8df3e79b72dc0e99ae99a2d72b101698e2353656f96b",
+              "ca40f45c809c95fe453cdbc45116a794e8394926fb4a9dfd0083423157e1d1f4"),
     }
 
     @pytest.mark.parametrize("seed", sorted(STREAM))
@@ -558,10 +578,22 @@ class TestReportedEquilibriaSampler:
         assert len(out.params) == 200
         assert (drawn, *sampler_digests(out)) == self.STREAM[seed]
 
+    @pytest.mark.parametrize("count", sorted(COUNTS))
+    def test_counts_within_and_across_batches_are_pinned(self, count):
+        out, drawn = cli.draw_reported_equilibria(1730, count)
+        assert len(out.params) == count
+        assert (drawn, *sampler_digests(out)) == self.COUNTS[count]
+
+    def test_draws_without_warnings(self):
+        # Every raw draw of a block reaches has_share_root, out-of-band ones too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.draw_reported_equilibria(1730, 200)
+
     def test_traced_memory_peak_is_bounded(self):
-        # Only a batch's in-band, f1-f3 rows are copied, so the peak is the
-        # five raw draw columns plus small blocks: about 11.5 MB, where
-        # solving whole batches peaked at 28.8 MB.
+        # A batch is filtered in one pass over blocks of views, so the peak
+        # is the five raw draw columns plus one block's temporaries: about
+        # 10.6 MB, where solving whole batches peaked at 28.8 MB.
         tracemalloc.start()
         try:
             cli.draw_reported_equilibria(1730, 200)
@@ -709,6 +741,14 @@ class TestConfigLoading:
         ("sweep --axis k1", "n_providers: 370001",
          "invalid population settings: n_providers must be an integer in [1, 370000], "
          "got 370001"),
+        # one provider past 65 x 370,000 provider-cells: 66 cells on the phi
+        # axis, and 8 gamma values times 9 phi levels
+        ("sweep --axis phi --n-providers 364394", f"grid: {[0.05 * i for i in range(66)]}",
+         "invalid sweep: 66 cells x 364394 providers exceed 24050000 provider-cells "
+         "(65 x 370000)"),
+        ("sweep --axis gamma --n-providers 334028", f"phi_levels: {[0.5 * i for i in range(9)]}",
+         "invalid sweep: 72 cells x 334028 providers exceed 24050000 provider-cells "
+         "(65 x 370000)"),
     ])
     def test_input_error_line(self, tmp_path, subprocess_env, command, setting, line):
         # Each input error ends the run with one exact stderr line and exit 1.
@@ -723,6 +763,24 @@ class TestConfigLoading:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {line}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "fig4", "--n-providers", "370000"],
+        ["--axis", "phi", "--n-providers", "364393", "--config", "cfg.yaml"],
+    ])
+    def test_sweep_at_the_cell_cap_runs(self, tmp_path, monkeypatch, argv):
+        # 65 cells x 370,000 providers, and 66 x 364,393 just under it, reach
+        # run_sweep, stubbed here so that nothing is sampled.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text(f"grid: {[0.05 * i for i in range(66)]}\n",
+                                           encoding="utf-8")
+
+        def sentinel(spec):
+            raise LookupError(spec.population.n_providers)
+
+        monkeypatch.setattr(population, "run_sweep", sentinel)
+        with pytest.raises(LookupError):
+            cli.main(["sweep", *argv])
 
     @pytest.mark.parametrize("key", sorted(cli.SETTINGS))
     def test_wrong_kind_error_line(self, tmp_path, capsys, monkeypatch, key):

@@ -480,6 +480,20 @@ class TestHasShareRoot:
             assert np.array_equal(getattr(kept.params, f.name),
                                   getattr(t, f.name)[found]), f.name
 
+    def test_out_of_band_rows_have_no_root_and_warn_nothing(self):
+        # The sampler tests every raw draw of a block. A price <= 0 makes
+        # f_c <= 0, whose log the share constant takes under f1-f3; an
+        # alpha <= 0 makes the sampler's beta u / 1e-9.
+        t = sampler_batch(1730)
+        assert check_feasibility(t).all_ok.any()   # so the log is reached
+        u = t.alpha * t.beta
+        bad = [dataclasses.replace(t, f_c=-t.f_c), dataclasses.replace(t, f_c=0.0 * t.f_c),
+               *(dataclasses.replace(t, alpha=a, beta=u / 1e-9) for a in (0.0 * u, -t.alpha))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in bad:
+                assert not has_share_root(rows).any()
+
     def test_matches_the_solver_at_the_edges(self):
         t = edge_games()
         found = has_share_root(t)
