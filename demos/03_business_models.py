@@ -8,48 +8,43 @@ pushed through:
   platform picks its revenue share per provider;
 * fifty_fifty: an even split, providers re-price against it;
 * pay_as_you_go: flat-rate infrastructure rental, no revenue sharing.
+
+Each run is one column per quantity over the whole population, and means
+are taken over the feasible providers only.
 """
 
-from tsm import (
-    PopulationSpec,
-    compare_scenarios,
-    run_fifty_fifty,
-    run_pay_as_you_go,
-    run_two_sided,
-    sample_providers,
-)
+import numpy as np
+
+from tsm import PopulationSpec, sample_table, scenario_columns
+
+
+def mean(out, column):
+    """The column's mean over the feasible providers, nan without any."""
+    value = out.feasible_mean(column)
+    return float("nan") if value is None else value
+
 
 spec = PopulationSpec(n_providers=300, seed=1729)
-providers = sample_providers(spec)
-print(f"sampled {len(providers)} providers (seed {spec.seed})")
-print(f"  first provider: price={providers[0].declared_price:.3f}, "
-      f"{providers[0].params}")
+table, prices = sample_table(spec)
+print(f"sampled {len(table)} providers (seed {spec.seed})")
+print(f"  first provider: price={prices[0]:.3f}, {table.rows()[0]}")
 
-records = (
-    run_two_sided(providers, mode="declared-price")
-    + run_fifty_fifty(providers)
-    + run_pay_as_you_go(providers)
-)
-
-summary = compare_scenarios(records)
 print(f"\n{'scenario':>14} {'feasible':>9} {'mean provider':>14} "
       f"{'mean platform':>14} {'mean demand':>12} {'mean share':>11}")
-for tag, stats in summary.items():
-    prov = stats.provider_payoff.mean if stats.provider_payoff else float("nan")
-    cloud = stats.cloud_payoff.mean if stats.cloud_payoff else float("nan")
-    demand = stats.demand.mean if stats.demand else float("nan")
-    share = stats.share.mean if stats.share else float("nan")
-    print(f"{tag:>14} {stats.n_feasible:>6}/{stats.n:<3}"
+for tag in ("fifty_fifty", "pay_as_you_go", "two_sided"):
+    out = scenario_columns(tag, table, prices, "declared-price")
+    prov, cloud, demand, share = (mean(out, column) for column in (
+        "provider_payoff", "cloud_payoff", "demand", "share"))
+    print(f"{tag:>14} {int(out.feasible.sum()):>6}/{len(table):<3}"
           f" {prov:>+14.6f} {cloud:>+14.6f} {demand:>12.6f} {share:>11.4f}")
 
 # The full equilibrium variant of the two-sided run solves every provider's
 # game from scratch. Existence is rare under these parameter ranges, so
-# most records come back flagged infeasible and are excluded from means.
-equilibrium_records = run_two_sided(providers, mode="equilibrium")
-n_feasible = sum(r.feasible for r in equilibrium_records)
-print(f"\ntwo_sided equilibrium mode: {n_feasible}/{len(equilibrium_records)} "
+# most providers come back flagged infeasible and are excluded from means.
+equilibrium = scenario_columns("two_sided", table, prices, "equilibrium")
+print(f"\ntwo_sided equilibrium mode: {int(equilibrium.feasible.sum())}/{len(table)} "
       f"providers have a reported equilibrium")
-for rec in (r for r in equilibrium_records if r.feasible):
-    print(f"  provider {rec.provider_id}: share*={rec.share:.4f} "
-          f"price*={rec.price:.3f} platform={rec.cloud_payoff:+.5f} "
-          f"provider={rec.provider_payoff:+.5f}")
+for i in np.flatnonzero(equilibrium.feasible):
+    print(f"  provider {i}: share*={equilibrium.share[i]:.4f} "
+          f"price*={equilibrium.price[i]:.3f} platform={equilibrium.cloud_payoff[i]:+.5f} "
+          f"provider={equilibrium.provider_payoff[i]:+.5f}")

@@ -43,13 +43,11 @@ from .population import (
 from .scenarios import (
     Provider,
     ScenarioRecord,
-    ScenarioStats,
-    compare_scenarios,
     payg_supply,
     run_fifty_fifty,
     run_pay_as_you_go,
     run_two_sided,
-    summarize_records,
+    scenario_columns,
 )
 
 __version__ = "0.1.0"

@@ -473,7 +473,6 @@ def oracle_equilibrium(params: MarketParams | ParamTable,
 # ---------------------------------------------------------------------------
 
 FOC_REL_STEP = 1e-6
-SOC_REL_STEP = 1e-4
 
 
 def _payoff_slices(params: MarketParams | ParamTable, price, share):
@@ -508,16 +507,16 @@ def second_order_check(params: MarketParams | ParamTable, price, share) -> Secon
     """Second-derivative tests at a candidate optimum, elementwise over a
     ParamTable (a MarketParams call gives Python bools and floats).
 
-    Central second differences (relative step 1e-4) of the provider payoff
-    in price and the platform payoff in share, compared against the analytic
-    sign conditions (1 - a1/a2) < 0 and a4 + a2 - phi < 0.
+    Exact second derivatives of the provider payoff in price and the platform
+    payoff in share, by nested forward mode: f(x + eps1 + eps2) with
+    eps1^2 = eps2^2 = 0 carries f''(x) in its eps1*eps2 term. They are
+    compared against the analytic sign conditions (1 - a1/a2) < 0 and
+    a4 + a2 - phi < 0.
     """
     report = check_feasibility(params)
     provider, cloud = _payoff_slices(params, price, share)
-    hp = SOC_REL_STEP * price
-    d2p = (provider(price + hp) - 2.0 * provider(price) + provider(price - hp)) / hp**2
-    hs = np.minimum(SOC_REL_STEP * share, 0.5 * (1.0 - share))
-    d2c = (cloud(share + hs) - 2.0 * cloud(share) + cloud(share - hs)) / hs**2
+    d2p, d2c = (f(_Slope(_Slope(x, 1.0), _Slope(1.0, 0.0))).d.d
+                for f, x in ((provider, price), (cloud, share)))
     values = (d2p < 0.0, d2c < 0.0, report.f2_price_max, report.f3_share_max,
               (d2p < 0.0) == report.f2_price_max, (d2c < 0.0) == report.f3_share_max,
               d2p, d2c)

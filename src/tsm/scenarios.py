@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,10 +55,6 @@ MODE_DECLARED_PRICE = "declared-price"
 MODES = (MODE_EQUILIBRIUM, MODE_DECLARED_PRICE)
 
 
-class PopulationMismatchError(ValueError):
-    """Scenario record sets being compared came from different populations."""
-
-
 class Provider(NamedTuple):
     """One data-service provider: stable id, parameters, and list price.
 
@@ -85,28 +81,6 @@ class ScenarioRecord(NamedTuple):
     provider_payoff: float
     cloud_payoff: float
     feasible: bool
-
-
-class QuantityStats(NamedTuple):
-    """Mean (`padded_mean`), median and sum; `total` may be inf where `mean` is finite."""
-
-    mean: float
-    median: float
-    total: float
-
-
-class ScenarioStats(NamedTuple):
-    """Aggregates over the feasible records of one scenario."""
-
-    scenario: str
-    n: int
-    n_feasible: int
-    feasible_fraction: float
-    provider_payoff: QuantityStats | None
-    cloud_payoff: QuantityStats | None
-    demand: QuantityStats | None
-    supply: QuantityStats | None
-    share: QuantityStats | None
 
 
 class Outcome(NamedTuple):
@@ -330,55 +304,3 @@ def run_pay_as_you_go(providers: Sequence[Provider]) -> list[ScenarioRecord]:
     rental optimum and are flagged infeasible. Share is not applicable.
     """
     return _run(providers, PAY_AS_YOU_GO)
-
-
-# ---------------------------------------------------------------------------
-# Cross-scenario comparison.
-# ---------------------------------------------------------------------------
-
-
-def _quantity_stats(values: list[float]) -> QuantityStats | None:
-    if not values:
-        return None
-    arr = np.array(values, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        total = float(arr.sum())
-    return QuantityStats(float(padded_mean(arr, arr.size)), float(np.median(arr)), total)
-
-
-def summarize_records(records: Sequence[ScenarioRecord]) -> ScenarioStats:
-    """Aggregate one scenario's records over its feasible subset."""
-    scenario = records[0].scenario if records else ""
-    feasible = [r for r in records if r.feasible]
-    return ScenarioStats(
-        scenario=scenario,
-        n=len(records),
-        n_feasible=len(feasible),
-        feasible_fraction=len(feasible) / len(records) if records else 0.0,
-        provider_payoff=_quantity_stats([r.provider_payoff for r in feasible]),
-        cloud_payoff=_quantity_stats([r.cloud_payoff for r in feasible]),
-        demand=_quantity_stats([r.demand for r in feasible]),
-        supply=_quantity_stats([r.supply for r in feasible]),
-        share=_quantity_stats([r.share for r in feasible if r.share is not None]),
-    )
-
-
-def compare_scenarios(records: Iterable[ScenarioRecord]) -> dict[str, ScenarioStats]:
-    """Group records by scenario and aggregate each group.
-
-    All scenarios must have been run over the same population (same provider
-    ids); anything else raises PopulationMismatchError.
-    """
-    by_tag: dict[str, list[ScenarioRecord]] = {}
-    for rec in records:
-        by_tag.setdefault(rec.scenario, []).append(rec)
-    if not by_tag:
-        raise ValueError("no records to compare")
-    id_sets = {tag: sorted(r.provider_id for r in recs) for tag, recs in by_tag.items()}
-    reference = next(iter(id_sets.values()))
-    for tag, ids in id_sets.items():
-        if ids != reference:
-            raise PopulationMismatchError(
-                f"scenario {tag!r} covers a different provider set"
-            )
-    return {tag: summarize_records(recs) for tag, recs in sorted(by_tag.items())}

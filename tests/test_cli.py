@@ -131,10 +131,10 @@ class TestScenarioCommand:
                     r.provider_id, r.scenario, p.alpha, p.beta, p.gamma, p.psi, p.phi,
                     p.k1, p.f_c, r.price, r.share, r.demand, r.supply,
                     r.provider_payoff, r.cloud_payoff, r.feasible)))
-            stats = scenarios.summarize_records(records)
-            cloud = stats.cloud_payoff.mean if stats.cloud_payoff else None
-            prov = stats.provider_payoff.mean if stats.provider_payoff else None
-            summary.append(f"{name}: feasible {stats.n_feasible}/{stats.n}"
+            feasible = [r for r in records if r.feasible]
+            cloud = float(np.mean([r.cloud_payoff for r in feasible])) if feasible else None
+            prov = float(np.mean([r.provider_payoff for r in feasible])) if feasible else None
+            summary.append(f"{name}: feasible {len(feasible)}/{len(records)}"
                            f" mean_cloud_payoff={cli._format_value(cloud)}"
                            f" mean_provider_payoff={cli._format_value(prov)}")
         assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"

@@ -47,6 +47,7 @@ from tsm.equilibrium import (
     solve_share,
     stackelberg_solve,
 )
+from tsm.scenarios import MODE_EQUILIBRIUM, TWO_SIDED, scenario_columns
 
 # A parameter draw whose game has a reported equilibrium (frozen; found by
 # scanning the simulation-setup ranges).
@@ -748,6 +749,47 @@ class TestSecondOrder:
         assert soc.provider_soc_negative and soc.cloud_soc_negative
         assert soc.provider_agreement and soc.cloud_agreement
         assert soc.d2_provider < 0.0 and soc.d2_cloud < 0.0
+
+    def test_exact_curvature_matches_central_differences(self):
+        # At the equilibrium both first derivatives vanish, so only a second
+        # derivative agrees with the second differences.
+        res = stackelberg_solve(FEASIBLE_PARAMS)
+        price, share = res.price_star, res.share_star
+        soc = second_order_check(FEASIBLE_PARAMS, price, share)
+        hp, hs = 1e-4 * price, 1e-4 * share
+        d2p = (provider_payoff(price + hp, share, FEASIBLE_PARAMS)
+               - 2.0 * provider_payoff(price, share, FEASIBLE_PARAMS)
+               + provider_payoff(price - hp, share, FEASIBLE_PARAMS)) / hp**2
+        d2c = (cloud_payoff(price, share + hs, FEASIBLE_PARAMS)
+               - 2.0 * cloud_payoff(price, share, FEASIBLE_PARAMS)
+               + cloud_payoff(price, share - hs, FEASIBLE_PARAMS)) / hs**2
+        assert soc.d2_provider == pytest.approx(d2p, rel=1e-3)
+        assert soc.d2_cloud == pytest.approx(d2c, rel=1e-3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact_curvature_signs_near_the_cap(self, seed):
+        # alpha*beta in [0.99, 0.9989], where 1/a2 reaches about 900: every
+        # reported equilibrium has finite curvatures whose signs agree with
+        # f2 and f3.
+        rng = np.random.default_rng(seed)
+        n = 10_000
+        alpha = rng.uniform(0.05, 0.95, n)
+        t = ParamTable.from_columns(
+            alpha=alpha, beta=rng.uniform(0.99, 0.9989, n) / alpha,
+            gamma=rng.uniform(0.0, 1.0, n), psi=rng.uniform(0.0, 0.35, n),
+            phi=rng.uniform(0.0, 5.0, n), k1=rng.uniform(0.05, 1.0, n),
+            k2=rng.uniform(0.5, 2.0, n), f_c=rng.uniform(0.05, 2.0, n),
+            f_s=10.0 ** rng.uniform(-6.0, 6.0, n))
+        check_domain(t)
+        out = scenario_columns(TWO_SIDED, t, None, MODE_EQUILIBRIUM)
+        assert out.feasible.sum() > 250
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            soc = second_order_check(t.take(out.feasible), out.price[out.feasible],
+                                     out.share[out.feasible])
+        assert np.all(np.isfinite(soc.d2_provider) & np.isfinite(soc.d2_cloud))
+        assert np.all(soc.provider_agreement & soc.cloud_agreement)
+        assert np.all(soc.provider_soc_analytic & soc.cloud_soc_analytic)
 
     def test_f3_violation_is_reported(self):
         # phi below a4 + a2: the share stationary point cannot be a maximum

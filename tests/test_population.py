@@ -41,7 +41,6 @@ from tsm.scenarios import (
     run_fifty_fifty,
     run_two_sided,
     scenario_columns,
-    summarize_records,
 )
 
 
@@ -279,12 +278,13 @@ class TestSweepEngine:
         for cell in series:
             providers = overridden(sample_providers(SMALL_POP),
                                    gamma=cell.axis_value, phi=cell.phi_level)
-            stats = summarize_records(run_two_sided(providers, mode=MODE_DECLARED_PRICE))
-            assert cell.feasible_count == stats.n_feasible
+            feasible = [r for r in run_two_sided(providers, mode=MODE_DECLARED_PRICE)
+                        if r.feasible]
+            assert cell.feasible_count == len(feasible)
             assert cell.mean_cloud_payoff == pytest.approx(
-                stats.cloud_payoff.mean, rel=1e-12)
+                math.fsum(r.cloud_payoff for r in feasible) / len(feasible), rel=1e-12)
             assert cell.mean_provider_payoff == pytest.approx(
-                stats.provider_payoff.mean, rel=1e-12)
+                math.fsum(r.provider_payoff for r in feasible) / len(feasible), rel=1e-12)
 
     def test_builds_no_parameter_records(self, market_params_count):
         run_sweep(SweepSpec(axis=AXIS_ALPHA_BETA, population=SMALL_POP))
@@ -320,10 +320,12 @@ class TestSweepEngine:
                          population=SMALL_POP)
         [cell] = run_sweep(spec)
         providers = overridden(sample_providers(SMALL_POP), phi=1.0)
-        stats = summarize_records(run_fifty_fifty(providers))
-        assert cell.feasible_count == stats.n_feasible
-        if stats.n_feasible:
+        feasible = [r for r in run_fifty_fifty(providers) if r.feasible]
+        assert cell.feasible_count == len(feasible)
+        if feasible:
             assert cell.mean_share == 0.5
+            assert cell.mean_cloud_payoff == pytest.approx(
+                math.fsum(r.cloud_payoff for r in feasible) / len(feasible), rel=1e-12)
 
 
 # Outcome's per-row columns, all but the table it ran on.

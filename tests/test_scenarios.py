@@ -1,4 +1,4 @@
-"""Tests for the three business-model runners and their comparison."""
+"""Tests for the three business-model runners and their means over feasible rows."""
 
 import dataclasses
 import warnings
@@ -39,16 +39,13 @@ from tsm.scenarios import (
     PAY_AS_YOU_GO,
     SCENARIOS,
     TWO_SIDED,
-    PopulationMismatchError,
     Provider,
     _declared_share,
-    compare_scenarios,
     payg_supply,
     run_fifty_fifty,
     run_pay_as_you_go,
     run_two_sided,
     scenario_columns,
-    summarize_records,
 )
 from tsm import scenarios
 from tests.test_equilibrium import FEASIBLE_PARAMS
@@ -377,46 +374,28 @@ class TestRecordConsistency:
 
 
 class TestCompare:
-    def test_self_comparison_is_zero_difference(self):
-        recs = run_pay_as_you_go(POP)
-        relabeled = [r._replace(scenario=TWO_SIDED) for r in recs]
-        summary = compare_scenarios(recs + relabeled)
-        a, b = summary[PAY_AS_YOU_GO], summary[TWO_SIDED]
-        assert a.cloud_payoff == b.cloud_payoff
-        assert a.provider_payoff == b.provider_payoff
-        assert a.demand == b.demand
+    """The comparison's one statistic: `Outcome.feasible_mean`."""
 
     def test_empty_feasible_set(self):
         weak = MarketParams(alpha=0.5, beta=1.0, gamma=0.3, psi=0.1, phi=2.0,
                             k1=0.5, f_c=1.0)
-        stats = summarize_records(run_two_sided([Provider(0, weak, 1.7)],
-                                                mode=MODE_EQUILIBRIUM))
-        assert stats.n_feasible == 0
-        assert stats.cloud_payoff is None
-        assert stats.provider_payoff is None
-
-    def test_totals_match_recomputed_sums(self):
-        recs = run_pay_as_you_go(POP)
-        stats = summarize_records(recs)
-        total = sum(r.cloud_payoff for r in recs if r.feasible)
-        assert stats.cloud_payoff.total == pytest.approx(total, rel=1e-9)
+        out = scenario_columns(TWO_SIDED, ParamTable.from_params([weak]), np.array([1.7]),
+                               MODE_EQUILIBRIUM)
+        assert not out.feasible.any()
+        assert out.feasible_mean("cloud_payoff") is None
+        assert out.feasible_mean("provider_payoff") is None
 
     def test_overflowing_sums_keep_a_finite_mean(self):
         # Every feasible row is finite, but the sums of pay_as_you_go's provider
-        # payoffs and demands overflow; the means are rescaled as the columns' are.
+        # payoffs and demands overflow; their means are rescaled.
         spec = PopulationSpec(k1_min=1.0e150, k1_max=2.0e150, n_providers=2000, seed=1)
+        table, price = sample_table(spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stats = compare_scenarios(run_pay_as_you_go(sample_providers(spec)))[PAY_AS_YOU_GO]
-        table, price = sample_table(spec)
-        out = scenario_columns(PAY_AS_YOU_GO, table, price, MODE_DECLARED_PRICE)
-        for column in ("provider_payoff", "demand", "cloud_payoff", "supply"):
-            assert getattr(stats, column).mean == out.feasible_mean(column), column
-        assert stats.provider_payoff.mean == pytest.approx(1.1156e305, rel=1e-4)
-        assert stats.provider_payoff.total == np.inf
-
-    def test_population_mismatch_rejected(self):
-        recs = run_pay_as_you_go(POP)
-        other = run_fifty_fifty(POP[:-1])
-        with pytest.raises(PopulationMismatchError):
-            compare_scenarios(recs + other)
+            out = scenario_columns(PAY_AS_YOU_GO, table, price, MODE_DECLARED_PRICE)
+            means = {column: out.feasible_mean(column)
+                     for column in ("provider_payoff", "demand", "cloud_payoff", "supply")}
+        assert all(np.isfinite(mean) for mean in means.values()), means
+        assert means["provider_payoff"] == pytest.approx(1.1156e305, rel=1e-4)
+        with np.errstate(over="ignore"):
+            assert np.sum(out.provider_payoff[out.feasible]) == np.inf

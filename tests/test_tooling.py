@@ -72,10 +72,6 @@ RESULT_FIELDS = {
     ("scenarios", "ScenarioRecord"): (
         "provider_id", "scenario", "params", "price", "share", "demand", "supply",
         "provider_payoff", "cloud_payoff", "feasible"),
-    ("scenarios", "QuantityStats"): ("mean", "median", "total"),
-    ("scenarios", "ScenarioStats"): (
-        "scenario", "n", "n_feasible", "feasible_fraction", "provider_payoff", "cloud_payoff",
-        "demand", "supply", "share"),
     ("cli", "PropertyResult"): ("name", "passed", "detail"),
 }
 
@@ -132,6 +128,21 @@ def test_bench_pairs_runs_verify_in_a_fresh_interpreter():
     assert set(run) == {"ms", "minflt", "maxrss_kb"}
     assert run["ms"] > 0 and run["minflt"] > 0
     assert run["maxrss_kb"] > 20_000
+
+
+def test_bench_pairs_runs_fig4_in_a_fresh_interpreter():
+    # `--fault-runs` reads one fig4 run per child, after two warm-ups.
+    run = load_bench_pairs().fig4_run(ROOT, 300)
+    assert set(run) == {"ms", "minflt"}
+    assert run["ms"] > 0 and run["minflt"] >= 0
+
+
+def test_bench_pairs_alternates_which_side_runs_first():
+    # Every round runs each side once, the parent first on even rounds, so a
+    # load episode lands on both sides rather than on one side's block.
+    assert list(load_bench_pairs().alternating(3)) == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"),
+        (2, "parent"), (2, "change")]
 
 
 def test_bench_pairs_reads_a_traced_run():

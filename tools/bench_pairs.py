@@ -12,12 +12,13 @@ gives each side's median and quartiles, the pairs the change wins, the
 median gap and the parent's interquartile range.
 
 With `--fault-runs N` each checkout also runs `sweep --preset fig4`
-(seed 1729) in one child interpreter per population size, n=300 and
-n=3000, N times after two warm-ups, and records each run's wall time and
-minor page faults (`ru_minflt`). It also runs `verify --draws 200 --seed
-1729` once in each of N fresh child interpreters per checkout, alternating
-which side runs first, and records each run's wall time, minor page faults
-and the child's peak resident set (`ru_maxrss`, in kB, import included).
+(seed 1729) at n=300 and at n=3000 in N rounds. Each round starts one fresh
+child interpreter per checkout, alternating which side runs first, and the
+child records the wall time and minor page faults (`ru_minflt`) of one run
+after two warm-ups. It also runs `verify --draws 200 --seed 1729` once in
+each of N fresh child interpreters per checkout, alternating in the same
+way, and records each run's wall time, minor page faults and the child's
+peak resident set (`ru_maxrss`, in kB, import included).
 
 With `--trace-runs N` each workload also runs `perfbench/run.py ... --trace 1`
 N times per checkout at seeds S..S+N-1, alternating which side runs first,
@@ -55,18 +56,15 @@ sys.path.insert(0, {src!r})
 from tsm.cli import main
 out = os.path.join(tempfile.mkdtemp(), "fig4.csv")
 argv = ["sweep", "--preset", "fig4", "--n-providers", "{n}", "--seed", "1729", "--out", out]
-ms, faults = [], []
 with contextlib.redirect_stdout(io.StringIO()):
-    for i in range({runs} + 2):
-        f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
-        main(argv)
-        t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        if i >= 2:
-            ms.append(round(1e3 * (t1 - t0), 4))
-            faults.append(f1 - f0)
+    main(argv)
+    main(argv)
+    f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+    main(argv)
+    t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 os.remove(out)
 os.rmdir(os.path.dirname(out))
-print(json.dumps({{"ms": ms, "minflt": faults}}))
+print(json.dumps({{"ms": round(1e3 * (t1 - t0), 4), "minflt": f1 - f0}}))
 """
 
 VERIFY_PROBE = """
@@ -82,14 +80,34 @@ print(json.dumps({{"ms": round(1e3 * (t1 - t0), 4), "minflt": usage.ru_minflt - 
 """
 
 
-def verify_run(checkout: Path) -> dict:
-    """One `verify --draws 200 --seed 1729` in a fresh interpreter on the
-    checkout's `src`: wall ms, minor faults of the run and the child's
-    ru_maxrss in kB. verify exits 3 at this seed, a standing result."""
-    done = subprocess.run([sys.executable, "-c", VERIFY_PROBE.format(src=str(checkout / "src"))],
+def probe_run(probe: str, checkout: Path, **fields) -> dict:
+    """The JSON result line that `probe` prints in a fresh interpreter on the
+    checkout's `src`."""
+    done = subprocess.run([sys.executable, "-c", probe.format(src=str(checkout / "src"), **fields)],
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, TSM_THREADS="1"))
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def verify_run(checkout: Path) -> dict:
+    """One `verify --draws 200 --seed 1729` in a fresh interpreter: wall ms,
+    minor faults of the run and the child's ru_maxrss in kB. verify exits 3
+    at this seed, a standing result."""
+    return probe_run(VERIFY_PROBE, checkout)
+
+
+def fig4_run(checkout: Path, n: int) -> dict:
+    """One `sweep --preset fig4` at n providers in a fresh interpreter, after
+    two warm-ups: wall ms and minor faults of the run."""
+    return probe_run(FAULT_PROBE, checkout, n=n)
+
+
+def alternating(rounds: int):
+    """(round, side) for each run of `rounds` rounds of one run per side: the
+    parent runs first on even rounds, the change on odd ones."""
+    for i in range(rounds):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            yield i, side
 
 
 IMPORT_PROBE = "import numpy; import tsm.cli"
@@ -147,6 +165,12 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values), "values": values}
 
 
+def side_spreads(runs: dict) -> dict:
+    """Per side, the spread of each value over its runs' result dicts."""
+    return {side: {k: spread([r[k] for r in side_runs]) for k in side_runs[0]}
+            for side, side_runs in runs.items()}
+
+
 def layer_spreads(runs: list[dict]) -> dict:
     """Per metric of traced runs' results: the spread of its values."""
     return {name: spread([r["metrics"][name]["value"] for r in runs])
@@ -200,50 +224,39 @@ def main(argv=None) -> int:
     if args.fault_runs:
         report["in_process_fig4"] = {}
         for n in FAULT_SIZES:
-            report["in_process_fig4"][f"n={n}"] = by_side = {}
-            for side, path in sides.items():
-                probe = FAULT_PROBE.format(src=str(path / "src"), runs=args.fault_runs, n=n)
-                done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                                      text=True, check=True, env=dict(os.environ, TSM_THREADS="1"))
-                result = json.loads(done.stdout.splitlines()[-1])
-                by_side[side] = {k: spread(v) for k, v in result.items()}
+            runs = {side: [] for side in sides}
+            for _, side in alternating(args.fault_runs):
+                runs[side].append(fig4_run(sides[side], n))
+            report["in_process_fig4"][f"n={n}"] = side_spreads(runs)
         runs = {side: [] for side in sides}
-        for i in range(args.fault_runs):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(verify_run(sides[side]))
-        report["verify_per_interpreter"] = {
-            side: {k: spread([r[k] for r in side_runs]) for k in side_runs[0]}
-            for side, side_runs in runs.items()}
+        for _, side in alternating(args.fault_runs):
+            runs[side].append(verify_run(sides[side]))
+        report["verify_per_interpreter"] = side_spreads(runs)
     if args.import_runs:
         runs = {side: [] for side in sides}
         for side, path in sides.items():
             import_times(path)   # writes the bytecode cache, as perfbench's setup_s does
-        for i in range(args.import_runs):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(import_times(sides[side]))
-        report["import_times_us"] = {
-            side: {name: spread([r[name] for r in side_runs]) for name in side_runs[0]}
-            for side, side_runs in runs.items()}
+        for _, side in alternating(args.import_runs):
+            runs[side].append(import_times(sides[side]))
+        report["import_times_us"] = side_spreads(runs)
     for workload in args.workload:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i, side in alternating(args.pairs):
             seed = args.first_seed + i
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                result = bench_run(sides[side], workload, seed, args.seconds)
-                runs[side].append(dict(result, seed=seed))
-                print(f"{workload} seed {seed} {side}: correct={result['correct']} "
-                      + " ".join(f"{m}={result['metrics'][m]['value']:.6g}" for m in metrics),
-                      flush=True)
+            result = bench_run(sides[side], workload, seed, args.seconds)
+            runs[side].append(dict(result, seed=seed))
+            print(f"{workload} seed {seed} {side}: correct={result['correct']} "
+                  + " ".join(f"{m}={result['metrics'][m]['value']:.6g}" for m in metrics),
+                  flush=True)
         report["workloads"][workload] = {"pairs": summarise(runs, metrics), "runs": runs}
         if args.trace_runs:
             traced = {"parent": [], "change": []}
-            for i in range(args.trace_runs):
-                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                    result = bench_run(sides[side], workload, args.first_seed + i,
-                                       args.seconds, trace=1)
-                    traced[side].append(result)
-                    print(f"{workload} seed {args.first_seed + i} {side} traced: "
-                          f"correct={result['correct']}", flush=True)
+            for i, side in alternating(args.trace_runs):
+                result = bench_run(sides[side], workload, args.first_seed + i,
+                                   args.seconds, trace=1)
+                traced[side].append(result)
+                print(f"{workload} seed {args.first_seed + i} {side} traced: "
+                      f"correct={result['correct']}", flush=True)
             report["workloads"][workload]["traced"] = {
                 side: layer_spreads(side_runs) for side, side_runs in traced.items()}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
