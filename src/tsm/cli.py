@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from dataclasses import MISSING, fields
 from typing import NamedTuple
 
@@ -431,41 +432,102 @@ def sample_table_params(rng: np.random.Generator, n: int) -> core.ParamTable:
     return table
 
 
+# Draws per sampler batch: a whole number of 4-word Philox blocks, so each of
+# a batch's uniform columns spans whole counter steps (see _philox_ahead).
+SAMPLER_BATCH = 200_000
+
+
+def _philox_ahead(state: dict, words: int) -> np.random.Generator:
+    """A generator on the Philox stream of bit-generator `state`, `words`
+    64-bit words (a positive multiple of 4) ahead of it, without drawing them.
+    Philox is counter-based (Salmon et al., SC'11): the words are whole
+    counter steps, and the buffer refills at the same position."""
+    bits = np.random.Philox()
+    bits.state = state
+    bits.advance(words // 4 - 1)   # empties the buffer
+    bits.random_raw(state["buffer_pos"])
+    return np.random.Generator(bits)
+
+
+def _draw_normals(rng: np.random.Generator, out: np.ndarray, bands) -> None:
+    """Fill out[i] with normal draws of bands[i] = (mean, sd), in turn: the
+    words and values of `rng.normal(mean, sd, size)` (mean + sd * z), written
+    in place, since an allocating draw per batch costs peak RSS."""
+    for column, (mean, sd) in zip(out, bands):
+        rng.standard_normal(out=column)
+        column *= sd
+        column += mean
+
+
+class _Helper(threading.Thread):
+    """A thread that keeps its target's exception in `error` for the caller
+    (threading.Thread, not concurrent.futures: that import alone costs
+    verify's setup time and RSS)."""
+    error = None
+
+    def run(self):
+        try:
+            super().run()
+        except BaseException as exc:   # re-raised on the caller
+            self.error = exc
+
+
 def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000):
     """Sample parameter draws until `count` of them yield a reported equilibrium.
 
-    Each 200,000-draw batch is one pass over blocks of its raw draws. A block
-    draws its part of k1, last in the stream (Philox is counter-based, so the
-    pieces are one call's words), and keeps in draw order, up to the count,
-    its rows in PopulationSpec's default bands with a share root. Returns (the
-    equilibrium-mode two_sided Outcome of the kept games, n_drawn)."""
+    Each SAMPLER_BATCH-draw batch takes, in stream order, a price and an alpha
+    column of normals, whose word count varies, then beta, gamma, phi and k1
+    columns of one word per draw. So once a batch's normals end, each of its
+    uniform columns, and the next batch, starts at a known word of the Philox
+    stream. One helper thread draws the next batch's normals while this one
+    draws the uniform columns block by block, and keeps in draw order, up to
+    the count, the rows in PopulationSpec's default bands with a share root.
+    Returns (the equilibrium-mode two_sided Outcome of the kept games,
+    n_drawn)."""
     spec, (phi_lo, phi_hi) = PopulationSpec(), AXIS_RANGES[AXIS_PHI]
+    m = SAMPLER_BATCH
+    bands = ((spec.price_mean, spec.price_sd), (spec.alpha_mean, spec.alpha_sd))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    normals = np.empty((2, 2, m))   # (batch parity, price/alpha, draw)
     kept, got, drawn = [core.ParamTable.from_params([])], 0, 0   # concat needs one table
     while got < count and drawn < max_draws:
-        m = 200_000
+        if not drawn:   # later batches' normals come from the helper
+            _draw_normals(rng, normals[0], bands)
+        price, alpha = normals[drawn // m % 2]
         drawn += m
-        price = rng.normal(spec.price_mean, spec.price_sd, m)
-        alpha = rng.normal(spec.alpha_mean, spec.alpha_sd, m)
-        beta = rng.uniform(0.0, 1.0, m)
-        beta /= np.clip(alpha, 1e-9, None)
-        gamma = rng.uniform(spec.gamma_min, spec.gamma_max, m)
-        phi = rng.uniform(phi_lo, phi_hi, m)
-        for b in equilibrium._blocks(m, 1):   # bounds the block's temporaries
-            t = core.ParamTable.from_columns(
-                alpha=alpha[b], beta=beta[b], gamma=gamma[b], psi=spec.psi, phi=phi[b],
-                k1=rng.uniform(spec.k1_min, spec.k1_max, min(b.stop, m) - b.start),
-                f_c=spec.f_c_factor * price[b])
-            ab = t.alpha * t.beta
-            with np.errstate(divide="ignore", invalid="ignore"):   # out of band: f_c <= 0, a2 = 0
-                ok = ((price[b] >= spec.price_min) & (price[b] <= spec.price_max)
-                      & (t.alpha >= spec.alpha_min) & (t.alpha <= spec.alpha_max) & (ab > 0.0)
-                      & (ab <= spec.alpha_beta_cap) & (t.phi > 0.0)
-                      & equilibrium.has_share_root(t))
-            kept.append(t.take(np.nonzero(ok)[0][:count - got]))
-            if (got := got + len(kept[-1])) == count:
-                break
-        del t   # its column views hold this batch's draws through the next one's
+        at = rng.bit_generator.state
+        g_beta, g_gamma, g_phi, g_k1 = rng, *(_philox_ahead(at, c * m) for c in (1, 2, 3))
+        helper = None
+        if drawn < max_draws:
+            # Only numpy RNG code runs on the helper (perfbench's Tracer is not
+            # thread-safe), and it is joined before the next one starts. This
+            # thread seldom waits at the join, so it is the critical path;
+            # moving more work over would also cost a buffer of RSS.
+            rng = _philox_ahead(at, 4 * m)
+            helper = _Helper(target=_draw_normals, args=(rng, normals[drawn // m % 2], bands))
+            helper.start()
+        try:
+            for b in equilibrium._blocks(m, 1):   # bounds the block's temporaries
+                n = min(b.stop, m) - b.start
+                t = core.ParamTable.from_columns(
+                    alpha=alpha[b], beta=g_beta.uniform(0.0, 1.0, n) / np.clip(alpha[b], 1e-9, None),
+                    gamma=g_gamma.uniform(spec.gamma_min, spec.gamma_max, n), psi=spec.psi,
+                    phi=g_phi.uniform(phi_lo, phi_hi, n), k1=g_k1.uniform(spec.k1_min, spec.k1_max, n),
+                    f_c=spec.f_c_factor * price[b])
+                ab = t.alpha * t.beta
+                with np.errstate(divide="ignore", invalid="ignore"):   # out of band: f_c <= 0, a2 = 0
+                    ok = ((price[b] >= spec.price_min) & (price[b] <= spec.price_max)
+                          & (t.alpha >= spec.alpha_min) & (t.alpha <= spec.alpha_max) & (ab > 0.0)
+                          & (ab <= spec.alpha_beta_cap) & (t.phi > 0.0)
+                          & equilibrium.has_share_root(t))
+                kept.append(t.take(np.nonzero(ok)[0][:count - got]))
+                if (got := got + len(kept[-1])) == count:
+                    break
+        finally:
+            if helper is not None:
+                helper.join()
+        if helper is not None and helper.error is not None:
+            raise helper.error
     table = core.ParamTable.concat(kept)
     return scenarios.scenario_columns(TWO_SIDED, table, None, MODE_EQUILIBRIUM), drawn
 

@@ -132,8 +132,11 @@ def _share_brackets(exp_a, exp_b, log_c):
                                           1.0 - SHARE_EPS), 1.0 - SHARE_EPS)
     ends = np.stack([np.full_like(m, SHARE_EPS), m, np.full_like(m, 1.0 - SHARE_EPS)])
     gap = _share_gap(ends, exp_a, exp_b, log_c)
-    # A non-finite constant makes both gaps +inf or NaN: no sign change.
-    return ends, gap, (exp_a < 0.0) & (gap[:-1] * gap[1:] < 0.0)
+    # A non-finite constant makes both gaps +inf or NaN: no sign change. Signs
+    # are compared, not multiplied: a product of huge gaps overflows, and one
+    # of tiny gaps underflows to 0 and hides the change.
+    lo, hi = gap[:-1], gap[1:]
+    return ends, gap, (exp_a < 0.0) & (((lo < 0.0) & (hi > 0.0)) | ((lo > 0.0) & (hi < 0.0)))
 
 
 def _share_roots(exp_a, exp_b, log_c) -> np.ndarray:

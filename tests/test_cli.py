@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -601,6 +602,52 @@ class TestReportedEquilibriaSampler:
         finally:
             tracemalloc.stop()
         assert peak <= 16e6
+
+    @pytest.mark.parametrize("consumed", [0, 1, 2, 3, 4])
+    def test_philox_ahead_yields_the_words_a_draw_would(self, consumed):
+        # From the seed state and from every buffer position, a generator
+        # placed 4k words ahead continues with the words after 4k drawn ones.
+        drawn = np.random.Philox(np.random.SeedSequence(1730))
+        drawn.random_raw(consumed)
+        state = drawn.state
+        for k in (1, 2, 50_000):
+            ahead = cli._philox_ahead(state, 4 * k).bit_generator
+            drawn.state = state
+            drawn.random_raw(4 * k)
+            assert np.array_equal(ahead.random_raw(9), drawn.random_raw(9)), k
+
+    @pytest.mark.parametrize("count, max_draws, started", [
+        (0, 20_000_000, 0), (200, 200_000, 0), (200, 400_000, 1), (200, 20_000_000, 12)])
+    def test_a_helper_starts_only_for_a_batch_that_may_run(self, monkeypatch, count,
+                                                          max_draws, started):
+        # Seed 1730 keeps its 200th game in its 12th and last batch, whose
+        # helper has by then drawn normals for a 13th.
+        starts = []
+        start = cli._Helper.start
+        monkeypatch.setattr(cli._Helper, "start",
+                            lambda helper: (starts.append(helper), start(helper)))
+        cli.draw_reported_equilibria(1730, count, max_draws)
+        assert len(starts) == started
+
+    @pytest.mark.parametrize("count", [200, 17])   # 17 stops inside the first batch
+    def test_no_helper_outlives_the_call(self, count):
+        before = threading.active_count()
+        cli.draw_reported_equilibria(1730, count)
+        assert threading.active_count() == before
+
+    def test_a_helper_failure_is_raised_by_the_caller(self, monkeypatch):
+        draw = cli._draw_normals
+
+        def failing(rng, out, bands):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            draw(rng, out, bands)
+
+        monkeypatch.setattr(cli, "_draw_normals", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            cli.draw_reported_equilibria(1730, 200)
+        assert threading.active_count() == before
 
 
 class TestGoldenFiles:

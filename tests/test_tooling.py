@@ -131,10 +131,28 @@ def test_bench_pairs_runs_verify_in_a_fresh_interpreter():
 
 
 def test_bench_pairs_runs_fig4_in_a_fresh_interpreter():
-    # `--fault-runs` reads one fig4 run per child, after two warm-ups.
+    # `--fault-runs` reads the first of a child's timed fig4 runs, after two
+    # warm-ups, and the fastest of them.
     run = load_bench_pairs().fig4_run(ROOT, 300)
-    assert set(run) == {"ms", "minflt"}
-    assert run["ms"] > 0 and run["minflt"] >= 0
+    assert set(run) == {"ms", "min_ms", "minflt"}
+    assert run["ms"] >= run["min_ms"] > 0 and run["minflt"] >= 0
+
+
+def test_bench_pairs_counts_children_in_each_mode():
+    # The pooled values part at their widest ratio gap, 5.5 -> 7.9 ms.
+    counted = load_bench_pairs().modes({"parent": [5.3, 8.0, 5.5], "change": [7.9, 5.4, 8.8]})
+    assert counted == {"split_ms": 6.5917, "parent": {"below": 2, "above": 1},
+                       "change": {"below": 1, "above": 2}}
+
+
+def test_bench_pairs_refuses_a_side_outside_git(tmp_path, capsys):
+    # A `git archive` copy has no commit to record: one error line, no run.
+    out = tmp_path / "bench.json"
+    code = load_bench_pairs().main([str(tmp_path), str(ROOT), "--workload", "verify",
+                                    "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith("error: parent checkout ") and err.count("\n") == 1
 
 
 def test_bench_pairs_alternates_which_side_runs_first():

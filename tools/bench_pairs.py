@@ -13,9 +13,12 @@ median gap and the parent's interquartile range.
 
 With `--fault-runs N` each checkout also runs `sweep --preset fig4`
 (seed 1729) at n=300 and at n=3000 in N rounds. Each round starts one fresh
-child interpreter per checkout, alternating which side runs first, and the
-child records the wall time and minor page faults (`ru_minflt`) of one run
-after two warm-ups. It also runs `verify --draws 200 --seed 1729` once in
+child interpreter per checkout, alternating which side runs first. After
+two warm-ups the child times FIG4_TIMED_RUNS runs and records the first
+one's wall time and minor page faults (`ru_minflt`) and the minimum wall
+time of all of them (`min_ms`). A child's speed has two modes at the same
+code, so per size the summary also counts each side's children in each
+mode (`modes`). It also runs `verify --draws 200 --seed 1729` once in
 each of N fresh child interpreters per checkout, alternating in the same
 way, and records each run's wall time, minor page faults and the child's
 peak resident set (`ru_maxrss`, in kB, import included).
@@ -50,21 +53,26 @@ from pathlib import Path
 import numpy
 
 FAULT_SIZES = (300, 3000)
+FIG4_TIMED_RUNS = 3
 FAULT_PROBE = """
 import contextlib, io, json, os, resource, sys, tempfile, time
 sys.path.insert(0, {src!r})
 from tsm.cli import main
 out = os.path.join(tempfile.mkdtemp(), "fig4.csv")
 argv = ["sweep", "--preset", "fig4", "--n-providers", "{n}", "--seed", "1729", "--out", out]
+ms, minflt = [], []
 with contextlib.redirect_stdout(io.StringIO()):
     main(argv)
     main(argv)
-    f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
-    main(argv)
-    t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range({runs}):
+        f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+        main(argv)
+        t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        ms.append(round(1e3 * (t1 - t0), 4))
+        minflt.append(f1 - f0)
 os.remove(out)
 os.rmdir(os.path.dirname(out))
-print(json.dumps({{"ms": round(1e3 * (t1 - t0), 4), "minflt": f1 - f0}}))
+print(json.dumps({{"ms": ms[0], "min_ms": min(ms), "minflt": minflt[0]}}))
 """
 
 VERIFY_PROBE = """
@@ -97,9 +105,24 @@ def verify_run(checkout: Path) -> dict:
 
 
 def fig4_run(checkout: Path, n: int) -> dict:
-    """One `sweep --preset fig4` at n providers in a fresh interpreter, after
-    two warm-ups: wall ms and minor faults of the run."""
-    return probe_run(FAULT_PROBE, checkout, n=n)
+    """`sweep --preset fig4` at n providers in a fresh interpreter, after two
+    warm-ups: wall ms and minor faults of the first timed run, and the
+    minimum wall ms of FIG4_TIMED_RUNS runs."""
+    return probe_run(FAULT_PROBE, checkout, n=n, runs=FIG4_TIMED_RUNS)
+
+
+def modes(values: dict) -> dict:
+    """Per side, how many of its values fall below and above the widest
+    ratio gap between neighbours of all sides' values pooled. With two
+    modes the gap parts them, so the counts say which mode each side's
+    children drew; with one mode the gap is noise."""
+    pooled = sorted(v for side_values in values.values() for v in side_values)
+    split = max(zip(pooled, pooled[1:]), key=lambda pair: pair[1] / pair[0])
+    cut = (split[0] * split[1]) ** 0.5
+    return {"split_ms": round(cut, 4), **{
+        side: {"below": sum(v < cut for v in side_values),
+               "above": sum(v >= cut for v in side_values)}
+        for side, side_values in values.items()}}
 
 
 def alternating(rounds: int):
@@ -130,6 +153,11 @@ def import_times(checkout: Path) -> dict:
             if match[3] == "tsm.cli":
                 times["total"] = int(match[2])
     return times
+
+
+def is_work_tree(checkout: Path) -> bool:
+    return subprocess.run(["git", "-C", str(checkout), "rev-parse", "--is-inside-work-tree"],
+                          capture_output=True, text=True).stdout.strip() == "true"
 
 
 def describe(checkout: Path) -> str:
@@ -210,6 +238,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, path in sides.items():
+        if not is_work_tree(path):   # describe() records each side's commit
+            print(f"error: {side} checkout {path} is not a git work tree"
+                  " (use git clone, not git archive)", file=sys.stderr)
+            return 1
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     report = {
@@ -227,7 +260,10 @@ def main(argv=None) -> int:
             runs = {side: [] for side in sides}
             for _, side in alternating(args.fault_runs):
                 runs[side].append(fig4_run(sides[side], n))
-            report["in_process_fig4"][f"n={n}"] = side_spreads(runs)
+            report["in_process_fig4"][f"n={n}"] = dict(
+                side_spreads(runs),
+                modes=modes({side: [r["min_ms"] for r in side_runs]
+                             for side, side_runs in runs.items()}))
         runs = {side: [] for side in sides}
         for _, side in alternating(args.fault_runs):
             runs[side].append(verify_run(sides[side]))
