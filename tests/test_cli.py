@@ -592,9 +592,9 @@ class TestReportedEquilibriaSampler:
             cli.draw_reported_equilibria(1730, 200)
 
     def test_traced_memory_peak_is_bounded(self):
-        # A batch is filtered in one pass over blocks of views, so the peak
-        # is the five raw draw columns plus one block's temporaries: about
-        # 10.6 MB, where solving whole batches peaked at 28.8 MB.
+        # A batch is filtered in one pass over blocks, so the peak is the
+        # two batches' normal columns plus one block's temporaries: about
+        # 9.8 MB, where solving whole batches peaked at 28.8 MB.
         tracemalloc.start()
         try:
             cli.draw_reported_equilibria(1730, 200)
