@@ -10,7 +10,9 @@ oracle that knows nothing about the closed forms.
 import math
 
 from tsm import (
+    FeasibilityReport,
     MarketParams,
+    ParamTable,
     check_feasibility,
     derive_coefficients,
     first_order_residuals,
@@ -29,7 +31,8 @@ params = MarketParams(
     k1=0.8706127934353941, f_c=0.4668312747528217,
 )
 
-print("flags:", check_feasibility(params))
+# Elementwise functions return numpy values; a scalar game is a batch of one.
+print("flags:", FeasibilityReport(*map(bool, check_feasibility(params))))
 
 exp_a, exp_b, log_c = _share_equation_columns(params, derive_coefficients(params))
 print(f"\nshare equation chi^A (1-chi)^B = C with A={exp_a:.4f} "
@@ -58,12 +61,14 @@ print(f"curvature: provider {soc.d2_provider:+.3e} (negative: "
 
 # Check 3: a brute-force search for fixed points of the two best-response
 # maps, built only from payoff evaluations, lands on the same point.
-oracle = oracle_equilibrium(params, grid_n=2000)
-print(f"\nbrute-force oracle: share={oracle.share:.8f} price={oracle.price:.8f} "
-      f"({oracle.n_candidates} interior fixed point(s) found)")
-print(f"  |share difference| = {abs(oracle.share - result.share_star):.2e}")
+# The oracle searches a table of games; this one is its only row.
+[price], [share], _, [found] = oracle_equilibrium(ParamTable.from_params([params]),
+                                                  grid_n=2000)
+print(f"\nbrute-force oracle: share={share:.8f} price={price:.8f} "
+      f"({found} interior fixed point(s) found)")
+print(f"  |share difference| = {abs(share - result.share_star):.2e}")
 print(f"  |price difference|/price = "
-      f"{abs(oracle.price - result.price_star) / result.price_star:.2e}")
+      f"{abs(price - result.price_star) / result.price_star:.2e}")
 
 # Infeasibility is data, not an exception: weak externalities leave the
 # provider's price problem without an interior maximum.

@@ -13,6 +13,7 @@ from .core import (
     DomainError,
     FeasibilityReport,
     MarketParams,
+    ParamTable,
     check_feasibility,
     cloud_payoff,
     consumer_demand_primitive,

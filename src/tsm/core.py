@@ -63,14 +63,10 @@ class MarketParams:
         check_domain(self)
 
 
-def _finite(v):
-    return abs(v) < math.inf
-
-
 # MarketParams's domain, the one statement of it: (quantity, test, requirement)
 # in checking order. Each test takes a parameter set's value or a column.
 _DOMAIN_RULES = (
-    *((f.name, _finite, "be finite") for f in fields(MarketParams)),
+    *((f.name, lambda v: abs(v) < math.inf, "be finite") for f in fields(MarketParams)),
     ("alpha", lambda v: (0.0 < v) & (v < 1.0), "lie in (0, 1)"),
     ("beta", lambda v: v > 0.0, "be > 0"),
     ("alpha*beta", lambda v: v < ALPHA_BETA_CAP, f"be < {ALPHA_BETA_CAP}"),
@@ -85,17 +81,33 @@ _DOMAIN_RULES = (
 )
 
 
+def _refuse(quantity: str, value, test, requirement: str) -> None:
+    """Raise DomainError naming the first element of `value` that fails `test`."""
+    if not np.all(ok := test(value)):
+        got = np.extract(~np.asarray(ok), value)[0].item()
+        raise DomainError(f"{quantity} must {requirement}, got {got!r}")
+
+
 def check_domain(params: MarketParams | ParamTable) -> None:
     """Raise DomainError for the first domain rule that the parameter set, or
     any row of the table, breaks; the message gives the first offending value."""
     for quantity, test, requirement in _DOMAIN_RULES:
         value = (params.alpha * params.beta if quantity == "alpha*beta"
                  else getattr(params, quantity))
-        ok = test(value)
-        # A parameter set's test gives a bool, which skips numpy's per-call cost.
-        if ok is not True and not np.all(ok):
-            got = np.extract(~np.asarray(ok), value)[0].item()
-            raise DomainError(f"{quantity} must {requirement}, got {got!r}")
+        _refuse(quantity, value, test, requirement)
+
+
+# A point of the curves and payoffs: quantity -> (test, requirement).
+_POSITIVE = (lambda v: v > 0.0, "be > 0")
+_POINT_RULES = {"price": _POSITIVE, "supply": _POSITIVE, "demand": _POSITIVE,
+                "share": (lambda v: (0.0 < v) & (v < 1.0), "lie in (0, 1)")}
+
+
+def check_point(**values) -> None:
+    """Raise DomainError for the first keyword value (price, share, supply or
+    demand, elementwise) that breaks its rule, naming its first offending element."""
+    for quantity, value in values.items():
+        _refuse(quantity, value, *_POINT_RULES[quantity])
 
 
 @dataclass(frozen=True)
@@ -122,6 +134,7 @@ class ParamTable:
 
     @classmethod
     def from_params(cls, params: Sequence[MarketParams]) -> "ParamTable":
+        """One row per parameter set; `from_params([p])` is one game as a batch of one."""
         return cls(*(np.array([getattr(p, f.name) for p in params], dtype=float)
                      for f in fields(MarketParams)))
 
@@ -191,25 +204,23 @@ class FeasibilityReport(NamedTuple):
 
 
 def check_feasibility(params: MarketParams | ParamTable) -> FeasibilityReport:
-    """Evaluate the three best-response existence conditions, elementwise."""
+    """Evaluate the three best-response existence conditions, elementwise (numpy bools)."""
     c = derive_coefficients(params)
     a1, a2 = np.asarray(c.a1), np.asarray(c.a2)
     # a1 == a2 would make the price formula divide by zero; treat as failed.
     with np.errstate(divide="ignore", invalid="ignore"):
         f1 = (a1 != a2) & (a1 / (a1 - a2) > 0.0)
     f2 = a1 / a2 > 1.0
-    f3 = c.a4 + c.a2 - params.phi < 0.0
-    flags = (f1, f2, f3, f1 & f2 & f3)
-    if isinstance(params, MarketParams):
-        return FeasibilityReport(*map(bool, flags))
-    return FeasibilityReport(*flags)
+    f3 = c.a4 + a2 - params.phi < 0.0
+    return FeasibilityReport(f1, f2, f3, f1 & f2 & f3)
 
 
 # ---------------------------------------------------------------------------
 # Log-space curve evaluations. The private helpers accept numpy arrays and do
-# no validation; the public operations validate scalar preconditions and
-# delegate. Everything downstream (scenario engines, sweeps) reuses the same
-# helpers so there is exactly one implementation of each formula.
+# no validation. The public operations check their point (`check_point`) and
+# delegate, elementwise over a MarketParams or a ParamTable, with numpy values
+# back: a scalar call is a batch of one. Everything downstream (scenario
+# engines, sweeps) reuses the same helpers: one implementation of each formula.
 # ---------------------------------------------------------------------------
 
 
@@ -237,48 +248,36 @@ def _log_supply_reduced(log_price, log_share, params: MarketParams, c: Coefficie
     return (log_s if log_share is None else log_s + params.phi * log_share) / c.a2
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise DomainError(msg)
-
-
-def consumer_demand_primitive(price: float, supply: float, params: MarketParams) -> float:
+def consumer_demand_primitive(price, supply, params: MarketParams | ParamTable):
     """Consumer demand k1 * price^(-gamma) * supply^alpha."""
-    _require(price > 0.0, f"price must be > 0, got {price}")
-    _require(supply > 0.0, f"supply must be > 0, got {supply}")
-    return float(np.exp(_log_demand_primitive(np.log(price), np.log(supply), params)))
+    check_point(price=price, supply=supply)
+    return np.exp(_log_demand_primitive(np.log(price), np.log(supply), params))
 
 
-def supply_primitive(share: float, price: float, demand: float, params: MarketParams) -> float:
+def supply_primitive(share, price, demand, params: MarketParams | ParamTable):
     """Infrastructure supply k2 * share^phi * price^psi * demand^beta."""
-    _require(0.0 < share < 1.0, f"share must lie in (0, 1), got {share}")
-    _require(price > 0.0, f"price must be > 0, got {price}")
-    _require(demand > 0.0, f"demand must be > 0, got {demand}")
-    return float(np.exp(
-        _log_supply_primitive(np.log(share), np.log(price), np.log(demand), params)
-    ))
+    check_point(share=share, price=price, demand=demand)
+    return np.exp(_log_supply_primitive(np.log(share), np.log(price), np.log(demand), params))
 
 
-def demand_reduced(price: float, share: float, params: MarketParams) -> float:
+def demand_reduced(price, share, params: MarketParams | ParamTable):
     """Consumer demand as a function of (price, share) only.
 
     (k1 * k2^alpha * price^(-a1) * share^a4) ** (1/a2)
     """
-    _require(price > 0.0, f"price must be > 0, got {price}")
-    _require(0.0 < share < 1.0, f"share must lie in (0, 1), got {share}")
-    c = derive_coefficients(params)
-    return float(np.exp(_log_demand_reduced(np.log(price), np.log(share), params, c)))
+    check_point(price=price, share=share)
+    return np.exp(_log_demand_reduced(np.log(price), np.log(share), params,
+                                      derive_coefficients(params)))
 
 
-def supply_reduced(price: float, share: float, params: MarketParams) -> float:
+def supply_reduced(price, share, params: MarketParams | ParamTable):
     """Infrastructure supply as a function of (price, share) only.
 
     (k2 * k1^beta * price^a3 * share^phi) ** (1/a2)
     """
-    _require(price > 0.0, f"price must be > 0, got {price}")
-    _require(0.0 < share < 1.0, f"share must lie in (0, 1), got {share}")
-    c = derive_coefficients(params)
-    return float(np.exp(_log_supply_reduced(np.log(price), np.log(share), params, c)))
+    check_point(price=price, share=share)
+    return np.exp(_log_supply_reduced(np.log(price), np.log(share), params,
+                                      derive_coefficients(params)))
 
 
 def _provider_payoff(price, share, demand, f_c):
@@ -290,11 +289,10 @@ def _provider_payoff_arr(price, share, params, c: Coefficients):
     return _provider_payoff(price, share, demand, params.f_c)
 
 
-def provider_payoff(price: float, share: float, params: MarketParams) -> float:
+def provider_payoff(price, share, params: MarketParams | ParamTable):
     """Provider surplus (price*(1-share) - f_c) * demand. May be negative."""
-    _require(price > 0.0, f"price must be > 0, got {price}")
-    _require(0.0 < share < 1.0, f"share must lie in (0, 1), got {share}")
-    return float(_provider_payoff_arr(price, share, params, derive_coefficients(params)))
+    check_point(price=price, share=share)
+    return _provider_payoff_arr(price, share, params, derive_coefficients(params))
 
 
 def _cloud_payoff(log_price, log_share, log_demand, log_supply, f_s):
@@ -325,8 +323,7 @@ def _cloud_share_slice(price, params, c: Coefficients):
     return terms, _share_payoff(*terms)
 
 
-def cloud_payoff(price: float, share: float, params: MarketParams) -> float:
+def cloud_payoff(price, share, params: MarketParams | ParamTable):
     """Platform surplus price*share*demand - f_s*supply. May be negative."""
-    _require(price > 0.0, f"price must be > 0, got {price}")
-    _require(0.0 < share < 1.0, f"share must lie in (0, 1), got {share}")
-    return float(_cloud_payoff_arr(price, share, params, derive_coefficients(params)))
+    check_point(price=price, share=share)
+    return _cloud_payoff_arr(price, share, params, derive_coefficients(params))

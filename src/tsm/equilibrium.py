@@ -42,6 +42,7 @@ from .core import (
     _provider_payoff_arr,
     _share_payoff,
     check_feasibility,
+    check_point,
     cloud_payoff,
     demand_reduced,
     derive_coefficients,
@@ -75,26 +76,26 @@ class EquilibriumResult(NamedTuple):
 
 
 class OracleEquilibrium(NamedTuple):
-    """Brute-force equilibrium estimate, independent of the closed forms
-    (per row of a ParamTable). n_candidates counts the interior fixed points."""
+    """Brute-force equilibrium estimate, independent of the closed forms, one
+    entry per row of a ParamTable. n_candidates counts the interior fixed points."""
 
-    price: float | np.ndarray
-    share: float | np.ndarray
-    cloud_payoff: float | np.ndarray
-    n_candidates: int | np.ndarray
+    price: np.ndarray
+    share: np.ndarray
+    cloud_payoff: np.ndarray
+    n_candidates: np.ndarray
 
 
 class SecondOrderReport(NamedTuple):
-    """Numeric vs analytic second-order (maximum) conditions at a point."""
+    """Numeric vs analytic second-order (maximum) conditions at a point, elementwise."""
 
-    provider_soc_negative: bool
-    cloud_soc_negative: bool
-    provider_soc_analytic: bool
-    cloud_soc_analytic: bool
-    provider_agreement: bool
-    cloud_agreement: bool
-    d2_provider: float
-    d2_cloud: float
+    provider_soc_negative: np.ndarray
+    cloud_soc_negative: np.ndarray
+    provider_soc_analytic: np.ndarray
+    cloud_soc_analytic: np.ndarray
+    provider_agreement: np.ndarray
+    cloud_agreement: np.ndarray
+    d2_provider: np.ndarray
+    d2_cloud: np.ndarray
 
 
 def _best_price_unchecked(share, c: Coefficients, f_c):
@@ -210,22 +211,20 @@ def solve_share(t: ParamTable) -> np.ndarray:
 
 
 def stackelberg_solve(params: MarketParams) -> EquilibriumResult:
-    """Solve one game by backward induction.
+    """Solve one game by backward induction, as Python values.
 
     Any failed existence condition, or a rootless share equation, yields a
     result flagged infeasible with no equilibrium values.
     """
     n_roots, share, residual = solve_share(ParamTable.from_params([params]))[:, 0].tolist()
-    report = check_feasibility(params)
+    report = FeasibilityReport(*map(bool, check_feasibility(params)))
     if math.isnan(share):
         return EquilibriumResult(feasible=False, feasibility=report, share_roots_found=0)
     price = _best_price_unchecked(share, derive_coefficients(params), params.f_c)
-    return EquilibriumResult(
-        feasible=True, feasibility=report, share_roots_found=int(n_roots),
-        price_star=price, share_star=share, residual=residual,
-        demand=demand_reduced(price, share, params), supply=supply_reduced(price, share, params),
-        provider_payoff=provider_payoff(price, share, params),
-        cloud_payoff=cloud_payoff(price, share, params))
+    demand, supply, provider, cloud = (f(price, share, params).item() for f in (
+        demand_reduced, supply_reduced, provider_payoff, cloud_payoff))
+    return EquilibriumResult(True, report, int(n_roots), price, share, demand, supply,
+                             provider, cloud, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +380,10 @@ def _as_column(t: ParamTable) -> ParamTable:
     return t.take(np.arange(len(t))[:, None])
 
 
-def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
+def _fixed_points(t: ParamTable, probes: np.ndarray, window):
     """Rows (price, share, platform payoff, fixed points found) per game of
-    `t`, for its highest-payoff interior fixed point; NaN without one.
+    `t`, for its highest-payoff interior fixed point, NaN without one; and
+    each game's price markup (`_price_markup`), searched in the probe blocks.
 
     Every sign change of the defect (`_response_below` finds only its sign)
     between neighbouring probes becomes one bracket. The probes run in
@@ -396,9 +396,11 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
     true root's, and is dropped too.
     """
     found = [(np.empty(0, int), np.empty(0, int), np.empty(0, bool))]
+    markup = np.empty(len(t))
     for rows in _blocks(len(t), probes.size):
         c = derive_coefficients(col := _as_column(t.take(rows)))
-        price = col.f_c / (1.0 - probes) * _price_markup(col, c)
+        markup[rows] = _price_markup(col, c)[:, 0]
+        price = col.f_c / (1.0 - probes) * markup[rows, None]
         negative = _response_below(probes, price, col, c, window)
         case, j = np.nonzero(negative[:, :-1] != negative[:, 1:])
         found.append((case + rows.start, j, negative[case, j]))
@@ -406,14 +408,14 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
     chi, price, pay = np.empty((3, case.size))
     for b in _blocks(case.size, 1):
         c = derive_coefficients(sub := t.take(case[b]))
-        markup, lo, hi = _price_markup(sub, c), probes[j[b]], probes[j[b] + 1]
+        up, lo, hi = markup[case[b]], probes[j[b]], probes[j[b] + 1]
         for _ in range(ROOT_HALVINGS):
             mid = 0.5 * (lo + hi)
-            price_mid = sub.f_c / (1.0 - mid) * markup
+            price_mid = sub.f_c / (1.0 - mid) * up
             to_lo = _response_below(mid, price_mid, sub, c, window) == lo_negative[b]
             lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
         chi[b] = 0.5 * (lo + hi)
-        price[b] = sub.f_c / (1.0 - chi[b]) * markup
+        price[b] = sub.f_c / (1.0 - chi[b]) * up
         pay[b] = _cloud_payoff_arr(price[b], chi[b], sub, c)
     spacing = probes[1] - probes[0]
     inside = ((window[0] + spacing < chi) & (chi < window[1] - spacing)
@@ -425,14 +427,13 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window) -> np.ndarray:
     order = np.lexsort((-pay, case))
     first = order[np.unique(case[order], return_index=True)[1]]
     out[:3, case[first]] = price[first], chi[first], pay[first]
-    return out
+    return out, markup
 
 
-def oracle_equilibrium(params: MarketParams | ParamTable,
-                       grid_n: int = 2000) -> OracleEquilibrium:
+def oracle_equilibrium(t: ParamTable, grid_n: int = 2000) -> OracleEquilibrium:
     """Locate equilibria by brute force on a grid_n-point share grid over
-    [0.01, 0.99], elementwise over a ParamTable (columns of OracleEquilibrium)
-    or for one MarketParams (a batch of one).
+    [0.01, 0.99], elementwise over a ParamTable (columns of OracleEquilibrium;
+    `ParamTable.from_params([p])` is one game).
 
     The sign of the best-response defect (the platform's best share against
     the provider's best price at chi, break-even times a markup bisected once
@@ -446,7 +447,6 @@ def oracle_equilibrium(params: MarketParams | ParamTable,
     """
     if grid_n < ORACLE_MIN_GRID_N:
         raise DomainError(f"grid_n must be >= {ORACLE_MIN_GRID_N}, got {grid_n}")
-    t = ParamTable.from_params([params]) if isinstance(params, MarketParams) else params
     if np.any(t.f_c <= 0.0):
         raise DomainError("oracle requires f_c > 0 (price response degenerates)")
     share_grid = np.linspace(0.01, 0.99, grid_n)
@@ -457,17 +457,14 @@ def oracle_equilibrium(params: MarketParams | ParamTable,
     # Near the alpha*beta cap the payoffs' 1/a2 exponents overflow far from
     # any peak; inf ranks in order there, and NaN (inf - inf) compares false.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _fixed_points(t, share_grid[idx], window)
+        out, markup = _fixed_points(t, share_grid[idx], window)
         none = np.nonzero(out[3] == 0)[0]
         for rows in _blocks(none.size, grid_n):
             c = derive_coefficients(col := _as_column(t.take(none[rows])))
-            price = col.f_c / (1.0 - share_grid) * _price_markup(col, c)
+            price = col.f_c / (1.0 - share_grid) * markup[none[rows], None]
             along = _cloud_payoff_arr(price, share_grid, col, c)
             i, r = np.argmax(along, axis=1), np.arange(len(col))
             out[:3, none[rows]] = price[r, i], share_grid[i], along[r, i]
-
-    if isinstance(params, MarketParams):
-        return OracleEquilibrium(*(v.item() for v in out[:3]), n_candidates=int(out[3, 0]))
     return OracleEquilibrium(*out[:3], n_candidates=out[3].astype(int))
 
 
@@ -481,8 +478,7 @@ FOC_REL_STEP = 1e-6
 def _payoff_slices(params: MarketParams | ParamTable, price, share):
     """The provider payoff as a function of price at `share`, and the platform
     payoff as a function of share at `price`, elementwise over a ParamTable."""
-    if not (np.all(price > 0.0) and np.all((0.0 < share) & (share < 1.0))):
-        raise DomainError("price must be > 0 and share must lie in (0, 1)")
+    check_point(price=price, share=share)
     c = derive_coefficients(params)
     return (lambda p: _provider_payoff_arr(p, share, params, c),
             lambda s: _cloud_payoff_arr(price, s, params, c))
@@ -490,7 +486,7 @@ def _payoff_slices(params: MarketParams | ParamTable, price, share):
 
 def first_order_residuals(params: MarketParams | ParamTable, price, share):
     """Scale-free first-order conditions at a candidate equilibrium,
-    elementwise over a ParamTable (a MarketParams call gives floats).
+    elementwise over a ParamTable or a MarketParams.
 
     Returns (|d pi_i / d ln price| / |pi_i|, |d pi / d ln share| / |pi|) via
     central differences with relative step 1e-6. Both are ~0 at a true
@@ -501,14 +497,13 @@ def first_order_residuals(params: MarketParams | ParamTable, price, share):
     d_provider = (provider(price + hp) - provider(price - hp)) / (2.0 * hp)
     hs = FOC_REL_STEP * share
     d_cloud = (cloud(share + hs) - cloud(share - hs)) / (2.0 * hs)
-    residuals = (np.abs(d_provider) * price / np.maximum(np.abs(provider(price)), 1e-300),
-                 np.abs(d_cloud) * share / np.maximum(np.abs(cloud(share)), 1e-300))
-    return tuple(map(float, residuals)) if isinstance(params, MarketParams) else residuals
+    return (np.abs(d_provider) * price / np.maximum(np.abs(provider(price)), 1e-300),
+            np.abs(d_cloud) * share / np.maximum(np.abs(cloud(share)), 1e-300))
 
 
 def second_order_check(params: MarketParams | ParamTable, price, share) -> SecondOrderReport:
     """Second-derivative tests at a candidate optimum, elementwise over a
-    ParamTable (a MarketParams call gives Python bools and floats).
+    ParamTable or a MarketParams.
 
     Exact second derivatives of the provider payoff in price and the platform
     payoff in share, by nested forward mode: f(x + eps1 + eps2) with
@@ -520,9 +515,6 @@ def second_order_check(params: MarketParams | ParamTable, price, share) -> Secon
     provider, cloud = _payoff_slices(params, price, share)
     d2p, d2c = (f(_Slope(_Slope(x, 1.0), _Slope(1.0, 0.0))).d.d
                 for f, x in ((provider, price), (cloud, share)))
-    values = (d2p < 0.0, d2c < 0.0, report.f2_price_max, report.f3_share_max,
-              (d2p < 0.0) == report.f2_price_max, (d2c < 0.0) == report.f3_share_max,
-              d2p, d2c)
-    if isinstance(params, MarketParams):
-        values = (np.asarray(v).item() for v in values)
-    return SecondOrderReport(*values)
+    return SecondOrderReport(
+        d2p < 0.0, d2c < 0.0, report.f2_price_max, report.f3_share_max,
+        (d2p < 0.0) == report.f2_price_max, (d2c < 0.0) == report.f3_share_max, d2p, d2c)

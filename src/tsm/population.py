@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ParamTable, check_domain
+from .core import ALPHA_BETA_CAP, ParamTable, check_domain
 from .scenarios import (
     MODE_DECLARED_PRICE,
     MODES,
@@ -112,7 +112,7 @@ class PopulationSpec:
     f_s: float = 23.7
     p_s: float = 36.0
     f_c_factor: float = 0.66
-    alpha_beta_cap: float = 0.999
+    alpha_beta_cap: float = ALPHA_BETA_CAP
     max_attempts: int = 1_000_000
 
     def __post_init__(self):
@@ -140,6 +140,10 @@ class PopulationSpec:
             raise ValueError(f"psi must lie in [0, 0.35], got {self.psi}")
         if not 0.0 <= self.phi <= 5.0:
             raise ValueError(f"phi must lie in [0, 5], got {self.phi}")
+        # Past the domain's cap a kept draw fails check_domain; at or below 0 none is kept.
+        if not 0.0 < self.alpha_beta_cap <= ALPHA_BETA_CAP:
+            raise ValueError(f"alpha_beta_cap must lie in (0, {ALPHA_BETA_CAP}], "
+                             f"got {self.alpha_beta_cap}")
 
 
 # NumPy's SeedSequence hash constants (O'Neill's seed_seq design, NEP 19).

@@ -286,15 +286,18 @@ def run_fifty_fifty(providers: Sequence[Provider]) -> list[ScenarioRecord]:
     return _run(providers, FIFTY_FIFTY)
 
 
-def payg_supply(price: float, params: MarketParams) -> float:
+def payg_supply(price, params: MarketParams | ParamTable):
     """The provider's optimal rented infrastructure under flat-rate pricing.
 
     (p_s / (alpha * k1 * (price - f_c) * price^(-gamma))) ** (1/(alpha-1)),
-    evaluated in log space. Requires price > f_c and alpha != 1.
+    evaluated in log space, elementwise. Requires price > f_c and alpha != 1;
+    the error names the first price that does not cover its f_c.
     """
-    if price <= params.f_c:
-        raise ValueError(f"price {price} does not cover f_c {params.f_c}")
-    return float(_payg_supply(price, params))
+    if np.any(short := price <= params.f_c):
+        price_at, f_c_at = (np.broadcast_to(v, np.shape(short))[short][0]
+                            for v in (price, params.f_c))
+        raise ValueError(f"price {price_at} does not cover f_c {f_c_at}")
+    return _payg_supply(price, params)
 
 
 def run_pay_as_you_go(providers: Sequence[Provider]) -> list[ScenarioRecord]:

@@ -326,3 +326,45 @@ class TestFeasibility:
             rep = check_feasibility(p)
             assert rep.all_ok == (rep.f1_price_positive and rep.f2_price_max
                                   and rep.f3_share_max)
+
+
+# Each public curve or payoff function, with its point arguments in call order.
+CURVES = {
+    consumer_demand_primitive: ("price", "supply"),
+    supply_primitive: ("share", "price", "demand"),
+    demand_reduced: ("price", "share"),
+    supply_reduced: ("price", "share"),
+    provider_payoff: ("price", "share"),
+    cloud_payoff: ("price", "share"),
+}
+GOOD_POINT = {"price": 1.7, "share": 0.4, "supply": 3.0, "demand": 0.8}
+BAD_POINT = {"price": (0.0, -1.0, float("nan")), "share": (0.0, 1.0, -0.1, float("nan")),
+             "supply": (0.0, -3.0), "demand": (0.0, float("nan"))}
+
+
+class TestPointCheck:
+    @pytest.mark.parametrize("f,name,bad", [
+        (f, name, bad) for f, names in CURVES.items() for name in names for bad in BAD_POINT[name]
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_column_names_the_value_a_scalar_call_names(self, f, name, bad):
+        names, p = CURVES[f], make_params()
+        with pytest.raises(DomainError, match=rf"^{name} must ") as scalar:
+            f(*(bad if n == name else GOOD_POINT[n] for n in names), p)
+        # a column breaking the rule in one row fails with the same message
+        with pytest.raises(DomainError) as column:
+            f(*(np.array([GOOD_POINT[n], bad if n == name else GOOD_POINT[n], GOOD_POINT[n]])
+                for n in names), ParamTable.from_params([p] * 3))
+        assert str(column.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("f", CURVES, ids=lambda f: f.__name__)
+    def test_rows_equal_batches_of_one(self, f):
+        rng = np.random.default_rng(41)
+        table = ParamTable.from_params(sample_params(rng, 60))
+        n = len(table)
+        point = {"price": rng.uniform(0.2, 3.2, n), "share": rng.uniform(0.01, 0.99, n),
+                 "supply": rng.uniform(0.1, 40.0, n), "demand": rng.uniform(0.1, 40.0, n)}
+        column = f(*(point[k] for k in CURVES[f]), table)
+        for i, p in enumerate(table.rows()):
+            one = f(*(point[k][i].item() for k in CURVES[f]), p)
+            assert type(one) is np.float64
+            assert one.tobytes() == column[i].tobytes(), (f.__name__, i)

@@ -31,6 +31,7 @@ from tsm.cli import draw_reported_equilibria, sample_table_params
 from tsm.population import AXIS_PHI, AXIS_RANGES, PopulationSpec
 from tsm.equilibrium import (
     SHARE_EPS,
+    OracleEquilibrium,
     _best_price_unchecked,
     _bisect_peak,
     _price_markup,
@@ -344,10 +345,16 @@ class TestStackelbergSolve:
         assert stackelberg_solve(FEASIBLE_PARAMS) == stackelberg_solve(FEASIBLE_PARAMS)
 
 
+def oracle_of_one(p: MarketParams, grid_n: int) -> OracleEquilibrium:
+    """The oracle's row for one game, searched as a batch of one."""
+    return OracleEquilibrium(*(v[0] for v in oracle_equilibrium(
+        ParamTable.from_params([p]), grid_n=grid_n)))
+
+
 class TestOracle:
     def test_agrees_with_closed_form(self):
         res = stackelberg_solve(FEASIBLE_PARAMS)
-        oracle = oracle_equilibrium(FEASIBLE_PARAMS, grid_n=2000)
+        oracle = oracle_of_one(FEASIBLE_PARAMS, grid_n=2000)
         assert abs(oracle.share - res.share_star) <= 2.0 / 2000
         assert abs(oracle.price - res.price_star) / res.price_star <= 2.0 / 2000
         assert oracle.n_candidates >= 1
@@ -356,7 +363,7 @@ class TestOracle:
         # f_s = 0 and phi > a4 + a2: payoff strictly increasing in share
         p = MarketParams(alpha=0.4, beta=1.2, gamma=0.3, psi=0.1, phi=3.0,
                          k1=0.5, f_c=1.0, f_s=0.0)
-        oracle = oracle_equilibrium(p, grid_n=500)
+        oracle = oracle_of_one(p, grid_n=500)
         assert oracle.share >= 0.98
         assert oracle.n_candidates == 0
 
@@ -368,7 +375,7 @@ class TestOracle:
         games = [FEASIBLE_PARAMS, NO_ROOT_PARAMS, dataclasses.replace(FEASIBLE_PARAMS, f_s=0.0)]
         batch = oracle_equilibrium(ParamTable.from_params(games), grid_n=500)
         for i, p in enumerate(games):
-            one = oracle_equilibrium(p, grid_n=500)
+            one = oracle_of_one(p, grid_n=500)
             assert batch.n_candidates[i] == one.n_candidates
             assert batch.share[i] == pytest.approx(one.share, rel=1e-12)
             assert batch.price[i] == pytest.approx(one.price, rel=1e-12)
@@ -811,11 +818,11 @@ class TestSecondOrder:
                          k1=0.5, f_c=1.0)
         soc = second_order_check(p, 1.7, 0.4)
         assert not soc.cloud_soc_analytic
-        assert soc.cloud_agreement == (soc.cloud_soc_negative is False)
+        assert soc.cloud_agreement == (not soc.cloud_soc_negative)
 
     def test_table_matches_batches_of_one(self):
         # Both derivative checks over a table give each row exactly what a
-        # MarketParams call gives it, and that call gives Python values.
+        # MarketParams call gives it, and that call gives numpy scalars.
         cases, _ = draw_reported_equilibria(1730, 20)
         assert len(cases.params) == 20 and cases.feasible.all()
         foc = first_order_residuals(cases.params, cases.price, cases.share)
@@ -824,10 +831,10 @@ class TestSecondOrder:
             price, share = cases.price[i].item(), cases.share[i].item()
             one_foc = first_order_residuals(p, price, share)
             assert one_foc == (foc[0][i], foc[1][i])
-            assert all(type(v) is float for v in one_foc)
+            assert all(type(v) is np.float64 for v in one_foc)
             one_soc = second_order_check(p, price, share)
             for name, value in one_soc._asdict().items():
-                assert type(value) in (bool, float)
+                assert type(value) in (np.bool_, np.float64)
                 assert value == getattr(soc, name)[i]
 
     def test_point_outside_domain_rejected(self):

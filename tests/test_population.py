@@ -175,6 +175,11 @@ class TestSampling:
             PopulationSpec(psi=0.5)
         with pytest.raises(ValueError):
             PopulationSpec(alpha_min=0.0)
+        # alpha*beta is capped inside the domain's cap, and some draw must pass it
+        for cap in (1.2, 1.0, 0.9991, 0.0, -0.5):
+            with pytest.raises(ValueError, match=r"^alpha_beta_cap must lie in \(0, 0\.999\], "):
+                PopulationSpec(alpha_beta_cap=cap)
+        PopulationSpec(alpha_beta_cap=0.999)
 
     def test_more_providers_than_spawn_keys_rejected(self, monkeypatch):
         def fail(*args):

@@ -341,6 +341,23 @@ class TestPayAsYouGo:
                         * consumer_demand_primitive(price, supply, params))
             assert abs(slope) * supply / scale <= 1e-6
 
+    def test_supply_column_matches_batches_of_one(self):
+        covered = [prov for prov in POP if prov.declared_price > prov.params.f_c]
+        column = payg_supply(np.array([prov.declared_price for prov in covered]),
+                             ParamTable.from_params([prov.params for prov in covered]))
+        assert len(covered) > 20
+        for prov, got in zip(covered, column):
+            one = payg_supply(prov.declared_price, prov.params)
+            assert type(one) is np.float64 and one.tobytes() == got.tobytes()
+
+    def test_uncovered_price_is_named(self):
+        params = dataclasses.replace(FEASIBLE_PARAMS, f_c=2.0)
+        message = r"^price 1\.5 does not cover f_c 2\.0$"
+        with pytest.raises(ValueError, match=message):
+            payg_supply(1.5, params)
+        with pytest.raises(ValueError, match=message):   # the first uncovered row
+            payg_supply(np.array([2.5, 1.5, 1.0]), ParamTable.from_params([params] * 3))
+
     def test_supply_decreasing_in_rental_rate(self):
         for prov in POP[:10]:
             lo = payg_supply(prov.declared_price,
