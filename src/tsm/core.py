@@ -83,7 +83,8 @@ _DOMAIN_RULES = (
 
 def _refuse(quantity: str, value, test, requirement: str) -> None:
     """Raise DomainError naming the first element of `value` that fails `test`."""
-    if not np.all(ok := test(value)):
+    # np.all without its Python-level dispatch, which a parameter set pays once a rule
+    if not np.logical_and.reduce(ok := test(value), axis=None):
         got = np.extract(~np.asarray(ok), value)[0].item()
         raise DomainError(f"{quantity} must {requirement}, got {got!r}")
 

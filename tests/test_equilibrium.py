@@ -369,7 +369,7 @@ class TestOracle:
 
     def test_grid_n_validated(self):
         with pytest.raises(DomainError):
-            oracle_equilibrium(FEASIBLE_PARAMS, grid_n=50)
+            oracle_equilibrium(ParamTable.from_params([FEASIBLE_PARAMS]), grid_n=50)
 
     def test_table_rows_match_batches_of_one(self):
         games = [FEASIBLE_PARAMS, NO_ROOT_PARAMS, dataclasses.replace(FEASIBLE_PARAMS, f_s=0.0)]
