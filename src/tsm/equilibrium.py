@@ -408,14 +408,14 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window):
     chi, price, pay = np.empty((3, case.size))
     for b in _blocks(case.size, 1):
         c = derive_coefficients(sub := t.take(case[b]))
-        up, lo, hi = markup[case[b]], probes[j[b]], probes[j[b] + 1]
+        sub_markup, lo, hi = markup[case[b]], probes[j[b]], probes[j[b] + 1]
         for _ in range(ROOT_HALVINGS):
             mid = 0.5 * (lo + hi)
-            price_mid = sub.f_c / (1.0 - mid) * up
+            price_mid = sub.f_c / (1.0 - mid) * sub_markup
             to_lo = _response_below(mid, price_mid, sub, c, window) == lo_negative[b]
             lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
         chi[b] = 0.5 * (lo + hi)
-        price[b] = sub.f_c / (1.0 - chi[b]) * up
+        price[b] = sub.f_c / (1.0 - chi[b]) * sub_markup
         pay[b] = _cloud_payoff_arr(price[b], chi[b], sub, c)
     spacing = probes[1] - probes[0]
     inside = ((window[0] + spacing < chi) & (chi < window[1] - spacing)
