@@ -41,6 +41,8 @@ INFEASIBLE_FLAGS = ["--alpha", "0.5", "--beta", "1.0", "--gamma", "0.3", "--phi"
 
 def entries() -> dict[str, list[str]]:
     """Entry name -> argv: `tsm` arguments, or ["demo", file name]."""
+    from tsm.population import AXES
+
     out = ["--out", "out.csv"]
     huge_gamma = [*FEASIBLE_FLAGS, "--gamma", "1e300"]   # the later flag wins
     found = {"equilibrium feasible": ["equilibrium", *FEASIBLE_FLAGS, *out],
@@ -52,6 +54,19 @@ def entries() -> dict[str, list[str]]:
         for mode in ("equilibrium", "declared-price"):
             found[f"scenario {mode} seed {seed}"] = ["scenario", "--mode", mode, *run]
         found[f"verify seed {seed}"] = ["verify", "--draws", "200", "--seed", str(seed)]
+    for axis in AXES:
+        for mode in ("equilibrium", "declared-price"):
+            for n in (7, 300):
+                for seed in SEEDS:
+                    found[f"sweep {axis} {mode} n {n} seed {seed}"] = [
+                        "sweep", "--axis", axis, "--mode", mode, "--n-providers", str(n),
+                        "--seed", str(seed), *out]
+    seed = SEEDS[0]
+    found[f"sweep fig4 n 3000 seed {seed}"] = [
+        "sweep", "--preset", "fig4", "--n-providers", "3000", "--seed", str(seed), *out]
+    for mode in ("equilibrium", "declared-price"):
+        found[f"scenario {mode} n 10000 seed {seed}"] = [
+            "scenario", "--mode", mode, "--n-providers", "10000", "--seed", str(seed), *out]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         found[f"demo {demo.name}"] = ["demo", demo.name]
     return found
