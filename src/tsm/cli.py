@@ -594,11 +594,12 @@ def verify_properties(seed: int, draws: int, grid_n: int,
     price = rng.uniform(0.2, 3.2, len(t))
     covered = price > t.f_c
     t, price = t.take(covered), price[covered]
-    supply = scenarios._payg_supply(price, t)
-    h = 1e-6 * supply
+    rental = scenarios.scenario_columns(scenarios.PAY_AS_YOU_GO, t, price,
+                                        scenarios.MODE_DECLARED_PRICE)
+    supply, h = rental.supply, 1e-6 * rental.supply
     slope = (scenarios._rental(price, supply + h, t)[1]
              - scenarios._rental(price, supply - h, t)[1]) / (2.0 * h)
-    scale = np.maximum(t.p_s * supply, (price - t.f_c) * scenarios._rental(price, supply, t)[0])
+    scale = np.maximum(t.p_s * supply, (price - t.f_c) * rental.demand)
     worst_payg = float(np.max(np.abs(slope) * supply / scale, initial=0.0))
     results.append(PropertyResult(
         "payg_rental_foc", len(t) > 0 and worst_payg <= 1e-6,

@@ -10,8 +10,8 @@ whose exponents and constant come from the derived coefficients. The solver
 brackets each root analytically on either side of the log form's minimum and
 bisects all rows of a ParamTable at once; when the equation admits two roots
 (both are genuine mutual best responses) the platform-payoff-maximizing one
-is reported. `solve_share` is that solver; `stackelberg_solve` runs it on a
-batch of one.
+is reported. `solve_share` is that solver; `stackelberg_solve` runs it and
+the equilibrium scenario kernel on a batch of one.
 
 `oracle_equilibrium` is an independent check: it knows nothing about the
 closed forms. It finds each best response by bisecting the forward-mode
@@ -43,11 +43,7 @@ from .core import (
     _share_payoff,
     check_feasibility,
     check_point,
-    cloud_payoff,
-    demand_reduced,
     derive_coefficients,
-    provider_payoff,
-    supply_reduced,
 )
 
 SHARE_EPS = 1e-9     # roots are sought on [SHARE_EPS, 1 - SHARE_EPS]
@@ -211,20 +207,19 @@ def solve_share(t: ParamTable) -> np.ndarray:
 
 
 def stackelberg_solve(params: MarketParams) -> EquilibriumResult:
-    """Solve one game by backward induction, as Python values.
-
-    Any failed existence condition, or a rootless share equation, yields a
-    result flagged infeasible with no equilibrium values.
-    """
-    n_roots, share, residual = solve_share(ParamTable.from_params([params]))[:, 0].tolist()
+    """Solve one game by backward induction, as Python values: the share
+    solver's root count and residual and the equilibrium scenario kernel's
+    price, share, demand, supply and payoffs, each over a batch of one. Any
+    failed existence condition, or a rootless share equation, yields a result
+    flagged infeasible with no equilibrium values."""
+    from .scenarios import MODE_EQUILIBRIUM, TWO_SIDED, scenario_columns   # imports this module
+    table = ParamTable.from_params([params])
+    n_roots, _, residual = solve_share(table)[:, 0].tolist()
     report = FeasibilityReport(*map(bool, check_feasibility(params)))
-    if math.isnan(share):
+    if not n_roots:
         return EquilibriumResult(feasible=False, feasibility=report, share_roots_found=0)
-    price = _best_price_unchecked(share, derive_coefficients(params), params.f_c)
-    demand, supply, provider, cloud = (f(price, share, params).item() for f in (
-        demand_reduced, supply_reduced, provider_payoff, cloud_payoff))
-    return EquilibriumResult(True, report, int(n_roots), price, share, demand, supply,
-                             provider, cloud, residual)
+    out = scenario_columns(TWO_SIDED, table, None, MODE_EQUILIBRIUM)
+    return EquilibriumResult(True, report, int(n_roots), *(v.item() for v in out[2:]), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +440,9 @@ def oracle_equilibrium(t: ParamTable, grid_n: int = 2000) -> OracleEquilibrium:
     boundary cell for degenerate inputs, e.g. f_s = 0). Games are searched
     in blocks, so memory does not grow with their number.
     """
+    if not isinstance(t, ParamTable):
+        raise TypeError(f"oracle_equilibrium takes a ParamTable, got {type(t).__name__};"
+                        " ParamTable.from_params([p]) is one game")
     if grid_n < ORACLE_MIN_GRID_N:
         raise DomainError(f"grid_n must be >= {ORACLE_MIN_GRID_N}, got {grid_n}")
     if np.any(t.f_c <= 0.0):

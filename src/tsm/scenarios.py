@@ -233,6 +233,8 @@ def _pay_as_you_go_columns(t: ParamTable, price) -> Outcome:
 def scenario_columns(scenario: str, t: ParamTable, price, mode: str) -> Outcome:
     """Run one scenario's kernel over every row of `t` at the given prices. Rows
     that overflow or are undefined come out infeasible, so numpy does not warn."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if scenario == TWO_SIDED:
             if mode == MODE_EQUILIBRIUM:
@@ -271,8 +273,6 @@ def run_two_sided(providers: Sequence[Provider],
     mode keeps the sampled price and lets the platform optimize its share
     against it. Records come back sorted by provider_id.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     return _run(providers, TWO_SIDED, mode)
 
 

@@ -371,6 +371,12 @@ class TestOracle:
         with pytest.raises(DomainError):
             oracle_equilibrium(ParamTable.from_params([FEASIBLE_PARAMS]), grid_n=50)
 
+    def test_market_params_refused_up_front(self):
+        # Before the grid_n check, and before the f_c check, which a MarketParams passes.
+        for grid_n in (2000, 50):
+            with pytest.raises(TypeError, match=r"ParamTable\.from_params\(\[p\]\)"):
+                oracle_equilibrium(FEASIBLE_PARAMS, grid_n=grid_n)
+
     def test_table_rows_match_batches_of_one(self):
         games = [FEASIBLE_PARAMS, NO_ROOT_PARAMS, dataclasses.replace(FEASIBLE_PARAMS, f_s=0.0)]
         batch = oracle_equilibrium(ParamTable.from_params(games), grid_n=500)

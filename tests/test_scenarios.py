@@ -265,6 +265,14 @@ def test_non_finite_rows_are_infeasible():
                 assert mean is None or np.isfinite(mean), (mode, name, column)
 
 
+def test_unknown_mode_rejected_by_every_kernel():
+    # A mode that is neither is refused, not run as declared-price.
+    table, price = ParamTable.from_params([FEASIBLE_PARAMS]), np.array([1.7])
+    for name in SCENARIOS:
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            scenario_columns(name, table, price, "bogus")
+
+
 class TestFiftyFifty:
     def test_price_formula_at_half_share(self):
         prov = Provider(provider_id=0, params=FEASIBLE_PARAMS, declared_price=1.7)

@@ -92,8 +92,7 @@ def probe_run(probe: str, checkout: Path, **fields) -> dict:
     """The JSON result line that `probe` prints in a fresh interpreter on the
     checkout's `src`."""
     done = subprocess.run([sys.executable, "-c", probe.format(src=str(checkout / "src"), **fields)],
-                          capture_output=True, text=True, check=True,
-                          env=dict(os.environ, TSM_THREADS="1"))
+                          capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
