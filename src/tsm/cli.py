@@ -488,7 +488,7 @@ def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000)
     m = SAMPLER_BATCH
     bands = ((spec.price_mean, spec.price_sd), (spec.alpha_mean, spec.alpha_sd))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    normals = np.empty((2, 2, m))   # (batch parity, price/alpha, draw)
+    normals = [np.empty((2, m)) for _ in range(2)]   # per parity; one 6.4 MB block: see README
     kept, got, drawn = [core.ParamTable.from_params([])], 0, 0   # concat needs one table
     while got < count and drawn < max_draws:
         if not drawn:   # later batches' normals come from the helper
