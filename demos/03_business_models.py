@@ -18,12 +18,6 @@ import numpy as np
 from tsm import PopulationSpec, sample_table, scenario_columns
 
 
-def mean(out, column):
-    """The column's mean over the feasible providers, nan without any."""
-    value = out.feasible_mean(column)
-    return float("nan") if value is None else value
-
-
 spec = PopulationSpec(n_providers=300, seed=1729)
 table, prices = sample_table(spec)
 print(f"sampled {len(table)} providers (seed {spec.seed})")
@@ -33,9 +27,10 @@ print(f"\n{'scenario':>14} {'feasible':>9} {'mean provider':>14} "
       f"{'mean platform':>14} {'mean demand':>12} {'mean share':>11}")
 for tag in ("fifty_fifty", "pay_as_you_go", "two_sided"):
     out = scenario_columns(tag, table, prices, "declared-price")
-    prov, cloud, demand, share = (mean(out, column) for column in (
-        "provider_payoff", "cloud_payoff", "demand", "share"))
-    print(f"{tag:>14} {int(out.feasible.sum()):>6}/{len(table):<3}"
+    # Means over the feasible providers: NaN without any, None without a share.
+    count, means = out.feasible_mean("provider_payoff", "cloud_payoff", "demand", "share")
+    prov, cloud, demand, share = (np.nan if m is None else float(m) for m in means)
+    print(f"{tag:>14} {int(count):>6}/{len(table):<3}"
           f" {prov:>+14.6f} {cloud:>+14.6f} {demand:>12.6f} {share:>11.4f}")
 
 # The full equilibrium variant of the two-sided run solves every provider's

@@ -41,7 +41,7 @@ from .population import (
     PopulationSpec,
     SweepSpec,
 )
-from .scenarios import MODE_EQUILIBRIUM, MODES, SCENARIOS, TWO_SIDED, Outcome
+from .scenarios import MODE_EQUILIBRIUM, MODES, SCENARIOS, TWO_SIDED
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -335,10 +335,10 @@ def cmd_scenario(s: dict) -> int:
     print(f"# command=scenario seed={spec.seed} n_providers={spec.n_providers} "
           f"mode={mode} scenarios={','.join(names)} out={out_path}")
     for name, out in outcomes.items():
-        print(f"{name}: feasible {int(out.feasible.sum())}/{len(price)}"
-              f" mean_cloud_payoff={_format_value(out.feasible_mean('cloud_payoff'))}"
-              f" mean_provider_payoff="
-              f"{_format_value(out.feasible_mean('provider_payoff'))}")
+        k, means = out.feasible_mean("cloud_payoff", "provider_payoff")
+        cloud, provider = (_format_value(float(m) if k else None) for m in means)
+        print(f"{name}: feasible {k}/{len(price)} mean_cloud_payoff={cloud}"
+              f" mean_provider_payoff={provider}")
     return EXIT_OK
 
 
@@ -532,14 +532,6 @@ def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000)
     return scenarios.scenario_columns(TWO_SIDED, table, None, MODE_EQUILIBRIUM), drawn
 
 
-def run_oracle_comparison(cases: Outcome, grid_n: int):
-    """Columns (|chi* - chi_oracle|, |P* - P_oracle|/P*) over the reported
-    equilibria of `cases`."""
-    oracle = equilibrium.oracle_equilibrium(cases.params, grid_n=grid_n)
-    return (np.abs(cases.share - oracle.share),
-            np.abs(cases.price - oracle.price) / cases.price)
-
-
 def verify_properties(seed: int, draws: int, grid_n: int,
                       pairs: int = 2000) -> list[PropertyResult]:
     """The numerical verification suite behind `tsm verify`."""
@@ -583,7 +575,9 @@ def verify_properties(seed: int, draws: int, grid_n: int,
         f"{soc_pass}/{n} equilibria pass curvature checks"))
 
     tol = 2.0 / grid_n
-    d_chi, d_price = run_oracle_comparison(cases, grid_n)
+    oracle = equilibrium.oracle_equilibrium(cases.params, grid_n=grid_n)
+    d_chi = np.abs(cases.share - oracle.share)
+    d_price = np.abs(cases.price - oracle.price) / cases.price
     results.append(PropertyResult(
         "oracle_agreement", not np.any((d_chi > tol) | (d_price > tol)),
         f"max |dchi| {d_chi.max():.3e}, max |dP|/P {d_price.max():.3e} over "
@@ -596,9 +590,8 @@ def verify_properties(seed: int, draws: int, grid_n: int,
     t, price = t.take(covered), price[covered]
     rental = scenarios.scenario_columns(scenarios.PAY_AS_YOU_GO, t, price,
                                         scenarios.MODE_DECLARED_PRICE)
-    supply, h = rental.supply, 1e-6 * rental.supply
-    slope = (scenarios._rental(price, supply + h, t)[1]
-             - scenarios._rental(price, supply - h, t)[1]) / (2.0 * h)
+    supply = rental.supply
+    slope = scenarios._rental(price, equilibrium._Slope(supply, 1.0), t)[1].d
     scale = np.maximum(t.p_s * supply, (price - t.f_c) * rental.demand)
     worst_payg = float(np.max(np.abs(slope) * supply / scale, initial=0.0))
     results.append(PropertyResult(

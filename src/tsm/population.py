@@ -21,6 +21,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ from .scenarios import (
     MODES,
     SCENARIOS,
     Provider,
-    padded_mean,
     scenario_columns,
 )
 
@@ -364,9 +364,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepSeries]:
 
     The population is sampled once and broadcast over every (axis value, phi
     level) cell, so each kernel runs once, over the shape its inputs vary in.
-    Outcome columns are reduced along their last axis in one pass (feasible
-    counts, then `padded_mean` of the zero-padded rows) and broadcast to the
-    cells. Records are sorted by (axis_value, scenario, phi_level).
+    Outcome columns are reduced along their last axis by `Outcome.feasible_mean`
+    and broadcast to the cells. Records are sorted by (axis_value, scenario,
+    phi_level).
     """
     base, declared = sample_table(spec.population)
     # (axis value, phi level) per cell; the phi axis is its own level.
@@ -376,13 +376,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepSeries]:
     table = _sweep_table(base, spec.axis, spec.grid, spec.phi_levels)
     series = []
     for scenario in spec.scenarios:
-        out = scenario_columns(scenario, table, declared, spec.mode)
-        k = np.count_nonzero(out.feasible, axis=-1)
-        means = [[None] * len(cells) if (v := getattr(out, column)) is None
-                 else np.broadcast_to(padded_mean(np.where(out.feasible, v, 0.0), k),
-                                      shape).ravel().tolist()
-                 for column in MEAN_COLUMNS]
-        counts = np.broadcast_to(k, shape).ravel().tolist()
+        k, means = scenario_columns(scenario, table, declared,
+                                    spec.mode).feasible_mean(*MEAN_COLUMNS)
+        counts, *means = (repeat(None) if v is None else np.broadcast_to(v, shape).ravel().tolist()
+                          for v in (k, *means))
         series += [SweepSeries(spec.axis, value, scenario, level, len(base), count,
                                *(m if count else None for m in row))
                    for (value, level), count, *row in zip(cells, counts, *means)]

@@ -100,11 +100,25 @@ class Outcome(NamedTuple):
     provider_payoff: np.ndarray
     cloud_payoff: np.ndarray
 
-    def feasible_mean(self, column: str) -> float | None:
-        """The column's mean over the feasible rows; None without such rows or column."""
-        values, k = getattr(self, column), int(self.feasible.sum())
-        return None if values is None or not k else float(
-            padded_mean(np.broadcast_to(values, self.feasible.shape)[self.feasible], k))
+    def feasible_mean(self, *columns: str) -> tuple[np.ndarray, list[np.ndarray | None]]:
+        """Along the last (provider) axis, the count of feasible rows and each
+        named column's mean over them: its sum with infeasible rows set to 0,
+        over the count. A mean is NaN where the count is 0, and None for a
+        column this outcome lacks. Where a sum of finite values overflows, the
+        mean is scale * mean(values / scale) with scale = max|values|, which is
+        finite."""
+        k, means = np.count_nonzero(self.feasible, axis=-1), []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for column in columns:
+                if (mean := getattr(self, column)) is not None:
+                    values = np.where(self.feasible, mean, 0.0)
+                    mean = np.sum(values, axis=-1) / k
+                    if not np.all(np.isfinite(mean) | (k == 0)):
+                        scale = np.max(np.abs(values), axis=-1, keepdims=True)
+                        mean = np.where(np.isfinite(mean), mean,
+                                        np.sum(values / scale, axis=-1) / k * scale[..., 0])
+                means.append(mean)
+        return k, means
 
     def rows(self, scenario: str):
         """Each row's (price, share, demand, supply, provider_payoff,
@@ -116,19 +130,6 @@ class Outcome(NamedTuple):
                        self.supply.tolist(), self.provider_payoff.tolist(),
                        self.cloud_payoff.tolist(), self.feasible.tolist()):
             yield row if row[-1] else infeasible
-
-
-def padded_mean(values, k):
-    """Along the last axis, sum(values) / k: the mean of k values padded with
-    zeros, NaN where k = 0. Where a sum of finite values overflows, the mean is
-    scale * mean(values / scale) with scale = max|values|, which is finite."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mean = np.sum(values, axis=-1) / k
-        if not np.all(np.isfinite(mean) | (k == 0)):
-            scale = np.max(np.abs(values), axis=-1, keepdims=True)
-            mean = np.where(np.isfinite(mean), mean,
-                            np.sum(values / scale, axis=-1) / k * scale[..., 0])
-    return mean
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,9 @@ def series_of(cells, scenario, phi_level, column):
 def test_criterion_1_oracle_equivalence():
     cases = reported_equilibria()
     t0 = time.perf_counter()
-    d_chi, d_price = cli.run_oracle_comparison(cases, GRID_N)
+    oracle = equilibrium.oracle_equilibrium(cases.params, grid_n=GRID_N)
+    d_chi = np.abs(cases.share - oracle.share)
+    d_price = np.abs(cases.price - oracle.price) / cases.price
     elapsed = _CACHE["draw_seconds"] + (time.perf_counter() - t0)
     tol = 2.0 / GRID_N
     n = len(cases.params)

@@ -132,10 +132,12 @@ class TestScenarioCommand:
                     r.provider_id, r.scenario, p.alpha, p.beta, p.gamma, p.psi, p.phi,
                     p.k1, p.f_c, r.price, r.share, r.demand, r.supply,
                     r.provider_payoff, r.cloud_payoff, r.feasible)))
-            feasible = [r for r in records if r.feasible]
-            cloud = float(np.mean([r.cloud_payoff for r in feasible])) if feasible else None
-            prov = float(np.mean([r.provider_payoff for r in feasible])) if feasible else None
-            summary.append(f"{name}: feasible {len(feasible)}/{len(records)}"
+            # Infeasible records hold 0.0 payoffs: the zero-padded sum over the
+            # feasible count is the summary's mean.
+            k = sum(r.feasible for r in records)
+            cloud, prov = (float(np.sum([getattr(r, c) for r in records])) / k if k else None
+                           for c in ("cloud_payoff", "provider_payoff"))
+            summary.append(f"{name}: feasible {k}/{len(records)}"
                            f" mean_cloud_payoff={cli._format_value(cloud)}"
                            f" mean_provider_payoff={cli._format_value(prov)}")
         assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
@@ -253,8 +255,7 @@ class TestScenarioCommand:
                       out.provider_payoff, out.cloud_payoff)
             expected += int(out.feasible.sum()) * sum(v is not None for v in values)
             expected += sum(isinstance(v, float) for v in scenarios.INFEASIBLE_FILL[name])
-            expected += sum(isinstance(out.feasible_mean(c), float)
-                            for c in ("cloud_payoff", "provider_payoff"))
+            expected += 2 * bool(out.feasible.any())   # the two summary means
         assert len(calls) == expected
 
     def test_unknown_scenario_exit_1(self, tmp_path):
@@ -367,6 +368,24 @@ class TestSweepCommand:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert printed[0] == printed[1] and "scenarios=two_sided " in printed[0]
 
+    @pytest.mark.parametrize("mode", ["equilibrium", "declared-price"])
+    @pytest.mark.parametrize("seed", [1729, 7, 11, 23])
+    def test_phi_cells_equal_the_scenario_summary(self, tmp_path, capsys, mode, seed):
+        # Neither fifty_fifty nor pay_as_you_go reads phi, so every phi cell
+        # holds the count and means that `scenario` prints, bit for bit: both
+        # reduce through Outcome.feasible_mean.
+        run = ["--mode", mode, "--n-providers", "300", "--seed", str(seed)]
+        assert cli.main(["scenario", *run, "--out", str(tmp_path / "sc.csv")]) == 0
+        printed = {name: values for name, *values in re.findall(
+            r"^(\w+): feasible (\d+)/300 mean_cloud_payoff=(\S*) mean_provider_payoff=(\S*)$",
+            capsys.readouterr().out, re.MULTILINE)}
+        assert cli.main(["sweep", "--axis", "phi", *run, "--out", str(tmp_path / "sw.csv")]) == 0
+        _, rows = read_csv(tmp_path / "sw.csv")
+        for name in ("fifty_fifty", "pay_as_you_go"):
+            cells = [[r["feasible_count"], r["mean_cloud_payoff"], r["mean_provider_payoff"]]
+                     for r in rows if r["scenario"] == name]
+            assert cells == [printed[name]] * len(population.default_grid("phi")), name
+
     def test_preset_takes_its_own_axis(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("axis: phi\n", encoding="utf-8")
@@ -391,7 +410,7 @@ class TestSweepCommand:
 
 def rescaled_reference(values):
     """math.fsum(v / scale) / k * scale with scale = max|v| where the plain sum
-    of the values overflows, as in the means `padded_mean` rescales; else None."""
+    of the values overflows, as in the means `Outcome.feasible_mean` rescales; else None."""
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(np.sum(values)):
             return None
@@ -487,12 +506,25 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("seed, code, line", [
         (1729, 3, "[FAIL] payg_rental_foc: no row checked: 0 of 1 drawn prices exceed f_c"),
-        (7, 0, "[PASS] payg_rental_foc: max relative rental FOC 2.088e-10 (tol 1e-6)"),
+        (7, 0, "[PASS] payg_rental_foc: max relative rental FOC 5.908e-17 (tol 1e-6)"),
     ])
     def test_payg_rental_foc_counts_its_rows(self, capsys, seed, code, line):
         # One pair draws one rental price: at seed 1729 it does not exceed
         # f_c, so the property has no row to check and must not pass.
         assert cli.main(["verify", "--draws", "1", "--pairs", "1", "--seed", str(seed)]) == code
+        assert capsys.readouterr().out.splitlines()[-1] == line
+
+    @pytest.mark.parametrize("error, line", [
+        (1e-5, "[FAIL] payg_rental_foc: max relative rental FOC 2.500e-06 (tol 1e-6)"),
+        (1e-7, "[PASS] payg_rental_foc: max relative rental FOC 2.500e-08 (tol 1e-6)"),
+    ])
+    def test_payg_rental_foc_catches_a_scaled_supply(self, capsys, monkeypatch, error, line):
+        # The exact slope sees a rented supply off its optimum by a factor
+        # 1 + error; the property fails once that exceeds its tolerance.
+        original = scenarios._payg_supply
+        monkeypatch.setattr(scenarios, "_payg_supply",
+                            lambda price, params: original(price, params) * (1.0 + error))
+        cli.main(["verify", "--draws", "20", "--seed", "1729"])
         assert capsys.readouterr().out.splitlines()[-1] == line
 
     def test_bad_draws_exit_1(self):

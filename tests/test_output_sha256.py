@@ -30,3 +30,22 @@ def test_every_output_keeps_its_recorded_sha256(tmp_path):
            for i, (name, e) in enumerate(recorded["entries"].items())}
     lines = tool.moved(recorded["entries"], got)
     assert not lines, "outputs moved:\n" + "\n".join(lines)
+
+
+def test_block_sizes_keep_the_recorded_sha256(tmp_path, monkeypatch):
+    # The oracle's and the CSV writer's block sizes bound memory only: at
+    # other sizes, the entries that run them give the recorded bytes.
+    from tsm import cli, equilibrium
+
+    tool = load_tool()
+    recorded = json.loads(tool.DATA.read_text(encoding="utf-8"))
+    assert not tool.host_difference(recorded["host"], tool.host()), "recorded on another host"
+    monkeypatch.setattr(equilibrium, "ORACLE_BLOCK_ROWS", 4096)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+    names = ["scenario equilibrium seed 11", "scenario declared-price seed 11",
+             "verify seed 1729", "verify seed 7"]
+    entries = {name: recorded["entries"][name] for name in names}
+    got = {name: tool.run(e["argv"], tmp_path / str(i))
+           for i, (name, e) in enumerate(entries.items())}
+    lines = tool.moved(entries, got)
+    assert not lines, "outputs moved:\n" + "\n".join(lines)

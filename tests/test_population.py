@@ -390,6 +390,7 @@ def test_broadcast_table_matches_tiled_table(axis, n, seed, mode):
     table = _sweep_table(base, axis, spec.grid, spec.phi_levels)
     tiled = tiled_table(base, axis, spec.grid, spec.phi_levels)
     assert len(tiled) == math.prod(shape)
+    columns = OUTCOME_COLUMNS[1:]   # all but `feasible`
     for scenario in SCENARIOS:
         out = scenario_columns(scenario, table, declared, mode)
         ref = scenario_columns(scenario, tiled, np.tile(declared, len(tiled) // n), mode)
@@ -400,10 +401,17 @@ def test_broadcast_table_matches_tiled_table(axis, n, seed, mode):
             else:
                 assert np.array_equal(np.broadcast_to(got, shape), want.reshape(shape),
                                       equal_nan=True), (scenario, name)
-                if name != "feasible":   # the mean over every cell, up to summation order
-                    mean = ref.feasible_mean(name)
-                    assert out.feasible_mean(name) == (
-                        None if mean is None else pytest.approx(mean, rel=1e-13)), (scenario, name)
+        # Each cell's count and means, exactly: the tiled rows reshaped to the
+        # cells hold the same values in the same order along the provider axis.
+        cells = ref._replace(**{name: getattr(ref, name).reshape(shape)
+                                for name in OUTCOME_COLUMNS if getattr(ref, name) is not None})
+        (k, means), (want_k, want) = out.feasible_mean(*columns), cells.feasible_mean(*columns)
+        assert np.array_equal(np.broadcast_to(k, shape[:2]), want_k), scenario
+        for name, got, mean in zip(columns, means, want):
+            assert (got is None) == (mean is None), (scenario, name)
+            if mean is not None:
+                assert np.array_equal(np.broadcast_to(got, shape[:2]), mean,
+                                      equal_nan=True), (scenario, name)
 
 
 def test_kernels_compute_only_what_varies():

@@ -256,13 +256,17 @@ def test_non_finite_rows_are_infeasible():
             with np.errstate(all="ignore"):
                 out = scenario_columns(name, ParamTable.from_params([params]),
                                        np.array([0.25]), mode)
-            for column in ("price", "share", "demand", "supply", "provider_payoff",
-                           "cloud_payoff"):
+            columns = ("price", "share", "demand", "supply", "provider_payoff",
+                       "cloud_payoff")
+            k, means = out.feasible_mean(*columns)
+            assert k == out.feasible.sum()
+            for column, mean in zip(columns, means):
                 values = getattr(out, column)
                 if values is not None:
                     assert not out.feasible[0] or np.isfinite(values[0]), (mode, name)
-                mean = out.feasible_mean(column)
-                assert mean is None or np.isfinite(mean), (mode, name, column)
+                # A mean over feasible rows is finite; over none it is NaN.
+                assert mean is None or (np.isfinite(mean) if k else np.isnan(mean)), (
+                    mode, name, column)
 
 
 def test_unknown_mode_rejected_by_every_kernel():
@@ -407,8 +411,14 @@ class TestCompare:
         out = scenario_columns(TWO_SIDED, ParamTable.from_params([weak]), np.array([1.7]),
                                MODE_EQUILIBRIUM)
         assert not out.feasible.any()
-        assert out.feasible_mean("cloud_payoff") is None
-        assert out.feasible_mean("provider_payoff") is None
+        k, means = out.feasible_mean("cloud_payoff", "provider_payoff")
+        assert k == 0 and all(np.isnan(mean) for mean in means)
+
+    def test_a_column_the_scenario_lacks_has_no_mean(self):
+        out = scenario_columns(PAY_AS_YOU_GO, ParamTable.from_params([FEASIBLE_PARAMS]),
+                               np.array([1.7]), MODE_DECLARED_PRICE)
+        k, (share, supply) = out.feasible_mean("share", "supply")
+        assert (k, share) == (1, None) and supply == out.supply[0]
 
     def test_overflowing_sums_keep_a_finite_mean(self):
         # Every feasible row is finite, but the sums of pay_as_you_go's provider
@@ -418,8 +428,8 @@ class TestCompare:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = scenario_columns(PAY_AS_YOU_GO, table, price, MODE_DECLARED_PRICE)
-            means = {column: out.feasible_mean(column)
-                     for column in ("provider_payoff", "demand", "cloud_payoff", "supply")}
+            columns = ("provider_payoff", "demand", "cloud_payoff", "supply")
+            means = dict(zip(columns, out.feasible_mean(*columns)[1]))
         assert all(np.isfinite(mean) for mean in means.values()), means
         assert means["provider_payoff"] == pytest.approx(1.1156e305, rel=1e-4)
         with np.errstate(over="ignore"):
