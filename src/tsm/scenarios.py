@@ -110,8 +110,9 @@ class Outcome(NamedTuple):
         k, means = np.count_nonzero(self.feasible, axis=-1), []
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for column in columns:
-                if (mean := getattr(self, column)) is not None:
-                    values = np.where(self.feasible, mean, 0.0)
+                mean = values = getattr(self, column)
+                if values is not None:
+                    values = np.where(self.feasible, values, 0.0)
                     mean = np.sum(values, axis=-1) / k
                     if not np.all(np.isfinite(mean) | (k == 0)):
                         scale = np.max(np.abs(values), axis=-1, keepdims=True)

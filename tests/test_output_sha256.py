@@ -1,6 +1,7 @@
 """The byte gate: every entry of tests/data/output_sha256.json (tsm equilibrium,
 sweep, scenario and verify runs, and the demos) rerun in process gives the
-recorded exit code and the sha256 of the recorded output file and stdout.
+recorded exit code and the sha256 of the recorded output file and stdout;
+four of them do so at other oracle and CSV block sizes too.
 tools/output_sha256.py writes the file and prints the entries that moved."""
 
 import importlib.util
