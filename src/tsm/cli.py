@@ -133,7 +133,7 @@ SETTINGS = {
                                                      equilibrium.ORACLE_BLOCK_ROWS)),
     "pairs": Setting("int", (VF,), "--pairs", arg=(1, 18_000_000)),
     **{k: Setting("float", _PARAM_FLAGS.get(k, (EQ,)), f"--{k}", PARAMS) for k in PARAM_KEYS},
-    # PopulationSpec's bands; alpha_beta_cap and max_attempts keep their defaults.
+    # PopulationSpec's bands; alpha_beta_cap keeps its default.
     **{f.name: Setting("float", prefix=POPULATION) for f in fields(PopulationSpec)
        if isinstance(f.default, float) and f.name not in (*PARAM_KEYS, "alpha_beta_cap")},
 }
@@ -406,27 +406,30 @@ class PropertyResult(NamedTuple):
     detail: str
 
 
+def verify_games(spec: PopulationSpec, price: np.ndarray, alpha: np.ndarray,
+                 gens) -> tuple[core.ParamTable, np.ndarray]:
+    """verify's games at price and alpha draws, with beta, gamma, phi and k1 drawn in
+    turn from the four generators `gens`, and the mask of those in band with phi > 0."""
+    (g_beta, g_gamma, g_phi, g_k1), n = gens, len(alpha)
+    beta = g_beta.uniform(0.0, 1.0, n) / np.clip(alpha, 1e-9, None)   # alpha > 0 in band
+    t = core.ParamTable.from_columns(
+        alpha=alpha, beta=beta, gamma=g_gamma.uniform(spec.gamma_min, spec.gamma_max, n),
+        psi=spec.psi, phi=g_phi.uniform(*AXIS_RANGES[AXIS_PHI], n), k2=spec.k2, f_s=spec.f_s,
+        p_s=spec.p_s, k1=g_k1.uniform(spec.k1_min, spec.k1_max, n), f_c=spec.f_c_factor * price)
+    return t, spec.in_bands(price, alpha, beta) & (t.phi > 0.0)
+
+
 def sample_table_params(rng: np.random.Generator, n: int) -> core.ParamTable:
     """Vectorized draw of n parameter sets from the simulation-setup ranges
     (PopulationSpec's default bands), as one validated table."""
-    spec, (phi_lo, phi_hi) = PopulationSpec(), AXIS_RANGES[AXIS_PHI]
-    parts = []
+    spec, parts = PopulationSpec(), []
     while (got := sum(map(len, parts))) < n:
         m = max(256, 2 * (n - got))
         price = rng.normal(spec.price_mean, spec.price_sd, m)
         alpha = rng.normal(spec.alpha_mean, spec.alpha_sd, m)
-        ok = ((price >= spec.price_min) & (price <= spec.price_max)
-              & (alpha >= spec.alpha_min) & (alpha <= spec.alpha_max))
-        price, alpha = price[ok], alpha[ok]
-        beta = rng.uniform(0.0, 1.0, price.size) / alpha
-        gamma = rng.uniform(spec.gamma_min, spec.gamma_max, price.size)
-        phi = rng.uniform(phi_lo, phi_hi, price.size)
-        k1 = rng.uniform(spec.k1_min, spec.k1_max, price.size)
-        keep = (alpha * beta > 0.0) & (alpha * beta <= spec.alpha_beta_cap) & (phi > 0.0)
-        parts.append(core.ParamTable.from_columns(
-            alpha=alpha[keep], beta=beta[keep], gamma=gamma[keep], psi=spec.psi,
-            phi=phi[keep], k1=k1[keep], f_c=spec.f_c_factor * price[keep],
-        ).take(slice(n - got)))
+        ok = spec.in_bands(price, alpha)   # sets how many uniforms follow
+        t, keep = verify_games(spec, price[ok], alpha[ok], (rng,) * 4)
+        parts.append(t.take(np.flatnonzero(keep)[:n - got]))
     table = core.ParamTable.concat(parts)
     core.check_domain(table)
     return table
@@ -435,6 +438,7 @@ def sample_table_params(rng: np.random.Generator, n: int) -> core.ParamTable:
 # Draws per sampler batch: a whole number of 4-word Philox blocks, so each of
 # a batch's uniform columns spans whole counter steps (see _philox_ahead).
 SAMPLER_BATCH = 200_000
+MAX_DRAWS = 20_000_000   # draw_reported_equilibria stops here short of its count
 
 
 def _philox_ahead(state: dict, words: int) -> np.random.Generator:
@@ -472,7 +476,7 @@ class _Helper(threading.Thread):
             self.error = exc
 
 
-def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000):
+def draw_reported_equilibria(seed: int, count: int):
     """Sample parameter draws until `count` of them yield a reported equilibrium.
 
     Each SAMPLER_BATCH-draw batch takes, in stream order, a price and an alpha
@@ -480,25 +484,23 @@ def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000)
     columns of one word per draw. So once a batch's normals end, each of its
     uniform columns, and the next batch, starts at a known word of the Philox
     stream. One helper thread draws the next batch's normals while this one
-    draws the uniform columns block by block, and keeps in draw order, up to
-    the count, the rows in PopulationSpec's default bands with a share root.
-    Returns (the equilibrium-mode two_sided Outcome of the kept games,
-    n_drawn)."""
-    spec, (phi_lo, phi_hi) = PopulationSpec(), AXIS_RANGES[AXIS_PHI]
-    m = SAMPLER_BATCH
+    draws the uniform columns block by block through `verify_games`, and keeps
+    in draw order, up to the count, the rows in band with a share root.
+    Returns (the equilibrium-mode two_sided Outcome of the kept games, n_drawn)."""
+    spec, m = PopulationSpec(), SAMPLER_BATCH
     bands = ((spec.price_mean, spec.price_sd), (spec.alpha_mean, spec.alpha_sd))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     normals = [np.empty((2, m)) for _ in range(2)]   # per parity; one 6.4 MB block: see README
     kept, got, drawn = [core.ParamTable.from_params([])], 0, 0   # concat needs one table
-    while got < count and drawn < max_draws:
+    while got < count and drawn < MAX_DRAWS:
         if not drawn:   # later batches' normals come from the helper
             _draw_normals(rng, normals[0], bands)
         price, alpha = normals[drawn // m % 2]
         drawn += m
         at = rng.bit_generator.state
-        g_beta, g_gamma, g_phi, g_k1 = rng, *(_philox_ahead(at, c * m) for c in (1, 2, 3))
+        gens = (rng, *(_philox_ahead(at, c * m) for c in (1, 2, 3)))
         helper = None
-        if drawn < max_draws:
+        if drawn < MAX_DRAWS:
             # Only numpy RNG code runs on the helper (perfbench's Tracer is not
             # thread-safe), and it is joined before the next one starts. This
             # thread seldom waits at the join, so it is the critical path;
@@ -508,18 +510,9 @@ def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000)
             helper.start()
         try:
             for b in equilibrium._blocks(m, 1):   # bounds the block's temporaries
-                n = min(b.stop, m) - b.start
-                t = core.ParamTable.from_columns(
-                    alpha=alpha[b], beta=g_beta.uniform(0.0, 1.0, n) / np.clip(alpha[b], 1e-9, None),
-                    gamma=g_gamma.uniform(spec.gamma_min, spec.gamma_max, n), psi=spec.psi,
-                    phi=g_phi.uniform(phi_lo, phi_hi, n), k1=g_k1.uniform(spec.k1_min, spec.k1_max, n),
-                    f_c=spec.f_c_factor * price[b])
-                ab = t.alpha * t.beta
+                t, ok = verify_games(spec, price[b], alpha[b], gens)
                 with np.errstate(divide="ignore", invalid="ignore"):   # out of band: f_c <= 0, a2 = 0
-                    ok = ((price[b] >= spec.price_min) & (price[b] <= spec.price_max)
-                          & (t.alpha >= spec.alpha_min) & (t.alpha <= spec.alpha_max) & (ab > 0.0)
-                          & (ab <= spec.alpha_beta_cap) & (t.phi > 0.0)
-                          & equilibrium.has_share_root(t))
+                    ok &= equilibrium.has_share_root(t)
                 kept.append(t.take(np.nonzero(ok)[0][:count - got]))
                 if (got := got + len(kept[-1])) == count:
                     break
@@ -532,8 +525,7 @@ def draw_reported_equilibria(seed: int, count: int, max_draws: int = 20_000_000)
     return scenarios.scenario_columns(TWO_SIDED, table, None, MODE_EQUILIBRIUM), drawn
 
 
-def verify_properties(seed: int, draws: int, grid_n: int,
-                      pairs: int = 2000) -> list[PropertyResult]:
+def verify_properties(seed: int, draws: int, grid_n: int, pairs: int) -> list[PropertyResult]:
     """The numerical verification suite behind `tsm verify`."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     results = []

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ALPHA_BETA_CAP, ParamTable, check_domain
+from .core import ALPHA_BETA_CAP, MarketParams, ParamTable, check_domain
 from .scenarios import (
     MODE_DECLARED_PRICE,
     MODES,
@@ -49,9 +49,11 @@ AXIS_RANGES = {
     AXIS_K1: (0.1, 0.9),
 }
 
+MAX_ATTEMPTS = 1_000_000   # draws of one truncated band for one provider
+
 
 class SamplingError(RuntimeError):
-    """A truncated draw could not be satisfied within the attempt cap."""
+    """A truncated draw could not be satisfied within MAX_ATTEMPTS."""
 
 
 def check_integer(name: str, value, low: int, high: int | None = None) -> None:
@@ -108,12 +110,11 @@ class PopulationSpec:
     phi: float = 1.5
     k1_min: float = 0.1
     k1_max: float = 0.9
-    k2: float = 1.0
-    f_s: float = 23.7
-    p_s: float = 36.0
+    k2: float = MarketParams.k2
+    f_s: float = MarketParams.f_s
+    p_s: float = MarketParams.p_s
     f_c_factor: float = 0.66
     alpha_beta_cap: float = ALPHA_BETA_CAP
-    max_attempts: int = 1_000_000
 
     def __post_init__(self):
         # From YAML, `1.0e300` is a string; `.nan` or `.inf` stall or overflow draws.
@@ -144,6 +145,14 @@ class PopulationSpec:
         if not 0.0 < self.alpha_beta_cap <= ALPHA_BETA_CAP:
             raise ValueError(f"alpha_beta_cap must lie in (0, {ALPHA_BETA_CAP}], "
                              f"got {self.alpha_beta_cap}")
+
+    def in_bands(self, price, alpha, beta=None):
+        """Elementwise: price and alpha in band and, given beta, 0 < alpha*beta <= cap."""
+        inside = ((self.price_min <= price) & (price <= self.price_max)
+                  & (self.alpha_min <= alpha) & (alpha <= self.alpha_max))
+        if beta is not None:
+            inside &= (0.0 < (ab := alpha * beta)) & (ab <= self.alpha_beta_cap)
+        return inside
 
 
 # NumPy's SeedSequence hash constants (O'Neill's seed_seq design, NEP 19).
@@ -180,24 +189,23 @@ def _child_keys(seed: int, n: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _redraw(cap: int, draw, inside, what: str) -> float:
-    for _ in range(cap):
+def _redraw(draw, inside, what: str) -> float:
+    for _ in range(MAX_ATTEMPTS):
         if inside(value := draw()):
             return value
-    raise SamplingError(f"could not draw {what} in {cap} attempts")
+    raise SamplingError(f"could not draw {what} in {MAX_ATTEMPTS} attempts")
 
 
 def _draw(spec: PopulationSpec, rng: np.random.Generator) -> tuple[float, ...]:
     """One provider's (price, alpha, beta, gamma, psi, k1), drawn from `rng`
     in the order that `sample_table` describes."""
-    cap = spec.max_attempts
-    price = _redraw(cap, lambda: rng.normal(spec.price_mean, spec.price_sd),
+    price = _redraw(lambda: rng.normal(spec.price_mean, spec.price_sd),
                     lambda x: spec.price_min <= x <= spec.price_max,
                     f"price inside [{spec.price_min}, {spec.price_max}]")
-    alpha = _redraw(cap, lambda: rng.normal(spec.alpha_mean, spec.alpha_sd),
+    alpha = _redraw(lambda: rng.normal(spec.alpha_mean, spec.alpha_sd),
                     lambda x: spec.alpha_min <= x <= spec.alpha_max,
                     f"alpha inside [{spec.alpha_min}, {spec.alpha_max}]")
-    beta = _redraw(cap, lambda: rng.uniform(0.0, 1.0 / alpha),
+    beta = _redraw(lambda: rng.uniform(0.0, 1.0 / alpha),
                    lambda x: 0.0 < alpha * x <= spec.alpha_beta_cap,
                    f"beta with 0 < alpha*beta <= {spec.alpha_beta_cap}")
     gamma = rng.uniform(spec.gamma_min, spec.gamma_max)
@@ -241,9 +249,7 @@ def sample_table(spec: PopulationSpec) -> tuple[ParamTable, np.ndarray]:
         price, alpha = (np.array([spec.price_mean, spec.alpha_mean], float)
                         + np.array([spec.price_sd, spec.alpha_sd], float) * normals).T
         beta = 1.0 / alpha * uniforms[:, 0]
-        inside = ((spec.price_min <= price) & (price <= spec.price_max)
-                  & (spec.alpha_min <= alpha) & (alpha <= spec.alpha_max)
-                  & (0.0 < alpha * beta) & (alpha * beta <= spec.alpha_beta_cap))
+        inside = spec.in_bands(price, alpha, beta)
     draws = np.column_stack(np.broadcast_arrays(
         price, alpha, beta, gamma, psi[0] if psi else spec.psi, k1))
     for i in np.flatnonzero(~inside):

@@ -497,7 +497,7 @@ class TestVerifyCommand:
             scenarios.TWO_SIDED, core.ParamTable.from_params([]), None,
             scenarios.MODE_EQUILIBRIUM)
         monkeypatch.setattr("tsm.cli.draw_reported_equilibria",
-                            lambda seed, count, max_draws=0: (empty, 100_000))
+                            lambda seed, count: (empty, 100_000))
         code = cli.main(["verify", "--draws", "2", "--pairs", "20",
                          "--seed", "3"])
         out = capsys.readouterr().out
@@ -546,15 +546,21 @@ class TestVerifyCommand:
         assert captured.out == ""   # no header and no [PASS] line
 
 
+def table_digest(table: core.ParamTable) -> str:
+    """sha256 of a ParamTable's columns' bytes in field order."""
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(core.ParamTable):
+        digest.update(np.ascontiguousarray(getattr(table, f.name)).tobytes())
+    return digest.hexdigest()
+
+
 def sampler_digests(out: scenarios.Outcome) -> tuple[str, str]:
     """sha256 of the kept games' ParamTable columns and of the other Outcome
     columns, each over the columns' bytes in field order."""
-    params, outcome = hashlib.sha256(), hashlib.sha256()
-    for f in dataclasses.fields(core.ParamTable):
-        params.update(np.ascontiguousarray(getattr(out.params, f.name)).tobytes())
+    outcome = hashlib.sha256()
     for name in out._fields[1:]:
         outcome.update(np.ascontiguousarray(getattr(out, name)).tobytes())
-    return params.hexdigest(), outcome.hexdigest()
+    return table_digest(out.params), outcome.hexdigest()
 
 
 class TestReportedEquilibriaSampler:
@@ -642,7 +648,8 @@ class TestReportedEquilibriaSampler:
         start = cli._Helper.start
         monkeypatch.setattr(cli._Helper, "start",
                             lambda helper: (starts.append(helper), start(helper)))
-        cli.draw_reported_equilibria(1730, count, max_draws)
+        monkeypatch.setattr(cli, "MAX_DRAWS", max_draws)
+        cli.draw_reported_equilibria(1730, count)
         assert len(starts) == started
 
     @pytest.mark.parametrize("count", [200, 17])   # 17 stops inside the first batch
@@ -664,6 +671,31 @@ class TestReportedEquilibriaSampler:
         with pytest.raises(RuntimeError, match="helper failed"):
             cli.draw_reported_equilibria(1730, 200)
         assert threading.active_count() == before
+
+
+class TestVerifyTableSampler:
+    # The tables that verify_properties draws from its own stream at verify's
+    # four seeds: 2000 pairs for fixed_point_consistency, then min(500, pairs)
+    # for payg_rental_foc, with the pairs' prices and shares drawn in between.
+    TABLES = {
+        1729: ("543562ee83eb2102b6a0a127d6dc70f2e73dcb9999edf8ead25549f224fcb865",
+               "1ca120ac0ba5739beef3026393255e5733939c9c7276f74db17a6768c6e5eec2"),
+        7: ("2b85bdb03accf489009b9b38f2dbb57914eb6dbf1012dbac90d89edb7a740a93",
+            "270992ebc4262e9b3e0a8f8b7d2d4a881c10deb6e62396ba7fa8d222f67dd01a"),
+        11: ("29296c44c0a5071828b193a3077f66d61fe9e0f341608aa85f4fddbc7cacf30b",
+             "cf743ef9ff3db5db0a8c8e9729705da10d191cb614a745d23fb5878f6007418a"),
+        23: ("a38ec779a22b0bd734d9978521896844187899ac551e136c3cda5fd47970b4e9",
+             "ea0a1c50bd9d7a21fcbf7760c38f3c315b78a04c750f41c2e7fe67d5b159ee2c"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(TABLES))
+    def test_verify_tables_are_pinned(self, monkeypatch, seed):
+        tables, draw = [], cli.sample_table_params
+        monkeypatch.setattr(cli, "sample_table_params",
+                            lambda rng, n: tables.append(draw(rng, n)) or tables[-1])
+        cli.verify_properties(seed, 1, 100, 2000)
+        assert [len(t) for t in tables] == [2000, 500]
+        assert tuple(map(table_digest, tables)) == self.TABLES[seed]
 
 
 class TestGoldenFiles:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsm import population
 from tsm.core import _cloud_share_slice, derive_coefficients
 from tsm.equilibrium import stackelberg_solve
 from tsm.population import (
@@ -128,10 +129,11 @@ class TestSampling:
         assert [p.params for p in providers] == table.rows()
         assert [p.declared_price for p in providers] == price.tolist()
 
-    def test_exhaustion_error(self):
+    def test_exhaustion_error(self, monkeypatch):
+        monkeypatch.setattr(population, "MAX_ATTEMPTS", 50)
         spec = PopulationSpec(n_providers=1, seed=1, price_min=3.0, price_max=3.0,
-                              price_sd=1e-9, max_attempts=50)
-        with pytest.raises(SamplingError):
+                              price_sd=1e-9)
+        with pytest.raises(SamplingError, match=r"^could not draw price .* in 50 attempts$"):
             sample_providers(spec)
 
     @pytest.mark.parametrize("seed", [0, 1729, 2**32 - 1, 2**32, 10**60, np.uint64(2**63 + 5)])

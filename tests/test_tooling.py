@@ -77,8 +77,9 @@ RESULT_FIELDS = {
 
 
 def test_cli_import_builds_only_the_validated_dataclasses(subprocess_env):
-    # Each dataclass costs about 1 ms of `import tsm.cli`; only the parameter
-    # and spec types, which validate in __post_init__, remain dataclasses.
+    # Each dataclass costs about 1 ms of `import tsm.cli`. Four remain:
+    # MarketParams, PopulationSpec and SweepSpec validate in __post_init__,
+    # and ParamTable's columns are swapped by `dataclasses.replace`.
     probe = ("import dataclasses, sys, tsm.cli; print(sorted({"
              "f'{v.__module__}.{v.__qualname__}' for m, mod in list(sys.modules.items())"
              " if m == 'tsm' or m.startswith('tsm.') for v in vars(mod).values()"
@@ -153,6 +154,27 @@ def test_bench_pairs_refuses_a_side_outside_git(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
     assert err.startswith("error: parent checkout ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value, low", [
+    ("--pairs", "0", 1), ("--pairs", "-3", 1), ("--fault-runs", "-1", 0),
+    ("--trace-runs", "-1", 0), ("--import-runs", "-2", 0)])
+def test_bench_pairs_refuses_a_count_it_cannot_run(tmp_path, capsys, monkeypatch, flag, value,
+                                                   low):
+    # No pair would leave nothing to summarise, and a negative count a report
+    # that claims it: one error line before any run.
+    bench_pairs = load_bench_pairs()
+
+    def run(*args, **kwargs):
+        raise AssertionError("ran")
+
+    for name in ("bench_run", "fig4_run", "verify_run", "import_times", "is_work_tree"):
+        monkeypatch.setattr(bench_pairs, name, run)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main([str(ROOT), str(ROOT), "--workload", "verify", flag, value,
+                             "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == f"error: {flag} must be >= {low}, got {value}\n"
 
 
 def test_bench_pairs_alternates_which_side_runs_first():

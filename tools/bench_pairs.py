@@ -236,6 +236,11 @@ def main(argv=None) -> int:
     ap.add_argument("--import-runs", type=int, default=0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    for flag, low in (("pairs", 1), ("fault_runs", 0), ("trace_runs", 0), ("import_runs", 0)):
+        if (value := getattr(args, flag)) < low:   # a count that runs nothing to summarise
+            print(f"error: --{flag.replace('_', '-')} must be >= {low}, got {value}",
+                  file=sys.stderr)
+            return 1
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in sides.items():
         if not is_work_tree(path):   # describe() records each side's commit
