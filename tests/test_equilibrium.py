@@ -399,16 +399,29 @@ class TestOracle:
         for p, found, pair in zip(games, oracle.n_candidates, roots.T):
             assert found == sum(in_oracle_window(r) for r in pair), p
 
-    @pytest.mark.parametrize("block_rows", [2 * 401, 16])
+    @pytest.mark.parametrize("block_rows", [2 * 401, 16, 2])
     def test_block_size_does_not_change_results(self, monkeypatch, block_rows):
         # 2 * 401 puts two games' 401 probes in each probe block; 16 puts one
-        # game in each and splits the brackets over several bisection blocks.
+        # game in each and splits the brackets over several bisection blocks;
+        # 2 leaves one bracket, and its stacked midpoints, in each block.
         params = draw_reported_equilibria(1730, 20)[0].params
         default = oracle_equilibrium(params)
         monkeypatch.setattr(equilibrium, "ORACLE_BLOCK_ROWS", block_rows)
         blocked = oracle_equilibrium(params)
         for field in ("price", "share", "n_candidates"):
             assert np.array_equal(getattr(blocked, field), getattr(default, field)), field
+
+    def test_root_levels_do_not_change_results(self, monkeypatch):
+        # One level per call is the plain bisection. More levels evaluate the
+        # nested midpoints of several halvings at once and replay the
+        # decisions; 4 does not divide the 30 halvings, so its last call
+        # takes the remaining 2.
+        params = draw_reported_equilibria(1730, 20)[0].params
+        digests = set()
+        for levels in (1, 2, 3, 4):
+            monkeypatch.setattr(equilibrium, "ROOT_LEVELS", levels)
+            digests.add(oracle_digest(oracle_equilibrium(params)))
+        assert len(digests) == 1, digests
 
 
 def oracle_digest(oracle) -> str:
@@ -686,7 +699,10 @@ def test_response_below_is_the_full_search(seed):
     # full search's: the 24-point scan, then all of _bisect_peak's halvings.
     # The chi tried are the probe grid, whose ends 0.01 and 0.99 are scan
     # bracket ends, and the searched best share and the floats either side
-    # of it, where only the last halvings or the final midpoint decide.
+    # of it, where only the last halvings or the final midpoint decide. The
+    # root phase passes its (2^k - 1, games) stacked midpoints with prices
+    # of the same shape and a table of games: here 7 rows, those three and
+    # four probes, given games last and compared transposed.
     t, c, _, price, _ = slice_inputs(seed)
     col = t.take(np.arange(len(t))[:, None])
     window = (0.01, 0.99)
@@ -711,9 +727,13 @@ def test_response_below_is_the_full_search(seed):
             final_lo, final_hi = np.where(rising, mid, final_lo), np.where(rising, final_hi, mid)
         probes = np.linspace(0.01, 0.99, 2000)[np.r_[0:2000:5, 1999]]
         near = np.stack([np.nextafter(searched, 0.0), searched, np.nextafter(searched, 1.0)], 1)
-        outcomes = np.zeros(3, int)
-        for chi in (probes, near):
-            got = _response_below(chi, price[:, None], col, derive_coefficients(col), window)
+        stacked = np.vstack([near.T, np.broadcast_to(probes[[0, 100, 200, 400], None],
+                                                     (4, len(t)))])
+        outcomes, c_col = np.zeros(3, int), derive_coefficients(col)
+        for chi, got in ((probes, _response_below(probes, price[:, None], col, c_col, window)),
+                         (near, _response_below(near, price[:, None], col, c_col, window)),
+                         (stacked.T, _response_below(stacked, np.broadcast_to(
+                             price, stacked.shape), t, c, window).T)):
             assert np.array_equal(got, searched[:, None] - chi < 0.0)
             by_scan = (hi[:, None] < chi) | (lo[:, None] >= chi)
             by_end = (final_lo[:, None] < chi) & (chi <= final_hi[:, None])

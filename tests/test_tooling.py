@@ -177,6 +177,22 @@ def test_bench_pairs_refuses_a_count_it_cannot_run(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err == f"error: {flag} must be >= {low}, got {value}\n"
 
 
+def test_bench_pairs_prints_one_summary_line_per_metric():
+    # Four pairs on a synthetic runs dict: the change wins every items/s pair
+    # and two of the four setup_s pairs, where lower is better.
+    bench_pairs = load_bench_pairs()
+    values = {"parent": [(100.0, 0.010), (110.0, 0.012), (90.0, 0.011), (105.0, 0.013)],
+              "change": [(105.0, 0.011), (120.0, 0.011), (100.0, 0.012), (115.0, 0.012)]}
+    runs = {side: [{"metrics": {"items_per_s": {"value": items}, "setup_s": {"value": setup}}}
+                   for items, setup in side_values] for side, side_values in values.items()}
+    pairs = bench_pairs.summarise(runs, {"items_per_s": "higher", "setup_s": "lower"})
+    assert bench_pairs.summary_lines("verify", pairs) == [
+        "verify items_per_s: change_over_parent_median=1.0732 change_better_pairs=4/4"
+        " parent_iqr=16.25",
+        "verify setup_s: change_over_parent_median=1.0 change_better_pairs=2/4"
+        " parent_iqr=0.0025"]
+
+
 def test_bench_pairs_alternates_which_side_runs_first():
     # Every round runs each side once, the parent first on even rounds, so a
     # load episode lands on both sides rather than on one side's block.

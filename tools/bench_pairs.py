@@ -9,7 +9,9 @@ each checkout, one run after the other (even pairs run the parent first,
 odd pairs the change), and keeps the last line of each run's output, its
 JSON result. For every end-to-end metric of BENCHMARK.json the summary
 gives each side's median and quartiles, the pairs the change wins, the
-median gap and the parent's interquartile range.
+median gap and the parent's interquartile range. After each workload's
+pairs the script prints one line per metric with the change's median over
+the parent's, the pairs the change wins and the parent's interquartile range.
 
 With `--fault-runs N` each checkout also runs `sweep --preset fig4`
 (seed 1729) at n=300 and at n=3000 in N rounds. Each round starts one fresh
@@ -223,6 +225,13 @@ def summarise(runs: dict, metrics: dict) -> dict:
     return out
 
 
+def summary_lines(workload: str, pairs: dict) -> list[str]:
+    """One line per metric of a `summarise` result."""
+    return [f"{workload} {name}: change_over_parent_median={s['change_over_parent_median']}"
+            f" change_better_pairs={s['change_better_pairs']} parent_iqr={s['parent_iqr']:.6g}"
+            for name, s in pairs.items()]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -289,6 +298,8 @@ def main(argv=None) -> int:
                   + " ".join(f"{m}={result['metrics'][m]['value']:.6g}" for m in metrics),
                   flush=True)
         report["workloads"][workload] = {"pairs": summarise(runs, metrics), "runs": runs}
+        print("\n".join(summary_lines(workload, report["workloads"][workload]["pairs"])),
+              flush=True)
         if args.trace_runs:
             traced = {"parent": [], "change": []}
             for i, side in alternating(args.trace_runs):
