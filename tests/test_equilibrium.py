@@ -436,7 +436,8 @@ class TestOracleEquilibrium:
     # Recorded from the oracle that bisected the price slice at every share it
     # probed: searching the markup once per game must keep every bit. Seeds 12
     # and 24 (the sampler seeds of the benchmark's tsm seeds 11 and 23) were
-    # recorded from the oracle that made one root halving per share search.
+    # recorded from the oracle that made one root halving per _response_below
+    # call: deciding several per call must keep every bit too.
     REPORTED = {
         1730: "13863424cef87d84d01479ec509b4daa36eb2e241bc9074b22005526da9881dd",
         8: "e69acfc440e992852985e134c463e71af99ab0ad2f8dd496f8d8f6adf7258158",

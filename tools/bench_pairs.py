@@ -297,9 +297,9 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed} {side}: correct={result['correct']} "
                   + " ".join(f"{m}={result['metrics'][m]['value']:.6g}" for m in metrics),
                   flush=True)
-        report["workloads"][workload] = {"pairs": summarise(runs, metrics), "runs": runs}
-        print("\n".join(summary_lines(workload, report["workloads"][workload]["pairs"])),
-              flush=True)
+        pairs = summarise(runs, metrics)
+        report["workloads"][workload] = {"pairs": pairs, "runs": runs}
+        print("\n".join(summary_lines(workload, pairs)), flush=True)
         if args.trace_runs:
             traced = {"parent": [], "change": []}
             for i, side in alternating(args.trace_runs):
