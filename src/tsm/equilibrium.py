@@ -14,13 +14,15 @@ is reported. `solve_share` is that solver; `stackelberg_solve` runs it and
 the equilibrium scenario kernel on a batch of one.
 
 `oracle_equilibrium` is an independent check: it knows nothing about the
-closed forms. It finds each best response by bisecting the forward-mode
-slope (exact, in real arithmetic) of a payoff slice, the payoff with the other
-player's move fixed and its fixed terms computed once (R*s^e1 - K*s^e2 in
-share, the log payoff above break-even in price), and the equilibria as fixed
-points of the two best-response maps; the share moves the price slice by a
-constant only, so the best price's markup over break-even is searched once a
-game. Closed forms are checked against it in the tests and in `tsm verify`.
+closed forms. It reads each best response from the forward-mode slope (exact,
+in real arithmetic) of a payoff slice, the payoff with the other player's move
+fixed and its fixed terms computed once (R*s^e1 - K*s^e2 in share, the log
+payoff above break-even in price), and finds the equilibria as fixed points of
+the two best-response maps. The share moves the price slice by a constant
+only, so the best price's markup over break-even is bisected once a game; the
+share slope changes sign at most once, so its signs at chi and at the window's
+ends place the best share on one side of chi. Closed forms are checked against
+it in the tests and in `tsm verify`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .core import (
     _cloud_share_slice,
     _log_demand_reduced,
     _provider_payoff_arr,
-    _share_payoff,
     check_feasibility,
     check_point,
     derive_coefficients,
@@ -227,10 +228,8 @@ def stackelberg_solve(params: MarketParams) -> EquilibriumResult:
 # ---------------------------------------------------------------------------
 
 ORACLE_BLOCK_ROWS = 1 << 15   # (game, share) pairs searched at once; bounds memory
-PEAK_HALVINGS = 60            # to the float nearest a peak, or until chi's side is known
+PEAK_HALVINGS = 60            # to the float nearest a peak
 ROOT_HALVINGS = 30            # fixed points: a probe spacing down to about 1e-12
-ROOT_LEVELS = 3               # root halvings decided per `_response_below` call
-SHARE_SCAN = 24
 ORACLE_MIN_GRID_N = 100
 
 
@@ -337,34 +336,13 @@ def _price_markup(t: ParamTable, c: Coefficients):
 
 def _response_below(chi, price, t: ParamTable, c: Coefficients, window) -> np.ndarray:
     """Whether the platform's best share in `window` at `price` lies below chi. The
-    payoff in share is single-peaked, monotone, or dips to one interior minimum, so a
-    24-point scan brackets the best share for `_bisect_peak`'s halvings. Their nested
-    brackets hold the share it returns, so a pair is decided once its bracket excludes
-    chi, and stays decided if halved on: pairs with lo < chi <= hi and their slice's
-    terms are compacted once at least half are decided, until none is open."""
-    terms, payoff = _cloud_share_slice(price, t, c)
-    scan = np.linspace(*window, SHARE_SCAN)
-    best, top = 0, payoff(scan[0])
-    for j in range(1, SHARE_SCAN):
-        pay = payoff(scan[j])
-        best, top = np.where(pay > top, j, best), np.maximum(pay, top)
-    shape = np.broadcast_shapes(top.shape, np.shape(chi))
-    lo, hi, x, *terms = (np.broadcast_to(v, shape).ravel() for v in (
-        scan[np.maximum(best - 1, 0)], scan[np.minimum(best + 1, SHARE_SCAN - 1)], chi, *terms))
-    below, live = np.empty(x.size, bool), np.arange(x.size)
-    for _ in range(PEAK_HALVINGS):
-        undecided = (lo < x) & (x <= hi)
-        if 2 * (n_open := np.count_nonzero(undecided)) <= live.size:
-            below[live] = hi < x
-            keep = np.nonzero(undecided)[0]
-            live, lo, hi, x, *terms = (v[keep] for v in (live, lo, hi, x, *terms))
-        if not n_open:
-            break
-        mid = 0.5 * (lo + hi)
-        rising = _share_payoff(*terms)(_Slope(mid, 1.0)).d > 0.0
-        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
-    below[live] = 0.5 * (lo + hi) - x < 0.0
-    return below.reshape(shape)
+    payoff R*s^e1 - K*s^e2 in share has the slope s^(e1-1) * (e1*R - e2*K*s^(e2-e1)),
+    whose sign changes at most once. Where it dips (falls at the window's lower end and
+    rises at its upper end), the better end is the best share; elsewhere the best share
+    lies on the side of chi that the exact slope at chi points to."""
+    payoff = _cloud_share_slice(price, t, c)[1]
+    lower, upper, at = (payoff(_Slope(s, 1.0)) for s in (*window, chi))
+    return np.where((lower.d < 0.0) & (upper.d > 0.0), lower.v > upper.v, at.d < 0.0)
 
 
 def _blocks(n: int, width: int) -> list[slice]:
@@ -387,15 +365,11 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window):
     Every sign change of the defect (`_response_below` finds only its sign)
     between neighbouring probes becomes one bracket. The probes run in
     blocks of games, then all brackets are bisected together, in blocks of
-    brackets. Each `_response_below` call takes all 2^k - 1 midpoints that
-    k = ROOT_LEVELS halvings could visit, each from its parent bracket as
-    one halving computes it, and replays the k decisions. Clamping the
-    response to the window only fabricates crossings at its edges, which
-    the interior filter drops. Where the platform payoff underflows over
-    the whole share scan, the response falls to the window's lower edge and
-    the defect changes sign where no fixed point is; such a candidate's
-    payoff is below the smallest normal float, far below any true root's,
-    and is dropped too.
+    brackets. Clamping the response to the window only fabricates crossings
+    at its edges, which the interior filter drops. Where the platform payoff
+    underflows, its slope's sign can be lost and the defect can change sign
+    where no fixed point is; such a candidate's payoff is below the smallest
+    normal float, far below any true root's, and is dropped too.
     """
     found = [(np.empty(0, int), np.empty(0, int), np.empty(0, bool))]
     markup = np.empty(len(t))
@@ -408,22 +382,14 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window):
         found.append((case + rows.start, j, negative[case, j]))
     case, j, lo_negative = (np.concatenate(v) for v in zip(*found))
     chi, price, pay = np.empty((3, case.size))
-    for b in _blocks(case.size, 2 ** ROOT_LEVELS - 1):
+    for b in _blocks(case.size, 1):
         c = derive_coefficients(sub := t.take(case[b]))
         sub_markup, lo, hi = markup[case[b]], probes[j[b]], probes[j[b] + 1]
-        r = np.arange(lo.size)
-        for done in range(0, ROOT_HALVINGS, ROOT_LEVELS):
-            # Node i's bracket halves to node 2i+1 (the lower half) or 2i+2.
-            lo, hi, mids = lo[None], hi[None], []
-            for _ in range(levels := min(ROOT_LEVELS, ROOT_HALVINGS - done)):
-                mids.append(mid := 0.5 * (lo + hi))
-                lo, hi = (np.stack(v, 1).reshape(-1, r.size) for v in ((lo, mid), (mid, hi)))
-            mid = np.concatenate(mids)
-            to_lo, node = _response_below(mid, sub.f_c / (1.0 - mid) * sub_markup, sub, c,
-                                          window) == lo_negative[b], 0
-            for _ in range(levels):
-                node = 2 * node + 1 + to_lo[node, r]
-            lo, hi = lo[node - mid.shape[0], r], hi[node - mid.shape[0], r]
+        for _ in range(ROOT_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            price_mid = sub.f_c / (1.0 - mid) * sub_markup
+            to_lo = _response_below(mid, price_mid, sub, c, window) == lo_negative[b]
+            lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
         chi[b] = 0.5 * (lo + hi)
         price[b] = sub.f_c / (1.0 - chi[b]) * sub_markup
         pay[b] = _cloud_payoff_arr(price[b], chi[b], sub, c)
@@ -447,13 +413,13 @@ def oracle_equilibrium(t: ParamTable, grid_n: int = 2000) -> OracleEquilibrium:
 
     The sign of the best-response defect (the platform's best share against
     the provider's best price at chi, break-even times a markup bisected once
-    per game, less chi) is found at about 385 probes of the grid, each share
-    bisected only until its side of chi is known; its sign changes are
-    bisected to fixed points, ROOT_LEVELS halvings per share search, and the
-    platform-payoff-maximizing interior fixed point is returned. Without
-    one, the grid share maximizing the platform payoff along the follower-
-    response curve is returned (the boundary cell for degenerate inputs,
-    e.g. f_s = 0). Games run in blocks, so memory does not grow with them.
+    per game, less chi) is found at about 385 probes of the grid from the
+    share slope's sign (`_response_below`); its sign changes are bisected to
+    fixed points, and the platform-payoff-maximizing interior fixed point is
+    returned. Without one, the grid share maximizing the platform payoff
+    along the follower-response curve is returned (the boundary cell for
+    degenerate inputs, e.g. f_s = 0). Games run in blocks, so memory does
+    not grow with them.
     """
     if not isinstance(t, ParamTable):
         raise TypeError(f"oracle_equilibrium takes a ParamTable, got {type(t).__name__};"

@@ -403,25 +403,13 @@ class TestOracle:
     def test_block_size_does_not_change_results(self, monkeypatch, block_rows):
         # 2 * 401 puts two games' 401 probes in each probe block; 16 puts one
         # game in each and splits the brackets over several bisection blocks;
-        # 2 leaves one bracket, and its stacked midpoints, in each block.
+        # 2 leaves one bracket in each block.
         params = draw_reported_equilibria(1730, 20)[0].params
         default = oracle_equilibrium(params)
         monkeypatch.setattr(equilibrium, "ORACLE_BLOCK_ROWS", block_rows)
         blocked = oracle_equilibrium(params)
         for field in ("price", "share", "n_candidates"):
             assert np.array_equal(getattr(blocked, field), getattr(default, field)), field
-
-    def test_root_levels_do_not_change_results(self, monkeypatch):
-        # One level per call is the plain bisection. More levels evaluate the
-        # nested midpoints of several halvings at once and replay the
-        # decisions; 4 does not divide the 30 halvings, so its last call
-        # takes the remaining 2.
-        params = draw_reported_equilibria(1730, 20)[0].params
-        digests = set()
-        for levels in (1, 2, 3, 4):
-            monkeypatch.setattr(equilibrium, "ROOT_LEVELS", levels)
-            digests.add(oracle_digest(oracle_equilibrium(params)))
-        assert len(digests) == 1, digests
 
 
 def oracle_digest(oracle) -> str:
@@ -436,8 +424,9 @@ class TestOracleEquilibrium:
     # Recorded from the oracle that bisected the price slice at every share it
     # probed: searching the markup once per game must keep every bit. Seeds 12
     # and 24 (the sampler seeds of the benchmark's tsm seeds 11 and 23) were
-    # recorded from the oracle that made one root halving per _response_below
-    # call: deciding several per call must keep every bit too.
+    # recorded from the oracle that bisected each best share until its side of
+    # chi was known. All four were recorded before the best share's side was
+    # read from the share slope's signs, and hold with it.
     REPORTED = {
         1730: "13863424cef87d84d01479ec509b4daa36eb2e241bc9074b22005526da9881dd",
         8: "e69acfc440e992852985e134c463e71af99ab0ad2f8dd496f8d8f6adf7258158",
@@ -695,51 +684,43 @@ def test_price_markup_is_the_search_at_every_share(seed):
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_response_below_is_the_full_search(seed):
-    # The oracle reads only the sign of best share minus chi, and stops each
-    # share's bisection once its bracket excludes chi. That sign must be the
+    # The oracle reads only the sign of best share minus chi, from the share
+    # slope's signs at chi and at the window's ends. That sign must be the
     # full search's: the 24-point scan, then all of _bisect_peak's halvings.
-    # The chi tried are the probe grid, whose ends 0.01 and 0.99 are scan
-    # bracket ends, and the searched best share and the floats either side
-    # of it, where only the last halvings or the final midpoint decide. The
-    # root phase passes its (2^k - 1, games) stacked midpoints with prices
-    # of the same shape and a table of games: here 7 rows, those three and
-    # four probes, given games last and compared transposed.
+    # The chi tried are the probe grid strictly inside the window: where a
+    # slice rises or falls across the window, the best share is an end, and
+    # at chi equal to that end the two searches break the tie differently.
+    # Rows are compared where the scan's best payoff is finite, a normal
+    # float and above the scan's worst: where the payoff underflows or rounds
+    # to one value, the scan does not find the best share (the oracle drops
+    # such candidates by their payoff). The probes run as the oracle's probe
+    # phase passes them, a row of shares against a column of games, and as
+    # its root phase does, one share per game.
     t, c, _, price, _ = slice_inputs(seed)
     col = t.take(np.arange(len(t))[:, None])
     window = (0.01, 0.99)
     payoff, scan = _cloud_share_slice(price, t, c)[1], np.linspace(*window, 24)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        best, top = 0, payoff(scan[0])
+        best, top, bottom = 0, payoff(scan[0]), payoff(scan[0])
         for j in range(1, 24):
             pay = payoff(scan[j])
             best, top = np.where(pay > top, j, best), np.maximum(pay, top)
+            bottom = np.minimum(pay, bottom)
         lo, hi = scan[np.maximum(best - 1, 0)], scan[np.minimum(best + 1, 23)]
-        halvings = []
-
-        def recording(z):
-            slope = payoff(z)
-            halvings.append(slope.d > 0.0)
-            return slope
-
-        searched = _bisect_peak(recording, lo, hi)
-        final_lo, final_hi = lo, hi
-        for rising in halvings:
-            mid = 0.5 * (final_lo + final_hi)
-            final_lo, final_hi = np.where(rising, mid, final_lo), np.where(rising, final_hi, mid)
-        probes = np.linspace(0.01, 0.99, 2000)[np.r_[0:2000:5, 1999]]
-        near = np.stack([np.nextafter(searched, 0.0), searched, np.nextafter(searched, 1.0)], 1)
-        stacked = np.vstack([near.T, np.broadcast_to(probes[[0, 100, 200, 400], None],
-                                                     (4, len(t)))])
-        outcomes, c_col = np.zeros(3, int), derive_coefficients(col)
-        for chi, got in ((probes, _response_below(probes, price[:, None], col, c_col, window)),
-                         (near, _response_below(near, price[:, None], col, c_col, window)),
-                         (stacked.T, _response_below(stacked, np.broadcast_to(
-                             price, stacked.shape), t, c, window).T)):
-            assert np.array_equal(got, searched[:, None] - chi < 0.0)
-            by_scan = (hi[:, None] < chi) | (lo[:, None] >= chi)
-            by_end = (final_lo[:, None] < chi) & (chi <= final_hi[:, None])
-            outcomes += by_scan.sum(), (~by_scan & ~by_end).sum(), by_end.sum()
-    assert np.all(outcomes > 0), outcomes
+        searched = _bisect_peak(payoff, lo, hi)
+        probes = np.linspace(0.01, 0.99, 2000)[np.r_[5:1995:5]]
+        got = _response_below(probes, price[:, None], col, derive_coefficients(col), window)
+        one = probes[np.arange(len(t)) % probes.size]
+        got_one = _response_below(one, price, t, c, window)
+        lower, upper = (payoff(_Slope(np.full(len(t), s), 1.0)) for s in window)
+    rows = np.isfinite(top) & (np.abs(top) >= np.finfo(float).tiny) & (top > bottom)
+    assert rows.sum() > 1900
+    assert np.array_equal(got[rows], (searched[:, None] - probes < 0.0)[rows])
+    assert np.array_equal(got_one[rows], (searched - one < 0.0)[rows])
+    dip = (lower.d < 0.0) & (upper.d > 0.0)
+    cases = [dip & (lower.v > upper.v), (lower.d > 0.0) & (upper.d < 0.0),
+             (lower.d > 0.0) & (upper.d > 0.0), (lower.d < 0.0) & (upper.d < 0.0)]
+    assert all(np.any(case[rows]) for case in cases)
 
 
 # The oracle's probes are 2000 // 384 = 5 steps apart on its default
