@@ -723,6 +723,33 @@ def test_response_below_is_the_full_search(seed):
     assert all(np.any(case[rows]) for case in cases)
 
 
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_response_below_in_a_dip_is_the_better_end(seed):
+    # Where the share payoff falls at the window's lower end and rises at its
+    # upper end, its slope's one sign change is a minimum, so a dense scan of
+    # the window finds its best share at one of the ends, and the response
+    # must follow that end at every interior chi. The slope's sign at chi
+    # alone points away from the minimum, so it must disagree somewhere.
+    t, c, _, price, _ = slice_inputs(seed)
+    window = (0.01, 0.99)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lower, upper = (_cloud_share_slice(price, t, c)[1](_Slope(np.full(len(t), s), 1.0))
+                        for s in window)
+        dip = np.flatnonzero((lower.d < 0.0) & (upper.d > 0.0))
+        g = t.take(dip[:, None])
+        cg, pg, scan = derive_coefficients(g), price[dip, None], np.linspace(*window, 2001)
+        payoff = _cloud_share_slice(pg, g, cg)[1]
+        pay = payoff(scan)
+        best, probes = scan[np.argmax(pay, 1)], scan[1:-1]
+        got = _response_below(probes, pg, g, cg, window)
+        by_slope = payoff(_Slope(probes, 1.0)).d < 0.0
+    assert dip.size > 10 and np.isfinite(pay).all()
+    assert np.all((best == window[0]) | (best == window[1]))
+    assert np.any(best == window[0]) and np.any(best == window[1])
+    assert np.array_equal(got, best[:, None] < probes)
+    assert np.any(by_slope != got)
+
+
 # The oracle's probes are 2000 // 384 = 5 steps apart on its default
 # 2000-point grid over [0.01, 0.99]; fixed points within one probe spacing
 # of either end are not reported.
