@@ -406,16 +406,31 @@ class PropertyResult(NamedTuple):
     detail: str
 
 
+def verify_columns(spec: PopulationSpec, alpha: np.ndarray, gens, out: np.ndarray):
+    """verify's beta, gamma, phi and k1 at alpha draws, drawn in turn into the rows of `out`
+    from `gens` as `uniform` draws them, and the rows where check_feasibility's f2 holds."""
+    def draw(g, column, low, high):   # low + (high - low) * u, in place
+        np.add(np.multiply(g.random(out=column), high - low, out=column), low, out=column)
+    beta, gamma, a1, a2 = out   # a1 and a2 take phi's and k1's rows until those are drawn
+    draw(gens[0], beta, 0.0, 1.0)
+    draw(gens[1], gamma, spec.gamma_min, spec.gamma_max)
+    beta /= np.clip(alpha, 1e-9, None, out=a1)   # alpha > 0 in band
+    np.subtract(gamma, np.multiply(alpha, spec.psi, out=a1), out=a1)
+    np.subtract(1.0, np.multiply(alpha, beta, out=a2), out=a2)
+    rows = np.flatnonzero(np.divide(a1, a2, out=a1) > 1.0)
+    draw(gens[2], a1, *AXIS_RANGES[AXIS_PHI])
+    draw(gens[3], a2, spec.k1_min, spec.k1_max)
+    return out, rows
+
+
 def verify_games(spec: PopulationSpec, price: np.ndarray, alpha: np.ndarray,
-                 gens) -> tuple[core.ParamTable, np.ndarray]:
-    """verify's games at price and alpha draws, with beta, gamma, phi and k1 drawn in
-    turn from the four generators `gens`, and the mask of those in band with phi > 0."""
-    (g_beta, g_gamma, g_phi, g_k1), n = gens, len(alpha)
-    beta = g_beta.uniform(0.0, 1.0, n) / np.clip(alpha, 1e-9, None)   # alpha > 0 in band
+                 columns) -> tuple[core.ParamTable, np.ndarray]:
+    """verify's games at price and alpha draws and their `verify_columns`, and
+    the mask of those in band with phi > 0."""
+    beta, gamma, phi, k1 = columns
     t = core.ParamTable.from_columns(
-        alpha=alpha, beta=beta, gamma=g_gamma.uniform(spec.gamma_min, spec.gamma_max, n),
-        psi=spec.psi, phi=g_phi.uniform(*AXIS_RANGES[AXIS_PHI], n), k2=spec.k2, f_s=spec.f_s,
-        p_s=spec.p_s, k1=g_k1.uniform(spec.k1_min, spec.k1_max, n), f_c=spec.f_c_factor * price)
+        alpha=alpha, beta=beta, gamma=gamma, psi=spec.psi, phi=phi, k2=spec.k2, f_s=spec.f_s,
+        p_s=spec.p_s, k1=k1, f_c=spec.f_c_factor * price)
     return t, spec.in_bands(price, alpha, beta) & (t.phi > 0.0)
 
 
@@ -428,7 +443,8 @@ def sample_table_params(rng: np.random.Generator, n: int) -> core.ParamTable:
         price = rng.normal(spec.price_mean, spec.price_sd, m)
         alpha = rng.normal(spec.alpha_mean, spec.alpha_sd, m)
         ok = spec.in_bands(price, alpha)   # sets how many uniforms follow
-        t, keep = verify_games(spec, price[ok], alpha[ok], (rng,) * 4)
+        columns, _ = verify_columns(spec, alpha[ok], (rng,) * 4, np.empty((4, ok.sum())))
+        t, keep = verify_games(spec, price[ok], alpha[ok], columns)
         parts.append(t.take(np.flatnonzero(keep)[:n - got]))
     table = core.ParamTable.concat(parts)
     core.check_domain(table)
@@ -484,13 +500,14 @@ def draw_reported_equilibria(seed: int, count: int):
     columns of one word per draw. So once a batch's normals end, each of its
     uniform columns, and the next batch, starts at a known word of the Philox
     stream. One helper thread draws the next batch's normals while this one
-    draws the uniform columns block by block through `verify_games`, and keeps
-    in draw order, up to the count, the rows in band with a share root.
+    draws a block's uniform columns into one buffer (`verify_columns`) and keeps
+    in draw order, up to the count, its f2 rows in band with a share root.
     Returns (the equilibrium-mode two_sided Outcome of the kept games, n_drawn)."""
     spec, m = PopulationSpec(), SAMPLER_BATCH
     bands = ((spec.price_mean, spec.price_sd), (spec.alpha_mean, spec.alpha_sd))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     normals = [np.empty((2, m)) for _ in range(2)]   # per parity; one 6.4 MB block: see README
+    block = np.empty((4, equilibrium.ORACLE_BLOCK_ROWS))   # verify_columns' out
     kept, got, drawn = [core.ParamTable.from_params([])], 0, 0   # concat needs one table
     while got < count and drawn < MAX_DRAWS:
         if not drawn:   # later batches' normals come from the helper
@@ -509,11 +526,12 @@ def draw_reported_equilibria(seed: int, count: int):
             helper = _Helper(target=_draw_normals, args=(rng, normals[drawn // m % 2], bands))
             helper.start()
         try:
-            for b in equilibrium._blocks(m, 1):   # bounds the block's temporaries
-                t, ok = verify_games(spec, price[b], alpha[b], gens)
+            for b in equilibrium._blocks(m, 1):
                 with np.errstate(divide="ignore", invalid="ignore"):   # out of band: f_c <= 0, a2 = 0
+                    columns, rows = verify_columns(spec, alpha[b], gens, block[:, :alpha[b].size])
+                    t, ok = verify_games(spec, price[b][rows], alpha[b][rows], columns[:, rows])
                     ok &= equilibrium.has_share_root(t)
-                kept.append(t.take(np.nonzero(ok)[0][:count - got]))
+                kept.append(t.take(np.flatnonzero(ok)[:count - got]))
                 if (got := got + len(kept[-1])) == count:
                     break
         finally:

@@ -48,6 +48,7 @@ from .core import (
 )
 
 SHARE_EPS = 1e-9     # roots are sought on [SHARE_EPS, 1 - SHARE_EPS]
+_END_LOGS = [(np.log(chi), np.log1p(-chi)) for chi in np.float64([SHARE_EPS, 1.0 - SHARE_EPS])]
 HALVINGS = 44        # shrinks a unit bracket below 1e-13, inside the 1e-10 contract
 NEWTON_STEPS = 3
 
@@ -122,14 +123,15 @@ def _share_gap(chi, exp_a, exp_b, log_c):
 
 def _share_brackets(exp_a, exp_b, log_c):
     """The two brackets' ends (SHARE_EPS, m, 1 - SHARE_EPS) and the log form's
-    gaps there, both (3, n), and whether each bracket changes sign, (2, n).
-    With A < 0 the form falls up to m = A/(A+B), its only minimum, when B < 0,
-    and everywhere (m = 1 - SHARE_EPS) otherwise: one root per bracket at most."""
+    gaps there (logs only at m), both (3, n), and whether each bracket changes
+    sign, (2, n). With A < 0 the form falls up to m = A/(A+B), its only minimum,
+    when B < 0, and everywhere (m = 1 - SHARE_EPS) otherwise: one root per bracket at most."""
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(exp_b < 0.0, np.clip(exp_a / (exp_a + exp_b), SHARE_EPS,
                                           1.0 - SHARE_EPS), 1.0 - SHARE_EPS)
     ends = np.stack([np.full_like(m, SHARE_EPS), m, np.full_like(m, 1.0 - SHARE_EPS)])
-    gap = _share_gap(ends, exp_a, exp_b, log_c)
+    at_lo, at_hi = (exp_a * log_chi + exp_b * log_1m - log_c for log_chi, log_1m in _END_LOGS)
+    gap = np.stack([at_lo, _share_gap(m, exp_a, exp_b, log_c), at_hi])
     # A non-finite constant makes both gaps +inf or NaN: no sign change. Signs
     # are compared, not multiplied: a product of huge gaps overflows, and one
     # of tiny gaps underflows to 0 and hides the change.
@@ -171,7 +173,7 @@ def _share_roots(exp_a, exp_b, log_c) -> np.ndarray:
 
 def has_share_root(t: ParamTable) -> np.ndarray:
     """Per row of `t`, whether `solve_share` reports an equilibrium: f1-f3
-    hold and a bracket changes sign. Three gaps a row, no bisection."""
+    hold and a bracket changes sign. One gap's logarithms a row, no bisection."""
     ok = check_feasibility(t).all_ok
     solved = t.take(rows := np.nonzero(ok)[0])
     equation = _share_equation_columns(solved, derive_coefficients(solved))

@@ -608,15 +608,33 @@ class TestReportedEquilibriaSampler:
         assert (drawn, *sampler_digests(out)) == self.COUNTS[count]
 
     def test_draws_without_warnings(self):
-        # Every raw draw of a block reaches has_share_root, out-of-band ones too.
+        # Every raw draw of a block reaches the f2 test, out-of-band ones too,
+        # and every f2 row reaches has_share_root.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cli.draw_reported_equilibria(1730, 200)
 
+    def test_raw_column_f2_is_check_feasibilitys(self):
+        # The f2 rows that verify_columns finds among the raw draws, out-of-band
+        # rows included, are check_feasibility's on the games built from them.
+        spec, m = population.PopulationSpec(), cli.SAMPLER_BATCH
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1730)))
+        price = rng.normal(spec.price_mean, spec.price_sd, m)
+        alpha = rng.normal(spec.alpha_mean, spec.alpha_sd, m)
+        assert (price <= 0.0).any() and (alpha <= 0.0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            columns, rows = cli.verify_columns(spec, alpha, (rng,) * 4, np.empty((4, m)))
+            t, _ = cli.verify_games(spec, price, alpha, columns)
+            f2 = core.check_feasibility(t).f2_price_max
+        assert 0 < rows.size < m
+        assert np.array_equal(rows, np.flatnonzero(f2))
+
     def test_traced_memory_peak_is_bounded(self):
         # A batch is filtered in one pass over blocks, so the peak is the
-        # two batches' normal columns plus one block's temporaries: about
-        # 9.8 MB, where solving whole batches peaked at 28.8 MB.
+        # two batches' normal columns, the 1 MB block buffer and the
+        # temporaries of one block's f2 rows: about 9.1 MB (9.9 MB in a fresh
+        # process), where solving whole batches peaked at 28.8 MB.
         tracemalloc.start()
         try:
             cli.draw_reported_equilibria(1730, 200)

@@ -39,6 +39,7 @@ from tsm.equilibrium import (
     _response_below,
     _share_brackets,
     _share_equation_columns,
+    _share_gap,
     _share_roots,
     _Slope,
     first_order_residuals,
@@ -528,6 +529,24 @@ class TestHasShareRoot:
             share = solve_share(t)[1, 0]
             result = stackelberg_solve(params)
         assert found == (not math.isnan(share)) == result.feasible
+
+    @pytest.mark.parametrize("games", ["sampler batch", "edge games"])
+    def test_end_gaps_are_the_elementwise_gaps(self, games):
+        # _share_brackets takes the logs at SHARE_EPS and 1 - SHARE_EPS once,
+        # as numpy scalars; the gaps there must be _share_gap's, bit for bit.
+        if games == "sampler batch":
+            t = sampler_batch(1730)
+            t = t.take(np.flatnonzero(check_feasibility(t).all_ok))
+        else:
+            t = edge_games()
+        with np.errstate(all="ignore"):   # the edge games' equation is meaningless off f1
+            equation = _share_equation_columns(t, derive_coefficients(t))
+            ends, gap, _ = _share_brackets(*equation)
+            stacked = np.stack([np.full(len(t), SHARE_EPS), ends[1],
+                                np.full(len(t), 1.0 - SHARE_EPS)])
+            expected = _share_gap(stacked, *equation)
+        assert ends.tobytes() == stacked.tobytes()
+        assert gap.tobytes() == expected.tobytes()
 
     def test_matches_the_solver_at_the_edges(self):
         t = edge_games()
