@@ -526,12 +526,12 @@ def draw_reported_equilibria(seed: int, count: int):
             helper = _Helper(target=_draw_normals, args=(rng, normals[drawn // m % 2], bands))
             helper.start()
         try:
-            for b in equilibrium._blocks(m, 1):
+            for b in equilibrium._blocks(m, 1):   # bounds the block's temporaries
                 with np.errstate(divide="ignore", invalid="ignore"):   # out of band: f_c <= 0, a2 = 0
                     columns, rows = verify_columns(spec, alpha[b], gens, block[:, :alpha[b].size])
                     t, ok = verify_games(spec, price[b][rows], alpha[b][rows], columns[:, rows])
                     ok &= equilibrium.has_share_root(t)
-                kept.append(t.take(np.flatnonzero(ok)[:count - got]))
+                kept.append(t.take(np.nonzero(ok)[0][:count - got]))
                 if (got := got + len(kept[-1])) == count:
                     break
         finally:
