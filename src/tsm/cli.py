@@ -406,31 +406,35 @@ class PropertyResult(NamedTuple):
     detail: str
 
 
+def _uniform(u, low, high):   # `Generator.uniform`'s low + (high - low) * u, in place
+    return np.add(np.multiply(u, high - low, out=u), low, out=u)
+
+
 def verify_columns(spec: PopulationSpec, alpha: np.ndarray, gens, out: np.ndarray):
-    """verify's beta, gamma, phi and k1 at alpha draws, drawn in turn into the rows of `out`
-    from `gens` as `uniform` draws them, and the rows where check_feasibility's f2 holds."""
-    def draw(g, column, low, high):   # low + (high - low) * u, in place
-        np.add(np.multiply(g.random(out=column), high - low, out=column), low, out=column)
+    """verify's beta and gamma at alpha draws as `uniform` draws them and the words of its phi
+    and k1, in turn into the rows of `out` from `gens`, and the rows where f2 holds."""
     beta, gamma, a1, a2 = out   # a1 and a2 take phi's and k1's rows until those are drawn
-    draw(gens[0], beta, 0.0, 1.0)
-    draw(gens[1], gamma, spec.gamma_min, spec.gamma_max)
+    gens[0].random(out=beta)   # uniform(0, 1) draws are their words
+    _uniform(gens[1].random(out=gamma), spec.gamma_min, spec.gamma_max)
     beta /= np.clip(alpha, 1e-9, None, out=a1)   # alpha > 0 in band
     np.subtract(gamma, np.multiply(alpha, spec.psi, out=a1), out=a1)
     np.subtract(1.0, np.multiply(alpha, beta, out=a2), out=a2)
-    rows = np.flatnonzero(np.divide(a1, a2, out=a1) > 1.0)
-    draw(gens[2], a1, *AXIS_RANGES[AXIS_PHI])
-    draw(gens[3], a2, spec.k1_min, spec.k1_max)
+    with np.errstate(divide="ignore", invalid="ignore"):   # out of band: a2 = 0
+        rows = np.flatnonzero(np.divide(a1, a2, out=a1) > 1.0)   # check_feasibility's f2
+    gens[2].random(out=a1)
+    gens[3].random(out=a2)
     return out, rows
 
 
 def verify_games(spec: PopulationSpec, price: np.ndarray, alpha: np.ndarray,
                  columns) -> tuple[core.ParamTable, np.ndarray]:
-    """verify's games at price and alpha draws and their `verify_columns`, and
-    the mask of those in band with phi > 0."""
+    """verify's games at price and alpha draws and their `verify_columns`, phi and k1 taken
+    to their ranges in place, and the mask of those in band with phi > 0."""
     beta, gamma, phi, k1 = columns
     t = core.ParamTable.from_columns(
-        alpha=alpha, beta=beta, gamma=gamma, psi=spec.psi, phi=phi, k2=spec.k2, f_s=spec.f_s,
-        p_s=spec.p_s, k1=k1, f_c=spec.f_c_factor * price)
+        alpha=alpha, beta=beta, gamma=gamma, psi=spec.psi, k2=spec.k2, f_s=spec.f_s, p_s=spec.p_s,
+        phi=_uniform(phi, *AXIS_RANGES[AXIS_PHI]), k1=_uniform(k1, spec.k1_min, spec.k1_max),
+        f_c=spec.f_c_factor * price)
     return t, spec.in_bands(price, alpha, beta) & (t.phi > 0.0)
 
 
@@ -518,19 +522,17 @@ def draw_reported_equilibria(seed: int, count: int):
         gens = (rng, *(_philox_ahead(at, c * m) for c in (1, 2, 3)))
         helper = None
         if drawn < MAX_DRAWS:
-            # Only numpy RNG code runs on the helper (perfbench's Tracer is not
-            # thread-safe), and it is joined before the next one starts. This
-            # thread seldom waits at the join, so it is the critical path;
-            # moving more work over would also cost a buffer of RSS.
+            # Only numpy RNG code runs on the helper (perfbench's Tracer is not thread-safe),
+            # joined before the next starts. This thread waits 0.2-8 ms at the joins of a
+            # 120-160 ms call, so it is the critical path; moving work over would cost RSS.
             rng = _philox_ahead(at, 4 * m)
             helper = _Helper(target=_draw_normals, args=(rng, normals[drawn // m % 2], bands))
             helper.start()
         try:
             for b in equilibrium._blocks(m, 1):   # bounds the block's temporaries
-                with np.errstate(divide="ignore", invalid="ignore"):   # out of band: f_c <= 0, a2 = 0
-                    columns, rows = verify_columns(spec, alpha[b], gens, block[:, :alpha[b].size])
-                    t, ok = verify_games(spec, price[b][rows], alpha[b][rows], columns[:, rows])
-                    ok &= equilibrium.has_share_root(t)
+                columns, rows = verify_columns(spec, alpha[b], gens, block[:, :alpha[b].size])
+                t, ok = verify_games(spec, price[b][rows], alpha[b][rows], columns.take(rows, 1))
+                ok &= equilibrium.has_share_root(t)
                 kept.append(t.take(np.nonzero(ok)[0][:count - got]))
                 if (got := got + len(kept[-1])) == count:
                     break

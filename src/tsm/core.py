@@ -204,9 +204,9 @@ class FeasibilityReport(NamedTuple):
     all_ok: bool
 
 
-def check_feasibility(params: MarketParams | ParamTable) -> FeasibilityReport:
-    """Evaluate the three best-response existence conditions, elementwise (numpy bools)."""
-    c = derive_coefficients(params)
+def check_feasibility(params: MarketParams | ParamTable, c=None) -> FeasibilityReport:
+    """The three existence conditions f1-f3, elementwise (numpy bools), at coefficients `c`."""
+    c = derive_coefficients(params) if c is None else c
     a1, a2 = np.asarray(c.a1), np.asarray(c.a2)
     # a1 == a2 would make the price formula divide by zero; treat as failed.
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -122,21 +122,20 @@ def _share_gap(chi, exp_a, exp_b, log_c):
 
 
 def _share_brackets(exp_a, exp_b, log_c):
-    """The two brackets' ends (SHARE_EPS, m, 1 - SHARE_EPS) and the log form's
-    gaps there (logs only at m), both (3, n), and whether each bracket changes
+    """The log form's minimum m, its gaps at SHARE_EPS, m and 1 - SHARE_EPS
+    (logs only at m), (3, n), and whether each bracket between them changes
     sign, (2, n). With A < 0 the form falls up to m = A/(A+B), its only minimum,
     when B < 0, and everywhere (m = 1 - SHARE_EPS) otherwise: one root per bracket at most."""
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(exp_b < 0.0, np.clip(exp_a / (exp_a + exp_b), SHARE_EPS,
                                           1.0 - SHARE_EPS), 1.0 - SHARE_EPS)
-    ends = np.stack([np.full_like(m, SHARE_EPS), m, np.full_like(m, 1.0 - SHARE_EPS)])
     at_lo, at_hi = (exp_a * log_chi + exp_b * log_1m - log_c for log_chi, log_1m in _END_LOGS)
     gap = np.stack([at_lo, _share_gap(m, exp_a, exp_b, log_c), at_hi])
     # A non-finite constant makes both gaps +inf or NaN: no sign change. Signs
     # are compared, not multiplied: a product of huge gaps overflows, and one
     # of tiny gaps underflows to 0 and hides the change.
     lo, hi = gap[:-1], gap[1:]
-    return ends, gap, (exp_a < 0.0) & (((lo < 0.0) & (hi > 0.0)) | ((lo > 0.0) & (hi < 0.0)))
+    return m, gap, (exp_a < 0.0) & (((lo < 0.0) & (hi > 0.0)) | ((lo > 0.0) & (hi < 0.0)))
 
 
 def _share_roots(exp_a, exp_b, log_c) -> np.ndarray:
@@ -146,7 +145,8 @@ def _share_roots(exp_a, exp_b, log_c) -> np.ndarray:
     differ in sign are halved and polished.
     """
     exp_a, exp_b, log_c = (np.atleast_1d(v) for v in (exp_a, exp_b, log_c))
-    ends, gap, change = _share_brackets(exp_a, exp_b, log_c)
+    m, gap, change = _share_brackets(exp_a, exp_b, log_c)
+    ends = np.stack([np.full_like(m, SHARE_EPS), m, np.full_like(m, 1.0 - SHARE_EPS)])
     live = np.nonzero(change.ravel())[0]
     lo, hi, gap_lo = ends[:-1].ravel()[live], ends[1:].ravel()[live], gap[:-1].ravel()[live]
     a, b, lc = (np.tile(v, 2)[live] for v in (exp_a, exp_b, log_c))
@@ -172,13 +172,11 @@ def _share_roots(exp_a, exp_b, log_c) -> np.ndarray:
 
 
 def has_share_root(t: ParamTable) -> np.ndarray:
-    """Per row of `t`, whether `solve_share` reports an equilibrium: f1-f3
-    hold and a bracket changes sign. One gap's logarithms a row, no bisection."""
-    ok = check_feasibility(t).all_ok
-    solved = t.take(rows := np.nonzero(ok)[0])
-    equation = _share_equation_columns(solved, derive_coefficients(solved))
-    ok[rows] = _share_brackets(*equation)[2].any(axis=0)
-    return ok
+    """Per row of `t`, whether `solve_share` reports an equilibrium: f1-f3 hold and
+    a bracket changes sign. Three gaps a row, logs at one, and no gather or bisection."""
+    with np.errstate(all="ignore"):   # the equation is meaningless off f1-f3
+        change = _share_brackets(*_share_equation_columns(t, c := derive_coefficients(t)))[2]
+    return check_feasibility(t, c).all_ok & change.any(axis=0)
 
 
 def solve_share(t: ParamTable) -> np.ndarray:

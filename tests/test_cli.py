@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tsm import cli, core, population, scenarios
+from tsm import cli, core, equilibrium, population, scenarios
 from tests.test_equilibrium import FEASIBLE_PARAMS
 from tests.test_population import sweep_cells
 
@@ -630,10 +630,54 @@ class TestReportedEquilibriaSampler:
         assert 0 < rows.size < m
         assert np.array_equal(rows, np.flatnonzero(f2))
 
+    def test_f2_row_phi_and_k1_are_uniforms(self):
+        # verify_columns draws the phi and k1 words of every raw draw, and
+        # verify_games takes to their ranges only those of the f2 rows that
+        # the sampler passes it: they are `uniform`'s full-column values there.
+        spec, m = population.PopulationSpec(), cli.SAMPLER_BATCH
+        rng, ref = (np.random.Generator(np.random.Philox(np.random.SeedSequence(1730)))
+                    for _ in range(2))
+        price = rng.normal(spec.price_mean, spec.price_sd, m)
+        alpha = rng.normal(spec.alpha_mean, spec.alpha_sd, m)
+        columns, rows = cli.verify_columns(spec, alpha, (rng,) * 4, np.empty((4, m)))
+        t, _ = cli.verify_games(spec, price.take(rows), alpha.take(rows),
+                                columns.take(rows, axis=1))
+        ref.normal(size=2 * m)
+        ref.uniform(0.0, 1.0, m)
+        ref.uniform(spec.gamma_min, spec.gamma_max, m)
+        phi = ref.uniform(*population.AXIS_RANGES[population.AXIS_PHI], m)
+        k1 = ref.uniform(spec.k1_min, spec.k1_max, m)
+        assert 0 < rows.size < m
+        assert t.phi.tobytes() == phi[rows].tobytes()
+        assert t.k1.tobytes() == k1[rows].tobytes()
+        assert np.array_equal(rng.bit_generator.random_raw(8), ref.bit_generator.random_raw(8))
+
+    def test_has_share_roots_traced_peak_is_bounded(self, monkeypatch):
+        # has_share_root takes the share equation on the f2 rows it is given,
+        # with no gather of the table's ten columns and no stack of bracket
+        # ends: its own peak over a block of about 6,100 rows is about
+        # 0.69 MB, where the gathering one peaked at 1.17 MB.
+        peaks, has_share_root = [], equilibrium.has_share_root
+
+        def traced(t):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            found = has_share_root(t)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return found
+
+        monkeypatch.setattr(equilibrium, "has_share_root", traced)
+        tracemalloc.start()
+        try:
+            cli.draw_reported_equilibria(1730, 200)
+        finally:
+            tracemalloc.stop()
+        assert 0.5e6 < max(peaks) <= 0.9e6
+
     def test_traced_memory_peak_is_bounded(self):
         # A batch is filtered in one pass over blocks, so the peak is the
         # two batches' normal columns, the 1 MB block buffer and the
-        # temporaries of one block's f2 rows: about 9.1 MB (9.9 MB in a fresh
+        # temporaries of one block's f2 rows: about 8.6 MB (9.4 MB in a fresh
         # process), where solving whole batches peaked at 28.8 MB.
         tracemalloc.start()
         try:
