@@ -411,8 +411,8 @@ def _uniform(u, low, high):   # `Generator.uniform`'s low + (high - low) * u, in
 
 
 def verify_columns(spec: PopulationSpec, alpha: np.ndarray, gens, out: np.ndarray):
-    """verify's beta and gamma at alpha draws as `uniform` draws them and the words of its phi
-    and k1, in turn into the rows of `out` from `gens`, and the rows where f2 holds."""
+    """verify's beta and gamma at alpha draws, as `uniform` draws them, then the words of
+    its phi and k1, in turn into the rows of `out` from `gens`; and the rows where f2 holds."""
     beta, gamma, a1, a2 = out   # a1 and a2 take phi's and k1's rows until those are drawn
     gens[0].random(out=beta)   # uniform(0, 1) draws are their words
     _uniform(gens[1].random(out=gamma), spec.gamma_min, spec.gamma_max)
@@ -428,8 +428,8 @@ def verify_columns(spec: PopulationSpec, alpha: np.ndarray, gens, out: np.ndarra
 
 def verify_games(spec: PopulationSpec, price: np.ndarray, alpha: np.ndarray,
                  columns) -> tuple[core.ParamTable, np.ndarray]:
-    """verify's games at price and alpha draws and their `verify_columns`, phi and k1 taken
-    to their ranges in place, and the mask of those in band with phi > 0."""
+    """verify's games at price and alpha draws and their `verify_columns`, whose phi and k1
+    words it takes to their ranges in place, and the mask of those in band with phi > 0."""
     beta, gamma, phi, k1 = columns
     t = core.ParamTable.from_columns(
         alpha=alpha, beta=beta, gamma=gamma, psi=spec.psi, k2=spec.k2, f_s=spec.f_s, p_s=spec.p_s,
@@ -523,8 +523,8 @@ def draw_reported_equilibria(seed: int, count: int):
         helper = None
         if drawn < MAX_DRAWS:
             # Only numpy RNG code runs on the helper (perfbench's Tracer is not thread-safe),
-            # joined before the next starts. This thread waits 0.2-8 ms at the joins of a
-            # 120-160 ms call, so it is the critical path; moving work over would cost RSS.
+            # joined before the next starts. This thread waits 1-2 ms (median; 12 at most) at
+            # the joins of a 116-153 ms call: it is the critical path. Moving work costs RSS.
             rng = _philox_ahead(at, 4 * m)
             helper = _Helper(target=_draw_normals, args=(rng, normals[drawn // m % 2], bands))
             helper.start()
