@@ -524,7 +524,7 @@ def draw_reported_equilibria(seed: int, count: int):
         if drawn < MAX_DRAWS:
             # Only numpy RNG code runs on the helper (perfbench's Tracer is not thread-safe),
             # joined before the next starts. This thread waits 1-2 ms (median; 12 at most) at
-            # the joins of a 116-153 ms call: it is the critical path. Moving work costs RSS.
+            # the joins of a 116-153 ms call; it is the critical path. Moving work over costs RSS.
             rng = _philox_ahead(at, 4 * m)
             helper = _Helper(target=_draw_normals, args=(rng, normals[drawn // m % 2], bands))
             helper.start()

@@ -672,7 +672,7 @@ class TestReportedEquilibriaSampler:
             cli.draw_reported_equilibria(1730, 200)
         finally:
             tracemalloc.stop()
-        assert 0.5e6 < max(peaks) <= 0.9e6
+        assert peaks and max(peaks) <= 0.9e6
 
     def test_traced_memory_peak_is_bounded(self):
         # A batch is filtered in one pass over blocks, so the peak is the
