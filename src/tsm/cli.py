@@ -367,7 +367,7 @@ def cmd_sweep(s: dict) -> int:
     try:
         spec = SweepSpec(
             axis=axis,
-            grid=s.get("grid", ()),
+            grid=s.get("grid"),
             phi_levels=s.get("phi_levels", population.DEFAULT_PHI_LEVELS),
             scenarios=scenario_names,
             population=pop_spec,
@@ -545,71 +545,80 @@ def draw_reported_equilibria(seed: int, count: int):
     return scenarios.scenario_columns(TWO_SIDED, table, None, MODE_EQUILIBRIUM), drawn
 
 
-def verify_properties(seed: int, draws: int, grid_n: int, pairs: int) -> list[PropertyResult]:
-    """The numerical verification suite behind `tsm verify`."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    results = []
-
-    # Reduced forms solve the primitive curves. Each row draws its price,
-    # then its share.
+def fixed_point_defect(rng: np.random.Generator, pairs: int) -> float:
+    """The largest log-relative defect of the reduced-form curves from the primitive ones."""
     t = sample_table_params(rng, pairs)
+    # Each row draws its price, then its share.
     log_price, log_share = np.log(rng.uniform(np.tile([0.2, 0.001], pairs),
                                               np.tile([3.2, 0.999], pairs))).reshape(-1, 2).T
     c = core.derive_coefficients(t)
     log_dc = core._log_demand_reduced(log_price, log_share, t, c)
     log_ds = core._log_supply_reduced(log_price, log_share, t, c)
-    worst = float(np.max(np.abs([
+    return float(np.max(np.abs([
         core._log_demand_primitive(log_price, log_ds, t) - log_dc,
         core._log_supply_primitive(log_share, log_price, log_dc, t) - log_ds])))
-    results.append(PropertyResult(
-        "fixed_point_consistency", worst <= 1e-9,
-        f"max log-relative defect {worst:.3e} over {pairs} pairs (tol 1e-9)"))
+
+
+def derivative_checks(cases) -> tuple[float, int]:
+    """The largest relative FOC at reported equilibria, and how many pass every curvature check."""
+    at = (cases.params, cases.price, cases.share)
+    worst = float(np.max(equilibrium.first_order_residuals(*at)))
+    soc = equilibrium.second_order_check(*at)
+    return worst, int(np.count_nonzero(soc.provider_soc_negative & soc.cloud_soc_negative
+                                       & soc.provider_agreement & soc.cloud_agreement))
+
+
+def oracle_gaps(cases, grid_n: int) -> tuple[float, float]:
+    """The largest |dchi| and |dP|/P of reported equilibria from the grid_n-point oracle's."""
+    oracle = equilibrium.oracle_equilibrium(cases.params, grid_n=grid_n)
+    return (float(np.max(np.abs(cases.share - oracle.share))),
+            float(np.max(np.abs(cases.price - oracle.price) / cases.price)))
+
+
+def rental_foc(rng: np.random.Generator, n: int) -> tuple[float, int]:
+    """The largest relative exact slope of the rental payoff at pay-as-you-go's supply, over
+    the n sampled games whose drawn price exceeds f_c; and how many rows those are."""
+    t = sample_table_params(rng, n)
+    price = rng.uniform(0.2, 3.2, n)
+    covered = price > t.f_c
+    t, price = t.take(covered), price[covered]
+    rental = scenarios.scenario_columns(scenarios.PAY_AS_YOU_GO, t, price,
+                                        scenarios.MODE_DECLARED_PRICE)
+    slope = scenarios._rental(price, equilibrium._Slope(rental.supply, 1.0), t)[1].d
+    scale = np.maximum(t.p_s * rental.supply, (price - t.f_c) * rental.demand)
+    return float(np.max(np.abs(slope) * rental.supply / scale, initial=0.0)), len(t)
+
+
+def verify_properties(seed: int, draws: int, grid_n: int, pairs: int) -> list[PropertyResult]:
+    """The numerical verification suite behind `tsm verify`: the verdicts of the above."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    worst = fixed_point_defect(rng, pairs)   # reduced forms solve the primitive curves
+    results = [PropertyResult("fixed_point_consistency", worst <= 1e-9,
+                              f"max log-relative defect {worst:.3e} over {pairs} pairs (tol 1e-9)")]
 
     # Reported equilibria: stationarity, curvature, oracle agreement.
     cases, drawn = draw_reported_equilibria(seed + 1, draws)
     n = len(cases.params)
     if not n:
-        results.append(PropertyResult(
-            "feasible_region", False,
-            f"region empty: no reported equilibrium in {drawn} draws"))
+        results.append(PropertyResult("feasible_region", False,
+                                      f"region empty: no reported equilibrium in {drawn} draws"))
         return results
-
-    at = (cases.params, cases.price, cases.share)
-    worst_foc = float(np.max(equilibrium.first_order_residuals(*at)))
-    soc = equilibrium.second_order_check(*at)
-    soc_pass = np.count_nonzero(soc.provider_soc_negative & soc.cloud_soc_negative
-                                & soc.provider_agreement & soc.cloud_agreement)
-    results.append(PropertyResult(
-        "first_order_conditions", worst_foc <= 1e-6,
-        f"max relative FOC {worst_foc:.3e} over {n} equilibria (tol 1e-6)"))
-    results.append(PropertyResult(
-        "second_order_conditions", soc_pass == n,
-        f"{soc_pass}/{n} equilibria pass curvature checks"))
-
+    worst, soc_pass = derivative_checks(cases)
+    results.append(PropertyResult("first_order_conditions", worst <= 1e-6,
+                                  f"max relative FOC {worst:.3e} over {n} equilibria (tol 1e-6)"))
+    results.append(PropertyResult("second_order_conditions", soc_pass == n,
+                                  f"{soc_pass}/{n} equilibria pass curvature checks"))
     tol = 2.0 / grid_n
-    oracle = equilibrium.oracle_equilibrium(cases.params, grid_n=grid_n)
-    d_chi = np.abs(cases.share - oracle.share)
-    d_price = np.abs(cases.price - oracle.price) / cases.price
+    d_chi, d_price = oracle_gaps(cases, grid_n)
     results.append(PropertyResult(
-        "oracle_agreement", not np.any((d_chi > tol) | (d_price > tol)),
-        f"max |dchi| {d_chi.max():.3e}, max |dP|/P {d_price.max():.3e} over "
-        f"{n} equilibria (tol {tol:.1e})"))
+        "oracle_agreement", d_chi <= tol and d_price <= tol,
+        f"max |dchi| {d_chi:.3e}, max |dP|/P {d_price:.3e} over {n} equilibria (tol {tol:.1e})"))
 
-    # Pay-as-you-go rental optimum satisfies its own first-order condition.
-    t = sample_table_params(rng, min(500, pairs))
-    price = rng.uniform(0.2, 3.2, len(t))
-    covered = price > t.f_c
-    t, price = t.take(covered), price[covered]
-    rental = scenarios.scenario_columns(scenarios.PAY_AS_YOU_GO, t, price,
-                                        scenarios.MODE_DECLARED_PRICE)
-    supply = rental.supply
-    slope = scenarios._rental(price, equilibrium._Slope(supply, 1.0), t)[1].d
-    scale = np.maximum(t.p_s * supply, (price - t.f_c) * rental.demand)
-    worst_payg = float(np.max(np.abs(slope) * supply / scale, initial=0.0))
+    worst, rows = rental_foc(rng, min(500, pairs))   # pay-as-you-go's rental optimum
     results.append(PropertyResult(
-        "payg_rental_foc", len(t) > 0 and worst_payg <= 1e-6,
-        f"max relative rental FOC {worst_payg:.3e} (tol 1e-6)" if len(t) else
-        f"no row checked: 0 of {covered.size} drawn prices exceed f_c"))
+        "payg_rental_foc", rows > 0 and worst <= 1e-6,
+        f"max relative rental FOC {worst:.3e} (tol 1e-6)" if rows else
+        f"no row checked: 0 of {min(500, pairs)} drawn prices exceed f_c"))
     return results
 
 

@@ -294,7 +294,7 @@ class SweepSpec:
     """One sensitivity sweep: an axis, its grid, and what to run per cell."""
 
     axis: str
-    grid: tuple[float, ...] = ()
+    grid: tuple[float, ...] | None = None   # None: the axis's default grid
     phi_levels: tuple[float, ...] = DEFAULT_PHI_LEVELS
     scenarios: tuple[str, ...] = SCENARIOS
     population: PopulationSpec = field(default_factory=PopulationSpec)
@@ -303,8 +303,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
-        grid = tuple(self.grid) or default_grid(self.axis)
+        grid = default_grid(self.axis) if self.grid is None else tuple(self.grid)
         object.__setattr__(self, "grid", grid)
+        if not grid:
+            raise ValueError("axis grid must be non-empty")
         # NaN passes the order and range checks below: its comparisons are false.
         if not all(math.isfinite(v) for v in grid):
             raise ValueError("axis grid values must be finite")

@@ -477,20 +477,20 @@ class TestVerifyCommand:
         assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out
 
-    def test_fault_injection_fails_named_property(self, capsys, monkeypatch):
-        # a wrong-sign a3 must break the reduced-form consistency property
-        original = core.derive_coefficients
-
-        def wrong_sign(params):
-            c = original(params)
-            return c._replace(a3=-c.a3)
-
-        monkeypatch.setattr("tsm.core.derive_coefficients", wrong_sign)
-        code = cli.main(["verify", "--draws", "2", "--grid-n", "400",
-                         "--pairs", "30", "--seed", "3"])
-        out = capsys.readouterr().out
-        assert code == 3
-        assert "[FAIL] fixed_point_consistency" in out
+    @pytest.mark.parametrize("module, name, fault, failed", [
+        # a wrong-sign a3 breaks the reduced-form consistency property
+        (core, "derive_coefficients", lambda c: c._replace(a3=-c.a3),
+         ["fixed_point_consistency"]),
+        # a closed-form price 1% high is off the oracle's (|dP|/P 9.901e-03) and off its FOC
+        (scenarios, "_best_price_unchecked", lambda price: 1.01 * price,
+         ["first_order_conditions", "second_order_conditions", "oracle_agreement"]),
+    ], ids=["wrong-sign-a3", "price-1pct-high"])
+    def test_fault_injection_fails_named_property(self, capsys, monkeypatch, module, name,
+                                                  fault, failed):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: fault(original(*args)))
+        assert cli.main("verify --draws 4 --grid-n 400 --pairs 40 --seed 3".split()) == 3
+        assert re.findall(r"^\[FAIL\] (\w+):", capsys.readouterr().out, re.M) == failed
 
     def test_empty_region_reported(self, capsys, monkeypatch):
         empty = scenarios.scenario_columns(
@@ -842,7 +842,9 @@ class TestConfigLoading:
          "missing required parameter(s): phi"),
         ("sweep --axis k1 --n-providers 2", "grid: [0.5, 0.2]",
          "invalid sweep: axis grid must be strictly increasing"),
-        # an empty list is not the default levels
+        # an empty list is not the default grid or levels
+        ("sweep --axis phi --n-providers 2", "grid: []",
+         "invalid sweep: axis grid must be non-empty"),
         ("sweep --axis k1 --n-providers 2", "phi_levels: []",
          "invalid sweep: phi levels must be non-empty"),
         # YAML keys that are not text

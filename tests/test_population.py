@@ -230,6 +230,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="phi levels must be non-empty"):
             SweepSpec(axis=AXIS_K1, phi_levels=(), population=SMALL_POP)
 
+    def test_empty_grid_rejected(self):
+        # an empty grid is not the axis's default grid
+        with pytest.raises(ValueError, match="axis grid must be non-empty"):
+            SweepSpec(axis=AXIS_K1, grid=(), population=SMALL_POP)
+
     def test_phi_level_above_axis_range_accepted(self):
         assert SweepSpec(axis=AXIS_K1, phi_levels=(6.0,),
                          population=SMALL_POP).phi_levels == (6.0,)
