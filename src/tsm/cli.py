@@ -128,7 +128,7 @@ SETTINGS = {
     "grid": Setting("numbers", prefix=SWEEP),
     "phi_levels": Setting("numbers", prefix=SWEEP),
     "draws": Setting("int", (VF,), "--draws", arg=(1, None)),
-    # Past one oracle block, the fallback's block of one game grows with grid_n.
+    # The oracle's share grid holds grid_n floats (800 MB at 100,000,000).
     "grid_n": Setting("int", (VF,), "--grid-n", arg=(equilibrium.ORACLE_MIN_GRID_N,
                                                      equilibrium.ORACLE_BLOCK_ROWS)),
     "pairs": Setting("int", (VF,), "--pairs", arg=(1, 18_000_000)),
@@ -568,11 +568,13 @@ def derivative_checks(cases) -> tuple[float, int]:
                                        & soc.provider_agreement & soc.cloud_agreement))
 
 
-def oracle_gaps(cases, grid_n: int) -> tuple[float, float]:
-    """The largest |dchi| and |dP|/P of reported equilibria from the grid_n-point oracle's."""
+def oracle_gaps(cases, grid_n: int) -> tuple[float, float, int]:
+    """The largest |dchi| and |dP|/P of reported equilibria from the grid_n-point oracle's,
+    over the games where it finds a fixed point; and how many games it finds none in."""
     oracle = equilibrium.oracle_equilibrium(cases.params, grid_n=grid_n)
-    return (float(np.max(np.abs(cases.share - oracle.share))),
-            float(np.max(np.abs(cases.price - oracle.price) / cases.price)))
+    found = oracle.n_candidates > 0
+    gaps = (np.abs(cases.share - oracle.share), np.abs(cases.price - oracle.price) / cases.price)
+    return (*(float(np.max(g[found], initial=0.0)) for g in gaps), int(np.count_nonzero(~found)))
 
 
 def rental_foc(rng: np.random.Generator, n: int) -> tuple[float, int]:
@@ -603,16 +605,20 @@ def verify_properties(seed: int, draws: int, grid_n: int, pairs: int) -> list[Pr
         results.append(PropertyResult("feasible_region", False,
                                       f"region empty: no reported equilibrium in {drawn} draws"))
         return results
+    if n < draws:
+        results.append(PropertyResult("feasible_region", False,
+                                      f"{n} of {draws} requested equilibria in {drawn} draws"))
     worst, soc_pass = derivative_checks(cases)
     results.append(PropertyResult("first_order_conditions", worst <= 1e-6,
                                   f"max relative FOC {worst:.3e} over {n} equilibria (tol 1e-6)"))
     results.append(PropertyResult("second_order_conditions", soc_pass == n,
                                   f"{soc_pass}/{n} equilibria pass curvature checks"))
     tol = 2.0 / grid_n
-    d_chi, d_price = oracle_gaps(cases, grid_n)
+    d_chi, d_price, missing = oracle_gaps(cases, grid_n)
     results.append(PropertyResult(
-        "oracle_agreement", d_chi <= tol and d_price <= tol,
-        f"max |dchi| {d_chi:.3e}, max |dP|/P {d_price:.3e} over {n} equilibria (tol {tol:.1e})"))
+        "oracle_agreement", d_chi <= tol and d_price <= tol and not missing,
+        f"max |dchi| {d_chi:.3e}, max |dP|/P {d_price:.3e} over {n} equilibria (tol {tol:.1e})"
+        + (f", no oracle fixed point for {missing}" if missing else "")))
 
     worst, rows = rental_foc(rng, min(500, pairs))   # pay-as-you-go's rental optimum
     results.append(PropertyResult(

@@ -359,8 +359,7 @@ def _as_column(t: ParamTable) -> ParamTable:
 
 def _fixed_points(t: ParamTable, probes: np.ndarray, window):
     """Rows (price, share, platform payoff, fixed points found) per game of
-    `t`, for its highest-payoff interior fixed point, NaN without one; and
-    each game's price markup (`_price_markup`), searched in the probe blocks.
+    `t`, for its highest-payoff interior fixed point, NaN without one.
 
     Every sign change of the defect (`_response_below` finds only its sign)
     between neighbouring probes becomes one bracket. The probes run in
@@ -403,7 +402,7 @@ def _fixed_points(t: ParamTable, probes: np.ndarray, window):
     order = np.lexsort((-pay, case))
     first = order[np.unique(case[order], return_index=True)[1]]
     out[:3, case[first]] = price[first], chi[first], pay[first]
-    return out, markup
+    return out
 
 
 def oracle_equilibrium(t: ParamTable, grid_n: int = 2000) -> OracleEquilibrium:
@@ -416,10 +415,9 @@ def oracle_equilibrium(t: ParamTable, grid_n: int = 2000) -> OracleEquilibrium:
     per game, less chi) is found at about 385 probes of the grid from the
     share slope's sign (`_response_below`); its sign changes are bisected to
     fixed points, and the platform-payoff-maximizing interior fixed point is
-    returned. Without one, the grid share maximizing the platform payoff
-    along the follower-response curve is returned (the boundary cell for
-    degenerate inputs, e.g. f_s = 0). Games run in blocks, so memory does
-    not grow with them.
+    returned. A game without one (n_candidates 0) gets NaN price, share and
+    cloud_payoff, as the closed form reports no equilibrium. Games run in
+    blocks, so memory does not grow with them.
     """
     if not isinstance(t, ParamTable):
         raise TypeError(f"oracle_equilibrium takes a ParamTable, got {type(t).__name__};"
@@ -436,14 +434,7 @@ def oracle_equilibrium(t: ParamTable, grid_n: int = 2000) -> OracleEquilibrium:
     # Near the alpha*beta cap the payoffs' 1/a2 exponents overflow far from
     # any peak; inf ranks in order there, and NaN (inf - inf) compares false.
     with np.errstate(over="ignore", invalid="ignore"):
-        out, markup = _fixed_points(t, share_grid[idx], window)
-        none = np.nonzero(out[3] == 0)[0]
-        for rows in _blocks(none.size, grid_n):
-            c = derive_coefficients(col := _as_column(t.take(none[rows])))
-            price = col.f_c / (1.0 - share_grid) * markup[none[rows], None]
-            along = _cloud_payoff_arr(price, share_grid, col, c)
-            i, r = np.argmax(along, axis=1), np.arange(len(col))
-            out[:3, none[rows]] = price[r, i], share_grid[i], along[r, i]
+        out = _fixed_points(t, share_grid[idx], window)
     return OracleEquilibrium(*out[:3], n_candidates=out[3].astype(int))
 
 

@@ -33,6 +33,19 @@ UNWRITABLE = ("cannot write nodir/x.csv: [Errno 2] No such file or directory: "
 HUGE = "9" * 400
 
 
+def main_in(tmp_path, capsys, monkeypatch, setting, argv):
+    """Run `cli.main(argv)` in process from tmp_path, with `setting` as its
+    cfg.yaml there and every warning raised as an error (numpy's included, which
+    a child interpreter would print on stderr): (exit code, stdout, stderr)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.yaml").write_text(setting + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([*argv, "--config", "cfg.yaml"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
@@ -272,17 +285,12 @@ class TestScenarioCommand:
         "alpha_min: -0.5\nalpha_mean: 0.0",   # beta's draw needs 1/alpha
         "alpha_min: 0.0",
     ])
-    def test_bad_population_value_exit_1(self, tmp_path, subprocess_env, setting):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(setting + "\n", encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "tsm.cli", "scenario", "--config", str(cfg),
-             "--n-providers", "20", "--out", str(tmp_path / "sc.csv")],
-            env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
-            timeout=120)
-        assert proc.returncode == 1, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
+    def test_bad_population_value_exit_1(self, tmp_path, capsys, monkeypatch, setting):
+        code, _, err = main_in(tmp_path, capsys, monkeypatch, setting,
+                               ["scenario", "--n-providers", "20", "--out", "sc.csv"])
+        assert code == 1, err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
 
 
     @pytest.mark.parametrize("setting", [
@@ -503,6 +511,44 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 3
         assert "region empty" in out
+
+    def test_short_sampler_run_reported(self, capsys, monkeypatch):
+        # The sampler stops at MAX_DRAWS one game short: that fails the region
+        # property, and the other checks still run over the game it kept.
+        one = scenarios.scenario_columns(
+            scenarios.TWO_SIDED, core.ParamTable.from_params([FEASIBLE_PARAMS]), None,
+            scenarios.MODE_EQUILIBRIUM)
+        monkeypatch.setattr(cli, "draw_reported_equilibria",
+                            lambda seed, count: (one, cli.MAX_DRAWS))
+        assert cli.main(["verify", "--draws", "2", "--pairs", "20", "--seed", "3"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "[FAIL] feasible_region: 1 of 2 requested equilibria in 20000000 draws"
+        assert [line.split(":")[0] for line in lines[3:]] == [
+            "[PASS] first_order_conditions", "[PASS] second_order_conditions",
+            "[PASS] oracle_agreement", "[PASS] payg_rental_foc"]
+
+    # A reported equilibrium whose share, 0.014686, lies below the interior
+    # window of the oracle at grid_n 100 and inside it at grid_n 2000.
+    LOW_SHARE = core.MarketParams(
+        alpha=0.3613089544553948, beta=2.5337758055207686, gamma=0.3022660910347693,
+        psi=0.1, phi=0.13862191058453321, k1=0.8880391142975322, f_c=0.7785310136587156)
+
+    @pytest.mark.parametrize("grid_n, verdict, count", [
+        (100, "FAIL", ", no oracle fixed point for 1"), (2000, "PASS", "")])
+    def test_oracle_agreement_counts_games_without_a_fixed_point(
+            self, capsys, monkeypatch, grid_n, verdict, count):
+        cases = scenarios.scenario_columns(
+            scenarios.TWO_SIDED, core.ParamTable.from_params([self.LOW_SHARE]), None,
+            scenarios.MODE_EQUILIBRIUM)
+        assert cases.share[0] == pytest.approx(0.014686, abs=5e-7)
+        d_chi, d_price, missing = cli.oracle_gaps(cases, grid_n)
+        assert missing == (grid_n == 100)
+        assert max(d_chi, d_price) <= 1e-11
+        monkeypatch.setattr(cli, "draw_reported_equilibria", lambda seed, count: (cases, 1))
+        cli.main(["verify", "--draws", "1", "--grid-n", str(grid_n), "--pairs", "20"])
+        [line] = [s for s in capsys.readouterr().out.splitlines() if "oracle_agreement" in s]
+        assert line.startswith(f"[{verdict}] oracle_agreement: ")
+        assert line.endswith(f"over 1 equilibria (tol {2.0 / grid_n:.1e}){count}")
 
     @pytest.mark.parametrize("seed, code, line", [
         (1729, 3, "[FAIL] payg_rental_foc: no row checked: 0 of 1 drawn prices exceed f_c"),
@@ -820,21 +866,17 @@ class TestConfigLoading:
         ("verify", "draws: 2.5"),
         ("verify", "draws: true"),
     ])
-    def test_bad_integer_setting_exit_1(self, tmp_path, subprocess_env, command, setting):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(setting + "\n", encoding="utf-8")
-        out = [] if command.startswith("verify") else ["--out", str(tmp_path / "x.csv")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "tsm.cli", *command.split(), "--config", str(cfg), *out],
-            env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
-            timeout=120)
-        assert proc.returncode == 1, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
-        assert "[PASS]" not in proc.stdout
+    def test_bad_integer_setting_exit_1(self, tmp_path, capsys, monkeypatch, command, setting):
+        out = [] if command.startswith("verify") else ["--out", "x.csv"]
+        code, stdout, err = main_in(tmp_path, capsys, monkeypatch, setting,
+                                    [*command.split(), *out])
+        assert code == 1, err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        assert "[PASS]" not in stdout
 
     @pytest.mark.parametrize("command, setting, line", [
-        ("sweep", "preset: fig99", "unknown preset 'fig99'"),
+        # `preset: fig99` runs in a child interpreter: test_module_entry_point_error_line
         ("scenario --n-providers 2", "mode: sideways", "unknown mode 'sideways'"),
         ("sweep", "", "sweep needs --axis or --preset "
                       "(axes: alpha_beta_product, phi, gamma, k1)"),
@@ -909,19 +951,27 @@ class TestConfigLoading:
          "invalid sweep: 72 cells x 334028 providers exceed 24050000 provider-cells "
          "(65 x 370000)"),
     ])
-    def test_input_error_line(self, tmp_path, subprocess_env, command, setting, line):
+    def test_input_error_line(self, tmp_path, capsys, monkeypatch, command, setting, line):
         # Each input error ends the run with one exact stderr line and exit 1.
-        (tmp_path / "cfg.yaml").write_text(setting + "\n", encoding="utf-8")
         out = [] if setting.startswith("out:") or command.startswith("verify") else [
             "--out", "nodir/x.csv" if line == UNWRITABLE else "x.csv"]
+        code, _, err = main_in(tmp_path, capsys, monkeypatch, setting,
+                               [*command.split(), *out])
+        assert code == 1, err
+        assert "Traceback" not in err
+        assert err == f"error: {line}\n"
+
+    def test_module_entry_point_error_line(self, tmp_path, subprocess_env):
+        # `python -m tsm.cli` exits with main's code and prints its one error line.
+        (tmp_path / "cfg.yaml").write_text("preset: fig99\n", encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-m", "tsm.cli", *command.split(), "--config", "cfg.yaml",
-             *out],
+            [sys.executable, "-m", "tsm.cli", "sweep", "--config", "cfg.yaml", "--out", "x.csv"],
             env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
             timeout=120)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert proc.stderr == f"error: {line}\n"
+        assert proc.stderr == "error: unknown preset 'fig99'\n"
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["--preset", "fig4", "--n-providers", "370000"],
@@ -990,20 +1040,15 @@ class TestConfigLoading:
         "beta: true",   # YAML's true would run as beta=1.0
         "phi: .inf",
     ])
-    def test_bad_parameter_value_exit_1(self, tmp_path, subprocess_env, setting):
+    def test_bad_parameter_value_exit_1(self, tmp_path, capsys, monkeypatch, setting):
         key = setting.split(":")[0]
         lines = [f"{k}: {getattr(FEASIBLE_PARAMS, k)!r}"
                  for k in ("alpha", "beta", "gamma", "psi", "phi", "k1", "f_c") if k != key]
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("\n".join(lines + [setting]) + "\n", encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "tsm.cli", "equilibrium", "--config", str(cfg),
-             "--out", str(tmp_path / "eq.csv")],
-            env=subprocess_env(), capture_output=True, text=True, cwd=str(tmp_path),
-            timeout=120)
-        assert proc.returncode == 1, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"error: invalid parameters: {key} must be")
+        code, _, err = main_in(tmp_path, capsys, monkeypatch, "\n".join(lines + [setting]),
+                               ["equilibrium", "--out", "eq.csv"])
+        assert code == 1, err
+        assert "Traceback" not in err
+        assert err.startswith(f"error: invalid parameters: {key} must be")
         assert not (tmp_path / "eq.csv").exists()
 
 

@@ -360,13 +360,14 @@ class TestOracle:
         assert abs(oracle.price - res.price_star) / res.price_star <= 2.0 / 2000
         assert oracle.n_candidates >= 1
 
-    def test_degenerate_zero_cost_returns_upper_bound(self):
-        # f_s = 0 and phi > a4 + a2: payoff strictly increasing in share
+    def test_degenerate_zero_cost_has_no_fixed_point(self):
+        # f_s = 0 and phi > a4 + a2: payoff strictly increasing in share, so the
+        # best share is the window's upper end and no interior share is a fixed point
         p = MarketParams(alpha=0.4, beta=1.2, gamma=0.3, psi=0.1, phi=3.0,
                          k1=0.5, f_c=1.0, f_s=0.0)
         oracle = oracle_of_one(p, grid_n=500)
-        assert oracle.share >= 0.98
         assert oracle.n_candidates == 0
+        assert np.isnan(oracle.price) and np.isnan(oracle.share)
 
     def test_grid_n_validated(self):
         with pytest.raises(DomainError):
@@ -384,8 +385,8 @@ class TestOracle:
         for i, p in enumerate(games):
             one = oracle_of_one(p, grid_n=500)
             assert batch.n_candidates[i] == one.n_candidates
-            assert batch.share[i] == pytest.approx(one.share, rel=1e-12)
-            assert batch.price[i] == pytest.approx(one.price, rel=1e-12)
+            assert batch.share[i] == pytest.approx(one.share, rel=1e-12, nan_ok=True)
+            assert batch.price[i] == pytest.approx(one.price, rel=1e-12, nan_ok=True)
 
     def test_candidates_are_the_closed_form_roots_in_window(self):
         # Each interior fixed point is found once: the oracle's count equals
@@ -440,14 +441,13 @@ class TestOracleEquilibrium:
         oracle = oracle_equilibrium(draw_reported_equilibria(seed, 200)[0].params, grid_n=2000)
         assert oracle_digest(oracle) == self.REPORTED[seed]
 
-    def test_fallback_outputs_are_pinned(self):
-        # No game of this table has an interior fixed point, so each one's
-        # price and share come from the grid along the follower response.
+    def test_games_without_a_fixed_point_are_nan(self):
+        # No game of this table has an interior fixed point, so the oracle
+        # states no price, share or payoff for any of them.
         oracle = oracle_equilibrium(sample_table_params(np.random.default_rng(5), 300),
                                     grid_n=100)
         assert np.all(oracle.n_candidates == 0)
-        assert oracle_digest(oracle) == (
-            "bc658d5996d76bbefbfb6f4a07a68fc8ef5e7fb0bcb4a3536359b9d74a2b916d")
+        assert np.isnan([oracle.price, oracle.share, oracle.cloud_payoff]).all()
 
 
 def sampler_batch(seed: int) -> ParamTable:
