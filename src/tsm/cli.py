@@ -25,6 +25,7 @@ import argparse
 import sys
 import threading
 from dataclasses import MISSING, fields
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +49,8 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 
-# Rows per block of the scenario CSV: formatted cells never outgrow one block.
-CSV_BLOCK_ROWS = 2048
+# Rows per block of the scenario CSV: 2,048 raised n=10,000's peak RSS 0.75 MB, no faster.
+CSV_BLOCK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -112,6 +113,7 @@ MAX_PROVIDERS = 370_000
 # A sweep's memory grows with its cells times its providers, so a custom grid
 # is held to the 65 cells that the n_providers cap was measured on.
 MAX_SWEEP_ROWS = 65 * MAX_PROVIDERS
+MAX_DRAWS = 20_000_000   # draw_reported_equilibria stops here short of its count
 
 # Every config key, in the order of the flags' help; --scenario fills `scenarios`.
 SETTINGS = {
@@ -127,7 +129,9 @@ SETTINGS = {
     "axis": Setting("choice", (SW,), "--axis", SWEEP, AXES),
     "grid": Setting("numbers", prefix=SWEEP),
     "phi_levels": Setting("numbers", prefix=SWEEP),
-    "draws": Setting("int", (VF,), "--draws", arg=(1, None)),
+    # A kept game takes 12,000-12,400 draws at seeds 1729, 7, 11 and 23; the cap
+    # allows 20,000 (a 1.6x margin), so that the sampler meets its count.
+    "draws": Setting("int", (VF,), "--draws", arg=(1, MAX_DRAWS // 20_000)),
     # The oracle's share grid holds grid_n floats (800 MB at 100,000,000).
     "grid_n": Setting("int", (VF,), "--grid-n", arg=(equilibrium.ORACLE_MIN_GRID_N,
                                                      equilibrium.ORACLE_BLOCK_ROWS)),
@@ -285,57 +289,57 @@ def cmd_equilibrium(s: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cells(col, rows: slice, ok, fill: str) -> list[str]:
-    """`repr` of `col[rows]` where `ok`, and `fill` elsewhere: only the rows
-    at `ok` are formatted, and scattered over a column of `fill`."""
-    cells = np.full(len(ok), fill, dtype=object)
-    if col is not None:
-        cells[ok] = list(map(repr, col[rows][ok].tolist()))
-    return cells.tolist()
+def _reprs(col: np.ndarray):
+    """The `repr` of each value, lazily; once if all share one bit pattern (-0.0 is not 0.0)."""
+    bits = col.view(np.uint64)
+    if bits.size and (bits == bits[0]).all():
+        return repeat(repr(col[0].item()), len(col))
+    return map(repr, col.tolist())
 
 
 def cmd_scenario(s: dict) -> int:
-    """Write each scenario's rows over one sampled table, block by block. Each run of
-    parameter columns is formatted once per block and shared by every scenario whose
-    table holds its arrays; outcome cells are formatted only at feasible rows."""
+    """Write each scenario's rows over one sampled table, block by block, each joined
+    from five texts: id and scenario, three runs of parameter cells (formatted once a
+    block for every scenario whose table holds their arrays) and the outcome (formatted
+    at feasible rows, the scenario's fill elsewhere). Each outcome lives while written."""
     spec = _population_spec(s)
     names = sorted(s.get("scenarios", SCENARIOS))
     mode = s.get("mode", scenarios.MODE_EQUILIBRIUM)
 
     table, price = population.sample_table(spec)
-    outcomes = {name: scenarios.scenario_columns(name, table, price, mode)
-                for name in names}
-    memo = {}   # (block start, ids of arrays `outcomes` keeps alive) -> "\n"-joined rows
+    memo = {}   # (block start, ids of a run's arrays) -> (the run, held so no id is reused, texts)
+    summary = {}   # name -> (feasible count, mean cloud and provider payoffs)
 
-    def joined(lo, rows, run):
-        key = (lo, *map(id, run))
+    def run_texts(rows, run):
+        key = (rows.start, *map(id, run))
         if key not in memo:
-            cells = zip(*(map(repr, col[rows].tolist()) for col in run))
-            memo[key] = "\n".join(map(",".join, cells))
-        return memo[key].split("\n")
+            memo[key] = run, list(map(",".join, zip(*(_reprs(col[rows]) for col in run))))
+        return memo[key][1]
 
-    def blocks():
-        for name, out in outcomes.items():
-            t = out.params
-            runs = ((t.alpha, t.beta, t.gamma, t.psi), (t.phi,), (t.k1, t.f_c))
-            values = (out.price, out.share, out.demand, out.supply,
-                      out.provider_payoff, out.cloud_payoff)
-            fills = tuple(map(_format_value, scenarios.INFEASIBLE_FILL[name]))
-            for lo in range(0, len(price), CSV_BLOCK_ROWS):
-                rows = slice(lo, lo + CSV_BLOCK_ROWS)
-                ok = out.feasible[rows]
-                yield ([list(map(str, range(lo, lo + len(ok)))), [name] * len(ok)]
-                       + [joined(lo, rows, run) for run in runs]
-                       + [_cells(col, rows, ok, fill) for col, fill in zip(values, fills)]
-                       + [["true" if f else "false" for f in ok.tolist()]])
+    def scenario_blocks(name):
+        out = scenarios.scenario_columns(name, table, price, mode)
+        summary[name] = out.feasible_mean("cloud_payoff", "provider_payoff")
+        t = out.params
+        runs = ((t.alpha, t.beta, t.gamma, t.psi), (t.phi,), (t.k1, t.f_c))
+        fill = ",".join(map(_format_value, (*scenarios.INFEASIBLE_FILL[name], False)))
+        for lo in range(0, len(price), CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + CSV_BLOCK_ROWS)
+            ok = out.feasible[rows]
+            texts = [fill] * len(ok)
+            cells = (repeat("") if col is None else _reprs(col[rows][ok]) for col in out[2:])
+            for i, text in zip(np.flatnonzero(ok).tolist(),
+                               map(",".join, zip(*cells, repeat("true")))):
+                texts[i] = text
+            yield [[f"{i},{name}" for i in range(lo, lo + len(ok))],
+                   *(run_texts(rows, run) for run in runs), texts]
 
     out_path = s.get("out", "scenario.csv")
-    write_csv(out_path, SCENARIO_COLUMNS, blocks())
+    write_csv(out_path, SCENARIO_COLUMNS, (b for name in names for b in scenario_blocks(name)))
 
     print(f"# command=scenario seed={spec.seed} n_providers={spec.n_providers} "
           f"mode={mode} scenarios={','.join(names)} out={out_path}")
-    for name, out in outcomes.items():
-        k, means = out.feasible_mean("cloud_payoff", "provider_payoff")
+    for name in names:
+        k, means = summary[name]
         cloud, provider = (_format_value(float(m) if k else None) for m in means)
         print(f"{name}: feasible {k}/{len(price)} mean_cloud_payoff={cloud}"
               f" mean_provider_payoff={provider}")
@@ -458,7 +462,6 @@ def sample_table_params(rng: np.random.Generator, n: int) -> core.ParamTable:
 # Draws per sampler batch: a whole number of 4-word Philox blocks, so each of
 # a batch's uniform columns spans whole counter steps (see _philox_ahead).
 SAMPLER_BATCH = 200_000
-MAX_DRAWS = 20_000_000   # draw_reported_equilibria stops here short of its count
 
 
 def _philox_ahead(state: dict, words: int) -> np.random.Generator:

@@ -1,8 +1,10 @@
 """Tests for the command-line interface: exit codes, CSV schemas, determinism."""
 
 import builtins
+import contextlib
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import re
@@ -191,6 +193,49 @@ class TestScenarioCommand:
         assert rows[2]["demand"] == "" and rows[2]["cloud_payoff"] == "0.0"
         assert rows[0]["demand"] != ""
 
+    @pytest.mark.parametrize("block_rows", [1024, 3])
+    def test_feasible_cells_print_value_by_value(self, tmp_path, monkeypatch, block_rows):
+        # A column of one bit pattern is formatted once per block and printed at
+        # each row; 0.0 and -0.0, and NaNs of other payloads, are patterns of
+        # their own, and every feasible value prints as itself.
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                         0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+        original = scenarios.scenario_columns
+
+        def patched(name, t, price, mode):
+            return original(name, t, price, mode)._replace(
+                feasible=np.ones(4, bool), price=np.full(4, 2.5),
+                demand=np.array([0.0, -0.0, 0.0, -0.0]), supply=np.full(4, -0.0),
+                provider_payoff=nans, cloud_payoff=np.array([np.inf, -np.inf, np.nan, 1.0]))
+
+        monkeypatch.setattr(scenarios, "scenario_columns", patched)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        out = tmp_path / "sc.csv"
+        assert cli.main(["scenario", "--seed", "3", "--n-providers", "4",
+                         "--scenario", "pay_as_you_go", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [[r[k] for r in rows] for k in cli.SCENARIO_COLUMNS[9:]] == [
+            ["2.5"] * 4, [""] * 4, ["0.0", "-0.0", "0.0", "-0.0"], ["-0.0"] * 4,
+            ["nan"] * 4, ["inf", "-inf", "nan", "1.0"], ["true"] * 4]
+
+    def test_traced_memory_peak_is_bounded(self):
+        # Each scenario's outcome lives only while its rows are written: the
+        # peak is about 4.39 MB, in the last kernel, next to the parameter
+        # texts of every block. Computing all three outcomes first peaked at
+        # 4.92 MB with the memo as joined text, and at 5.05 MB with it as row
+        # texts. A first run in a process allocates about 0.9 MB more, so a
+        # run of 10 providers goes first.
+        argv = ["scenario", "--seed", "1729", "--out", os.devnull, "--n-providers"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "10"]) == 0
+            tracemalloc.start()
+            try:
+                assert cli.main([*argv, "10000"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4.8e6
+
     @pytest.mark.parametrize("mode", ["equilibrium", "declared-price"])
     def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, mode):
         # Blocks of 3 rows split each scenario's 10 rows 3+3+3+1.
@@ -246,14 +291,20 @@ class TestScenarioCommand:
             assert [r["psi"] for r in mine] == list(map(repr, table.psi.tolist()))
 
     def test_each_parameter_cell_is_formatted_once(self, tmp_path, monkeypatch):
-        # Seven sampled columns once for all three scenarios plus fifty_fifty's
-        # phi, outcome cells only at feasible rows, and each float fill and
-        # summary mean once.
+        # The seven sampled columns once for all three scenarios plus
+        # fifty_fifty's phi, outcome cells only at feasible rows, each float
+        # fill and summary mean once, and a column of one bit pattern once a
+        # block. At seed 0 psi, phi, fifty_fifty's phi and its share are such
+        # columns: 5 * 10 + 3 parameter cells, 3 * 5 + 1 of fifty_fifty's
+        # feasible rows and 10 * 5 of pay_as_you_go's, 7 fills and 4 means.
         calls = []
 
         def counting_repr(value):
             calls.append(value)
             return builtins.repr(value)
+
+        def formatted(col):   # repr calls for a column of one block
+            return 1 if len(set(col.view(np.uint64).tolist())) == 1 else len(col)
 
         monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
         n = 10
@@ -261,15 +312,13 @@ class TestScenarioCommand:
                          "--out", str(tmp_path / "sc.csv")]) == 0
         table, price = population.sample_table(population.PopulationSpec(n_providers=n,
                                                                           seed=0))
-        expected = 8 * n
+        expected = 1 + sum(formatted(getattr(table, k)) for k in cli.SCENARIO_COLUMNS[2:9])
         for name in scenarios.SCENARIOS:
             out = scenarios.scenario_columns(name, table, price, "equilibrium")
-            values = (out.price, out.share, out.demand, out.supply,
-                      out.provider_payoff, out.cloud_payoff)
-            expected += int(out.feasible.sum()) * sum(v is not None for v in values)
+            expected += sum(formatted(v[out.feasible]) for v in out[2:] if v is not None)
             expected += sum(isinstance(v, float) for v in scenarios.INFEASIBLE_FILL[name])
             expected += 2 * bool(out.feasible.any())   # the two summary means
-        assert len(calls) == expected
+        assert len(calls) == expected == 130
 
     def test_unknown_scenario_exit_1(self, tmp_path):
         assert cli.main(["scenario", "--scenario", "barter",
@@ -575,6 +624,15 @@ class TestVerifyCommand:
 
     def test_bad_draws_exit_1(self):
         assert cli.main(["verify", "--draws", "0"]) == 1
+
+    def test_draws_at_the_cap_runs(self, monkeypatch):
+        # 1,000 draws reach the suite, stubbed here so that nothing is drawn.
+        def sentinel(seed, draws, grid_n, pairs):
+            raise LookupError(draws)
+
+        monkeypatch.setattr(cli, "verify_properties", sentinel)
+        with pytest.raises(LookupError, match="1000"):
+            cli.main(["verify", "--draws", "1000"])
 
     def test_bad_pairs_exit_1(self, capsys):
         # a non-positive pair count would pass fixed_point_consistency vacuously
@@ -934,6 +992,8 @@ class TestConfigLoading:
          "(YAML 1.1 reads 1e-1 as text; write 1.0e-1)"),
         # one past each size cap, refused before anything is drawn or allocated
         ("verify --grid-n 32769", "", "grid_n must be an integer in [100, 32768], got 32769"),
+        # 1,000 games take about 12.4M draws: 1,001 could come near MAX_DRAWS' 20M
+        ("verify --draws 1001", "", "draws must be an integer in [1, 1000], got 1001"),
         ("verify --pairs 18000001", "",
          "pairs must be an integer in [1, 18000000], got 18000001"),
         ("scenario --n-providers 370001", "",
