@@ -165,14 +165,15 @@ SWEEP_CELLS = {"axis": list, "scenario": list, "feasible_count": lambda c: list(
 
 
 def write_csv(path: str, header: tuple[str, ...], blocks) -> None:
-    """Write the header, then each block as it comes; `blocks` may be a generator.
-    A block is a list of equal-length columns of cells, each one or more fields."""
+    """Write the header, then each block as it comes, in one write; `blocks` may be a
+    generator. A block is a list of equal-length columns of cells, each one or more fields."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for columns in blocks:
-                fh.writelines(",".join(row) + "\n" for row in zip(*columns))
-                del columns   # so that only one block is alive while the next is built
+                if text := "\n".join(map(",".join, zip(*columns))):
+                    fh.write(text + "\n")
+                del columns, text   # so that only one block is alive while the next is built
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
 
@@ -655,13 +656,15 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `tsm` parser; given a command name, only that command's subparser gets flags."""
+    """The `tsm` parser; given a command name, only its subparser is built, and a metavar
+    keeps every command in the usage (with none, it would rename the missing one's error)."""
     parser = argparse.ArgumentParser(prog="tsm", description="Two-sided cloud data-market simulator.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
     for name, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if command not in (None, name):
             continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="YAML config file (flags override it)")
         for setting in SETTINGS.values():
             if name in setting.commands:

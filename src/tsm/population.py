@@ -377,19 +377,19 @@ def run_sweep(spec: SweepSpec) -> list[SweepSeries]:
     phi_level).
     """
     base, declared = sample_table(spec.population)
-    # (axis value, phi level) per cell; the phi axis is its own level.
-    cells = ([(value, value) for value in spec.grid] if spec.axis == AXIS_PHI
-             else [(value, level) for value in spec.grid for level in spec.phi_levels])
-    shape = (len(spec.grid), len(cells) // len(spec.grid))
+    # Each cell's axis value and phi level; the phi axis is its own level.
+    values, levels = ((spec.grid, spec.grid) if spec.axis == AXIS_PHI else
+                      zip(*[(value, level) for value in spec.grid for level in spec.phi_levels]))
+    shape = (len(spec.grid), len(values) // len(spec.grid))
     table = _sweep_table(base, spec.axis, spec.grid, spec.phi_levels)
     series = []
     for scenario in spec.scenarios:
         k, means = scenario_columns(scenario, table, declared,
                                     spec.mode).feasible_mean(*MEAN_COLUMNS)
-        counts, *means = (repeat(None) if v is None else np.broadcast_to(v, shape).ravel().tolist()
-                          for v in (k, *means))
-        series += [SweepSeries(spec.axis, value, scenario, level, len(base), count,
-                               *(m if count else None for m in row))
-                   for (value, level), count, *row in zip(cells, counts, *means)]
+        counts = np.broadcast_to(k, shape).ravel().tolist()
+        means = [repeat(None) if m is None else [v if c else None for c, v in
+                 zip(counts, np.broadcast_to(m, shape).ravel().tolist())] for m in means]
+        series += map(SweepSeries._make, zip(repeat(spec.axis), values, repeat(scenario), levels,
+                                             repeat(len(base)), counts, *means))
     series.sort(key=lambda s: s[1:4])   # (axis_value, scenario, phi_level)
     return series

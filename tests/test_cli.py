@@ -1149,3 +1149,64 @@ class TestParser:
             cli.main(["bogus", "--seed", "1"])
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    @pytest.mark.parametrize("args", [
+        ["--bogus"], ["extra"], ["--mode", "fast"], ["--preset", "fig99"], ["--seed", "x"],
+        ["--alpha", "x"], ["--draws", "1.5"],
+    ], ids=" ".join)
+    def test_one_command_errors_as_the_full_parser(self, command, args, capsys):
+        # An unknown flag, an extra positional, a bad choice and a bad number:
+        # the same exit code and the same stderr, usage line included, since
+        # the one-command parser still names every command in its usage.
+        errors = []
+        for parser in (cli.build_parser(command), cli.build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, *args])
+            errors.append((exc.value.code, capsys.readouterr().err))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 2
+
+    def test_no_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: command\n")
+
+
+class TestWriteCsv:
+    # Each block is written in one piece: the same bytes as a header line and
+    # then one line per row, each its cells joined by commas.
+    HEADER = ("id", "name", "x")
+
+    @staticmethod
+    def per_row(header, blocks):
+        return "".join(",".join(row) + "\n" for row in [header, *(
+            row for columns in blocks for row in zip(*columns))])
+
+    @pytest.mark.parametrize("blocks", [
+        [[["0"], ["a"], ["1.5"]]],
+        [[[], [], []]],
+        [[["0", "1"], ["a", ""], ["1.5", "-0.0"]], [[], [], []], [["2"], ["c"], ["nan"]]],
+        [[["0,two_sided"], ["1.5"]]],
+    ], ids=["one row", "empty block", "empty block between", "multi-field cells"])
+    def test_blocks_write_the_per_row_bytes(self, tmp_path, blocks):
+        out = tmp_path / "out.csv"
+        cli.write_csv(str(out), self.HEADER, blocks)
+        assert out.read_bytes() == self.per_row(self.HEADER, blocks).encode()
+
+    def test_generator_with_a_partial_last_block(self, tmp_path):
+        # Seven rows from a generator, in blocks of three: 3 + 3 + 1.
+        rows = [(str(i), f"s{i}", repr(i / 3)) for i in range(7)]
+        built = []
+
+        def blocks():
+            for lo in range(0, len(rows), 3):
+                built.append(lo)
+                yield [list(column) for column in zip(*rows[lo:lo + 3])]
+
+        out = tmp_path / "out.csv"
+        cli.write_csv(str(out), self.HEADER, blocks())
+        assert built == [0, 3, 6]
+        assert out.read_bytes() == self.per_row(self.HEADER, [list(zip(*rows))]).encode()

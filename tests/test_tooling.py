@@ -10,6 +10,7 @@ guarded here too: the result types are tuples, not dataclasses."""
 import argparse
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -191,6 +192,42 @@ def test_bench_pairs_prints_one_summary_line_per_metric():
         " parent_iqr=16.25",
         "verify setup_s: change_over_parent_median=1.0 change_better_pairs=2/4"
         " parent_iqr=0.0025"]
+
+
+@pytest.mark.parametrize("moved", [None, "parent", "change"])
+def test_bench_pairs_refuses_a_side_whose_commit_moved(tmp_path, capsys, monkeypatch, moved):
+    # Each side's commit is read before the first run and after the last:
+    # a side that moved during the runs voids them, with one error line that
+    # names it and no report.
+    bench_pairs = load_bench_pairs()
+    reads = []
+
+    def describe(checkout):
+        side = "parent" if len(reads) % 2 == 0 else "change"
+        reads.append(side)
+        return "abc1234" + ("+dirty" if side == moved and len(reads) > 2 else "")
+
+    def bench_run(checkout, workload, seed, seconds, trace=0):
+        return {"correct": True, "metrics": {m: {"value": 1.0}
+                                             for m in ("items_per_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "describe", describe)
+    monkeypatch.setattr(bench_pairs, "bench_run", bench_run)
+    monkeypatch.setattr(bench_pairs, "host", dict)
+    monkeypatch.setattr(bench_pairs, "is_work_tree", lambda checkout: True)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main([str(ROOT), str(ROOT), "--workload", "verify", "--pairs", "2",
+                             "--out", str(out)])
+    assert reads == ["parent", "change", "parent", "change"][:3 if moved == "parent" else 4]
+    err = capsys.readouterr().err
+    if moved is None:
+        assert code == 0 and err == ""
+        assert json.loads(out.read_text())["commits"] == {"parent": "abc1234",
+                                                          "change": "abc1234"}
+    else:
+        assert code == 1 and not out.exists()
+        assert err == (f"error: {moved} checkout {ROOT} moved from abc1234 to abc1234+dirty"
+                       " during the runs; no report written\n")
 
 
 def test_bench_pairs_alternates_which_side_runs_first():

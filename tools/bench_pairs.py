@@ -37,7 +37,9 @@ writes the bytecode cache, and records each `tsm` module's self time and
 tsm.cli's cumulative time (`total`), in microseconds.
 These are uncalibrated wall-clock figures, unlike perfbench's `setup_s`.
 The checkouts' `perfbench/` files should be identical; the script changes
-no file in either checkout but for tsm's bytecode cache.
+no file in either checkout but for tsm's bytecode cache. Each side's commit
+is read before the first run and again after the last; if either moved, the
+script writes no report and exits 1.
 """
 
 from __future__ import annotations
@@ -310,6 +312,11 @@ def main(argv=None) -> int:
                       f"correct={result['correct']}", flush=True)
             report["workloads"][workload]["traced"] = {
                 side: layer_spreads(side_runs) for side, side_runs in traced.items()}
+    for side, path in sides.items():   # a commit made during the runs voids them
+        if (now := describe(path)) != report["commits"][side]:
+            print(f"error: {side} checkout {path} moved from {report['commits'][side]} to {now}"
+                  " during the runs; no report written", file=sys.stderr)
+            return 1
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
